@@ -204,7 +204,7 @@ def run_backtest(
             weights = _fit_point(data, spec, point)
             for task_id, rows in test_rows.items():
                 actual = [float(v) for v in rows["y"]]
-                predicted = list(rows["x"] @ weights.column(task_id))
+                predicted = (rows["x"] @ weights.column(task_id)).tolist()
                 records.append(
                     MetricRecord(
                         round_index=round_index,

@@ -2,12 +2,12 @@
 
 Subcommands:
     generate --config cfg.json [--out DIR] [--seed N]
-    run      --config cfg.json [--out DIR] [--seed N] [--threads N]
+    run      --config cfg.json [--out DIR] [--seed N]
     report   RESULTS_DIR [--format csv|json|md] [--out DIR]
 
-The MTLHOUSE_OUT and MTLHOUSE_THREADS environment variables override the
-configured output directory and thread count; command-line flags override
-both.
+``run`` backtests the task definitions serially, in config order. The
+MTLHOUSE_OUT environment variable, the only environment override, replaces
+the configured output directory; ``--out`` overrides both.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +33,6 @@ from .reports import (
 )
 
 ENV_OUT = "MTLHOUSE_OUT"
-ENV_THREADS = "MTLHOUSE_THREADS"
 
 
 def _resolve_out(flag: Optional[str], config_out: str) -> Path:
@@ -44,15 +42,6 @@ def _resolve_out(flag: Optional[str], config_out: str) -> Path:
     if env:
         return Path(env)
     return Path(config_out)
-
-
-def _resolve_threads(flag: Optional[int]) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _write_weights_csv(path: Path, weights: WeightMatrix) -> None:
@@ -85,7 +74,6 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     config = load_config(args.config).with_seed(args.seed)
     out = _resolve_out(args.out, config.out_dir)
-    threads = _resolve_threads(args.threads)
     out.mkdir(parents=True, exist_ok=True)
 
     dataset, _ = config.resolve_dataset()
@@ -93,27 +81,6 @@ def cmd_run(args) -> int:
     definitions = config.definitions()
     benchmark = config.benchmark_label
     method_order = [m.label for m in config.methods]
-
-    def run_one(definition):
-        return run_backtest(
-            dataset, definition, config.methods, plan, benchmark=benchmark
-        )
-
-    outcomes: list = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_one, d) for d in definitions]
-            for text, future in zip(config.definition_texts, futures):
-                try:
-                    outcomes.append((text, future.result(), None))
-                except Exception as exc:  # noqa: BLE001 - reported per definition
-                    outcomes.append((text, None, exc))
-    else:
-        for text, definition in zip(config.definition_texts, definitions):
-            try:
-                outcomes.append((text, run_one(definition), None))
-            except Exception as exc:  # noqa: BLE001 - reported per definition
-                outcomes.append((text, None, exc))
 
     report: dict = {
         "config": config.raw,
@@ -128,12 +95,15 @@ def cmd_run(args) -> int:
         "errors": {},
     }
     record_rows = []
-    for text, outcome, error in outcomes:
-        if error is not None:
+    for text, definition in zip(config.definition_texts, definitions):
+        try:
+            records, comparison = run_backtest(
+                dataset, definition, config.methods, plan, benchmark=benchmark
+            )
+        except Exception as exc:  # noqa: BLE001 - reported per definition
             report["partial"] = True
-            report["errors"][text] = f"{type(error).__name__}: {error}"
+            report["errors"][text] = f"{type(exc).__name__}: {exc}"
             continue
-        records, comparison = outcome
         report["definition_order"].append(text)
         report["definitions"][text] = definition_result_dict(
             records, comparison, method_order
@@ -181,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="experiment config JSON")
     run.add_argument("--out", help="output directory")
     run.add_argument("--seed", type=int, help="override the generator seed")
-    run.add_argument("--threads", type=int, help="parallel task definitions")
     run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="render stored results")

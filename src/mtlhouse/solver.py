@@ -169,13 +169,7 @@ def smooth_objective(
     """Squared loss plus, for the graph kind, the quadratic coupling term."""
     w = _values(W)
     _check_shapes(w, data, reg, graph)
-    loss = 0.0
-    for p in range(data.n_tasks):
-        residual = data.xs[p] @ w[:, p] - data.ys[p]
-        loss += float(residual @ residual)
-    if reg.kind == "graph":
-        loss += reg.theta1 * _graph_quadratic(_penalized(w, reg), graph.weights)
-    return loss
+    return _Smooth(data, reg, graph).value(w)
 
 
 def nonsmooth_penalty(
@@ -208,17 +202,7 @@ def smooth_gradient(
     """Gradient of :func:`smooth_objective`; the l1/l2,1 parts are handled by prox."""
     w = _values(W)
     _check_shapes(w, data, reg, graph)
-    grad = np.zeros_like(w)
-    for p in range(data.n_tasks):
-        residual = data.xs[p] @ w[:, p] - data.ys[p]
-        grad[:, p] = 2.0 * (data.xs[p].T @ residual)
-    if reg.kind == "graph":
-        part = reg.theta1 * _graph_gradient(_penalized(w, reg), graph.weights)
-        if reg.penalize_intercept:
-            grad += part
-        else:
-            grad[:-1] += part
-    return grad
+    return _Smooth(data, reg, graph).gradient(w)
 
 
 def prox_l1(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -> np.ndarray:
@@ -280,8 +264,9 @@ class _Smooth:
         residual = self._residual(W)
         loss = float(residual @ residual)
         if self.reg.kind == "graph":
-            V = W if self.reg.penalize_intercept else W[:-1]
-            loss += self.reg.theta1 * _graph_quadratic(V, self.graph.weights)
+            loss += self.reg.theta1 * _graph_quadratic(
+                _penalized(W, self.reg), self.graph.weights
+            )
         return loss
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
@@ -290,8 +275,9 @@ class _Smooth:
         scattered[np.arange(self.rows.shape[0]), self.task_of_row] = residual
         grad = 2.0 * (self.rows.T @ scattered)
         if self.reg.kind == "graph":
-            V = W if self.reg.penalize_intercept else W[:-1]
-            part = self.reg.theta1 * _graph_gradient(V, self.graph.weights)
+            part = self.reg.theta1 * _graph_gradient(
+                _penalized(W, self.reg), self.graph.weights
+            )
             if self.reg.penalize_intercept:
                 grad += part
             else:
@@ -330,16 +316,20 @@ def fit(
         step = min(step / params.backtracking_shrink, params.initial_step)
         alpha = (t_old - 1.0) / t
         search = W + alpha * (W - W_prev)
-        candidate, step = _backtracked_step(smooth, reg, params, search, step, iteration)
-        value = smooth.value(candidate) + nonsmooth_penalty(candidate, reg)
+        candidate, f_candidate, step = _backtracked_step(
+            smooth, reg, params, search, step, iteration
+        )
+        value = f_candidate + nonsmooth_penalty(candidate, reg)
         if not math.isfinite(value):
             raise DivergenceError(f"objective became non-finite at iteration {iteration}")
 
         if value > current:
             # momentum overshot: restart and take a plain descent step
             t, t_old = 1.0, 0.0
-            candidate, step = _backtracked_step(smooth, reg, params, W, step, iteration)
-            value = smooth.value(candidate) + nonsmooth_penalty(candidate, reg)
+            candidate, f_candidate, step = _backtracked_step(
+                smooth, reg, params, W, step, iteration
+            )
+            value = f_candidate + nonsmooth_penalty(candidate, reg)
             if not math.isfinite(value):
                 raise DivergenceError(f"objective became non-finite at iteration {iteration}")
             if value > current:
@@ -366,7 +356,10 @@ def fit(
 
 
 def _backtracked_step(smooth, reg, params, point, step, iteration):
-    """Shrink the step until the smooth part is majorized at the prox point."""
+    """Shrink the step until the smooth part is majorized at the prox point.
+
+    Returns the accepted prox point, its smooth value and the step used.
+    """
     f_point = smooth.value(point)
     g_point = smooth.gradient(point)
     if not (math.isfinite(f_point) and np.all(np.isfinite(g_point))):
@@ -379,8 +372,9 @@ def _backtracked_step(smooth, reg, params, point, step, iteration):
             + float(np.einsum("ip,ip->", g_point, delta))
             + float(np.einsum("ip,ip->", delta, delta)) / (2.0 * step)
         )
-        if smooth.value(candidate) <= bound + 1e-12 * max(1.0, abs(bound)):
-            return candidate, step
+        f_candidate = smooth.value(candidate)
+        if f_candidate <= bound + 1e-12 * max(1.0, abs(bound)):
+            return candidate, f_candidate, step
         step *= params.backtracking_shrink
         if step < 1e-30:
             raise DivergenceError(f"step size underflow at iteration {iteration}")

@@ -148,25 +148,29 @@ class TestRun:
         report = load_json(tmp_path / "results" / "report.json")
         assert report["definitions"]["region:SA3"]["n_records"] > 0
 
-    def test_threads_flag_gives_identical_results(self, tmp_path):
+    def test_metric_cells_are_plain_floats(self, tmp_path):
         config = write_config(
-            tmp_path, task_definitions=["region:SA3", "region:SA4"]
+            tmp_path,
+            methods=[
+                {"label": "ols", "kind": "ols"},
+                {"label": "mtl_lasso", "kind": "mtl_lasso", "theta1": [0.5]},
+            ],
         )
-        main(["run", "--config", str(config), "--out", str(tmp_path / "serial")])
-        main(
-            [
-                "run",
-                "--config",
-                str(config),
-                "--out",
-                str(tmp_path / "parallel"),
-                "--threads",
-                "2",
+        assert main(["run", "--config", str(config)]) == 0
+        for name in ("records.csv", "summary.csv"):
+            rows = read_csv(tmp_path / "results" / name)
+            metric_columns = [
+                i for i, h in enumerate(rows[0]) if h.endswith(("rmse", "mae"))
             ]
-        )
-        assert (tmp_path / "serial" / "report.json").read_bytes() == (
-            tmp_path / "parallel" / "report.json"
-        ).read_bytes()
+            assert metric_columns
+            for row in rows[1:]:
+                for i in metric_columns:
+                    float(row[i])
+
+    def test_threads_flag_is_rejected(self, tmp_path):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit):
+            main(["run", "--config", str(config), "--threads", "2"])
 
     def test_failing_definition_flags_partial_output(self, tmp_path):
         config = write_config(

@@ -382,6 +382,16 @@ class TestFit:
             change = abs(trace[-1] - trace[-2])
             assert change <= SolverParams().rel_tol * max(abs(trace[-2]), 1e-12)
 
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
+    def test_trace_ends_at_objective_of_returned_weights(self, kind, theta2):
+        # fit and objective share one smooth implementation, so the bits agree
+        rng = np.random.default_rng(77)
+        data = random_task_data(rng, n_tasks=4, n_columns=5)
+        reg = RegularizerSpec(kind, 0.6, theta2)
+        graph = build_task_graph(data) if kind == "graph" else None
+        result = fit(data, reg)
+        assert result.objective_trace[-1] == objective(result.weights, data, reg, graph)
+
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.2)])
     def test_price_scale_equivariance(self, kind, theta2):
         data = well_conditioned_data()
