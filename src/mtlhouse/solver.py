@@ -1,5 +1,5 @@
 """Jointly regularized multi-task least squares, solved by accelerated
-proximal gradient descent with backtracking and a monotone restart.
+proximal gradient descent (monotone FISTA with restart).
 
 The estimator minimizes
 
@@ -11,6 +11,14 @@ quadratic coupling r_pq * ||w_p - w_q||^2 plus an l2,1 term. Graph edge
 weights are the min/max ratio of the tasks' average sale prices, so similarly
 priced tasks are pulled together hardest. The trailing intercept row is
 excluded from every penalty unless explicitly requested.
+
+The smooth part is a quadratic, so a Lipschitz constant L of its gradient is
+computed once per fit from eigenvalues, and every step is 1/L, capped by
+``SolverParams.initial_step``. Backtracking is kept only as a fallback, for a
+step that fails the majorization test or a design whose L is not finite and
+positive. The residual is affine in W, so the residual at the extrapolated
+point is combined from those of the last two iterates, and an accelerated
+step costs one residual and one gradient product.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ class RegularizerSpec:
 class SolverParams:
     max_iters: int = 1000
     rel_tol: float = 1e-6
-    initial_step: float = 1.0
-    backtracking_shrink: float = 0.5
+    initial_step: float = 1.0  # largest step tried; the step is min(initial_step, 1/L)
+    backtracking_shrink: float = 0.5  # used only when the 1/L step fails the majorization test
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -142,22 +150,21 @@ def _penalized(W: np.ndarray, reg: RegularizerSpec) -> np.ndarray:
     return W if reg.penalize_intercept else W[:-1]
 
 
-def _graph_quadratic(V: np.ndarray, weights: np.ndarray) -> float:
-    """sum over ordered pairs p != q of r_pq * ||v_p - v_q||^2.
+def _graph_laplacian(weights: np.ndarray) -> np.ndarray:
+    """Laplacian diag(s) - off of the task graph, s the off-diagonal row sums."""
+    off = weights - np.diag(np.diag(weights))
+    return np.diag(off.sum(axis=1)) - off
 
-    Computed from explicit pairwise differences: the expanded Gram form
-    cancels catastrophically near consensus, which stalls the line search.
+
+def _graph_quadratic(V: np.ndarray, laplacian: np.ndarray) -> float:
+    """sum over ordered pairs p != q of r_pq * ||v_p - v_q||^2 = 2 <V Lap, V>.
+
+    Evaluated on row-centred V, which leaves the term unchanged (Lap 1 = 0);
+    near consensus the centred rows are small, so the Laplacian form does not
+    cancel catastrophically and the line search is not stalled by noise.
     """
-    off = weights - np.diag(np.diag(weights))
-    diffs = V[:, :, None] - V[:, None, :]
-    squared = np.einsum("dpq,dpq->pq", diffs, diffs)
-    return float(np.einsum("pq,pq->", off, squared))
-
-
-def _graph_gradient(V: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """d/dV of the ordered-pair quadratic: 4 * (v_p * s_p - sum_q r_pq v_q)."""
-    off = weights - np.diag(np.diag(weights))
-    return 4.0 * (V * off.sum(axis=1)[None, :] - V @ off)
+    centred = V - V.mean(axis=1, keepdims=True)
+    return 2.0 * float(np.einsum("dp,dp->", centred @ laplacian, centred))
 
 
 def smooth_objective(
@@ -248,41 +255,61 @@ class _Smooth:
 
     def __init__(self, data: TaskData, reg: RegularizerSpec, graph: Optional[TaskGraph]):
         self.reg = reg
-        self.graph = graph
+        self.xs = data.xs
         self.n_tasks = data.n_tasks
         self.rows = np.vstack(data.xs)
         self.targets = np.concatenate(data.ys)
         self.task_of_row = np.repeat(
             np.arange(data.n_tasks), [x.shape[0] for x in data.xs]
         )
+        self.row_index = np.arange(self.rows.shape[0])
+        self.laplacian = _graph_laplacian(graph.weights) if reg.kind == "graph" else None
 
     def _residual(self, W: np.ndarray) -> np.ndarray:
         predictions = np.einsum("nd,dn->n", self.rows, W[:, self.task_of_row])
         return predictions - self.targets
 
     def value(self, W: np.ndarray) -> float:
-        residual = self._residual(W)
-        loss = float(residual @ residual)
-        if self.reg.kind == "graph":
-            loss += self.reg.theta1 * _graph_quadratic(
-                _penalized(W, self.reg), self.graph.weights
-            )
-        return loss
+        return self.value_from_residual(W, self._residual(W))
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
-        residual = self._residual(W)
+        return self.gradient_from_residual(W, self._residual(W))
+
+    def value_from_residual(self, W: np.ndarray, residual: np.ndarray) -> float:
+        loss = float(residual @ residual)
+        if self.reg.kind == "graph":
+            loss += self.reg.theta1 * _graph_quadratic(_penalized(W, self.reg), self.laplacian)
+        return loss
+
+    def gradient_from_residual(self, W: np.ndarray, residual: np.ndarray) -> np.ndarray:
         scattered = np.zeros((self.rows.shape[0], self.n_tasks))
-        scattered[np.arange(self.rows.shape[0]), self.task_of_row] = residual
+        scattered[self.row_index, self.task_of_row] = residual
         grad = 2.0 * (self.rows.T @ scattered)
         if self.reg.kind == "graph":
-            part = self.reg.theta1 * _graph_gradient(
-                _penalized(W, self.reg), self.graph.weights
-            )
+            # d/dV of the ordered-pair quadratic 2 <V Lap, V>
+            part = 4.0 * self.reg.theta1 * (_penalized(W, self.reg) @ self.laplacian)
             if self.reg.penalize_intercept:
                 grad += part
             else:
                 grad[:-1] += part
         return grad
+
+    def lipschitz(self) -> float:
+        """Lipschitz constant L of the gradient, or NaN if a Gram matrix is not finite.
+
+        The loss Hessian is block diagonal with blocks 2 x_p^T x_p; the graph
+        term adds 4 theta1 Lap on every penalized row. L is the Hessian's
+        largest eigenvalue for lasso and group_l21; for the graph kind it is the
+        sum of the two parts' largest eigenvalues, an upper bound on it.
+        """
+        with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
+            grams = [x.T @ x for x in self.xs]
+        if not all(np.all(np.isfinite(g)) for g in grams):
+            return math.nan
+        L = 2.0 * max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
+        if self.reg.kind == "graph":
+            L += 4.0 * self.reg.theta1 * float(np.linalg.eigvalsh(self.laplacian)[-1])
+        return L
 
 
 def fit(
@@ -292,20 +319,30 @@ def fit(
 ) -> FitResult:
     """Estimate the weight matrix by monotone accelerated proximal gradient.
 
-    Backtracking line search on the smooth part; on an objective increase the
-    momentum is restarted and a plain descent step is taken, so the recorded
-    trace is nonincreasing. Stops when the relative objective change drops
-    below ``params.rel_tol`` or ``params.max_iters`` is reached.
+    Every step is 1/L, with L the Lipschitz constant of the smooth part's
+    gradient, capped by ``params.initial_step``; should the majorization test
+    still fail (or L not be finite and positive), the step backtracks by
+    ``params.backtracking_shrink`` and recovers towards the cap. On an
+    objective increase the momentum is restarted and a plain descent step is
+    taken, so the recorded trace is nonincreasing. Stops when the relative
+    objective change drops below ``params.rel_tol`` or ``params.max_iters`` is
+    reached.
     """
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
     d, n_tasks = data.n_columns, data.n_tasks
 
+    L = smooth.lipschitz()
+    largest = min(params.initial_step, 1.0 / L) if 0.0 < L < math.inf else params.initial_step
     W = np.zeros((d, n_tasks))
     W_prev = W
+    r = r_prev = smooth._residual(W)
     t, t_old = 1.0, 0.0
-    step = params.initial_step
-    current = smooth.value(W) + nonsmooth_penalty(W, reg)
+    step = largest
+    current = smooth.value_from_residual(W, r) + nonsmooth_penalty(W, reg)
+    if not math.isfinite(current):
+        # the first step would evaluate this point; inf - inf in its residual would be NaN
+        raise DivergenceError("objective became non-finite at iteration 1")
     trace = [current]
     iterations = 0
     converged = False
@@ -313,11 +350,12 @@ def fit(
     for iteration in range(1, params.max_iters + 1):
         iterations = iteration
         # let the step recover so one noisy backtrack cannot shrink it for good
-        step = min(step / params.backtracking_shrink, params.initial_step)
+        step = min(step / params.backtracking_shrink, largest)
         alpha = (t_old - 1.0) / t
         search = W + alpha * (W - W_prev)
-        candidate, f_candidate, step = _backtracked_step(
-            smooth, reg, params, search, step, iteration
+        r_search = r + alpha * (r - r_prev)  # the residual is affine in W
+        candidate, r_candidate, f_candidate, step = _backtracked_step(
+            smooth, reg, params, search, r_search, step, iteration
         )
         value = f_candidate + nonsmooth_penalty(candidate, reg)
         if not math.isfinite(value):
@@ -326,17 +364,18 @@ def fit(
         if value > current:
             # momentum overshot: restart and take a plain descent step
             t, t_old = 1.0, 0.0
-            candidate, f_candidate, step = _backtracked_step(
-                smooth, reg, params, W, step, iteration
+            candidate, r_candidate, f_candidate, step = _backtracked_step(
+                smooth, reg, params, W, r, step, iteration
             )
             value = f_candidate + nonsmooth_penalty(candidate, reg)
             if not math.isfinite(value):
                 raise DivergenceError(f"objective became non-finite at iteration {iteration}")
             if value > current:
                 # numerically stationary; keep the previous iterate
-                candidate, value = W, current
+                candidate, r_candidate, value = W, r, current
 
         W_prev, W = W, candidate
+        r_prev, r = r, r_candidate
         trace.append(value)
         t_old, t = t, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
@@ -355,13 +394,16 @@ def fit(
     )
 
 
-def _backtracked_step(smooth, reg, params, point, step, iteration):
+def _backtracked_step(smooth, reg, params, point, r_point, step, iteration):
     """Shrink the step until the smooth part is majorized at the prox point.
 
-    Returns the accepted prox point, its smooth value and the step used.
+    ``r_point`` is the residual at ``point``; each candidate's residual is
+    computed directly, so the cached residuals never drift from the iterates.
+    Returns the accepted prox point, its residual, its smooth value and the
+    step used.
     """
-    f_point = smooth.value(point)
-    g_point = smooth.gradient(point)
+    f_point = smooth.value_from_residual(point, r_point)
+    g_point = smooth.gradient_from_residual(point, r_point)
     if not (math.isfinite(f_point) and np.all(np.isfinite(g_point))):
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
     while True:
@@ -372,9 +414,10 @@ def _backtracked_step(smooth, reg, params, point, step, iteration):
             + float(np.einsum("ip,ip->", g_point, delta))
             + float(np.einsum("ip,ip->", delta, delta)) / (2.0 * step)
         )
-        f_candidate = smooth.value(candidate)
+        r_candidate = smooth._residual(candidate)
+        f_candidate = smooth.value_from_residual(candidate, r_candidate)
         if f_candidate <= bound + 1e-12 * max(1.0, abs(bound)):
-            return candidate, f_candidate, step
+            return candidate, r_candidate, f_candidate, step
         step *= params.backtracking_shrink
         if step < 1e-30:
             raise DivergenceError(f"step size underflow at iteration {iteration}")

@@ -12,6 +12,9 @@ from mtlhouse.solver import (
     RegularizerSpec,
     SolverParams,
     TaskGraph,
+    _graph_laplacian,
+    _graph_quadratic,
+    _Smooth,
     build_task_graph,
     fit,
     objective,
@@ -102,6 +105,20 @@ class TestObjective:
             expected = scalar_loop_objective(W, data, reg, graph)
             assert objective(W, data, reg, graph) == pytest.approx(expected, rel=1e-10)
 
+    def test_graph_term_near_consensus_matches_pairwise_differences(self):
+        rng = np.random.default_rng(8)
+        weights = build_task_graph(random_task_data(rng, n_tasks=20)).weights
+        consensus = rng.normal(0, 1, (6, 1)) * np.ones((6, 20))
+        for V in (consensus + 1e-6 * rng.normal(0, 1, (6, 20)), rng.normal(0, 1, (6, 20))):
+            expected = math.fsum(
+                weights[p, q] * math.fsum((V[:, p] - V[:, q]) ** 2)
+                for p in range(20)
+                for q in range(20)
+                if p != q
+            )
+            value = _graph_quadratic(V, _graph_laplacian(weights))
+            assert value == pytest.approx(expected, rel=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         data = random_task_data(rng)
@@ -168,6 +185,43 @@ class TestSmoothGradient:
             rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(fd))
             worst = max(worst, rel)
         assert worst <= 1e-5
+
+
+def explicit_hessian(data, reg, graph):
+    """Hessian of the smooth part, column by column; exact for a quadratic."""
+    shape = (data.n_columns, data.n_tasks)
+    base = smooth_gradient(np.zeros(shape), data, reg, graph)
+    columns = []
+    for index in np.ndindex(shape):
+        unit = np.zeros(shape)
+        unit[index] = 1.0
+        columns.append((smooth_gradient(unit, data, reg, graph) - base).ravel())
+    return np.column_stack(columns)
+
+
+def largest_eigenvalue(H):
+    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1])
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("kind", ["lasso", "group_l21", "graph"])
+    @pytest.mark.parametrize("penalize_intercept", [False, True])
+    def test_matches_explicit_hessian(self, kind, penalize_intercept):
+        rng = np.random.default_rng(21)
+        data = random_task_data(rng, n_tasks=4, n_columns=5)
+        theta2 = 0.4 if kind == "graph" else None
+        reg = RegularizerSpec(kind, 2.5, theta2, penalize_intercept=penalize_intercept)
+        graph = build_task_graph(data) if kind == "graph" else None
+        L = _Smooth(data, reg, graph).lipschitz()
+        H = explicit_hessian(data, reg, graph)
+        if kind != "graph":
+            assert L == pytest.approx(largest_eigenvalue(H), rel=1e-10)
+            return
+        # graph: the loss and coupling parts' largest eigenvalues, summed
+        H_loss = explicit_hessian(data, RegularizerSpec("lasso", 0.0), None)
+        parts = largest_eigenvalue(H_loss) + largest_eigenvalue(H - H_loss)
+        assert L == pytest.approx(parts, rel=1e-10)
+        assert L >= largest_eigenvalue(H) * (1 - 1e-10)
 
 
 class TestProxL1:
@@ -428,6 +482,61 @@ class TestFit:
         )
         with pytest.raises(DivergenceError, match="iteration 1"):
             fit(data, RegularizerSpec("lasso", 0.1))
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (np.inf, "objective became non-finite at iteration 1"),
+            (np.nan, "objective became non-finite at iteration 1"),
+            (1e200, "step size underflow at iteration 1"),
+        ],
+    )
+    def test_non_finite_lipschitz_keeps_backtracking_errors(self, entry, message):
+        data = TaskData.from_arrays([np.array([[entry, 1.0]])], [np.array([1.0])])
+        with pytest.raises(DivergenceError, match=message):
+            fit(data, RegularizerSpec("lasso", 0.1))
+
+    def test_all_zero_design_fits(self):
+        data = TaskData.from_arrays([np.zeros((3, 2))], [np.array([1.0, 2.0, 3.0])])
+        result = fit(data, RegularizerSpec("lasso", 0.1))
+        assert result.converged
+        assert np.all(result.weights.values == 0.0)
+
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.0)])
+    def test_backtracking_fallback_alone_still_solves(self, kind, theta2, monkeypatch):
+        monkeypatch.setattr(_Smooth, "lipschitz", lambda self: math.nan)
+        data = well_conditioned_data()
+        result = fit(data, RegularizerSpec(kind, 0.0, theta2), TIGHT)
+        for p in range(data.n_tasks):
+            x, y = data.xs[p], data.ys[p]
+            expected = np.linalg.solve(x.T @ x, x.T @ y)
+            assert np.max(np.abs(result.weights.values[:, p] - expected)) <= 1e-6
+
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
+    @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
+    def test_one_residual_per_step(self, kind, theta2, params, monkeypatch):
+        # each accelerated step costs one residual, a restart one more
+        calls = {"residual": 0}
+        residual = _Smooth._residual
+        gradient = _Smooth.gradient_from_residual
+
+        def counted_residual(self, W):
+            calls["residual"] += 1
+            return residual(self, W)
+
+        def gradient_without_residual(self, W, r):
+            before = calls["residual"]
+            out = gradient(self, W, r)
+            assert calls["residual"] == before
+            return out
+
+        monkeypatch.setattr(_Smooth, "_residual", counted_residual)
+        monkeypatch.setattr(_Smooth, "gradient_from_residual", gradient_without_residual)
+        rng = np.random.default_rng(77)
+        data = random_task_data(rng, n_tasks=4, n_columns=5)
+        result = fit(data, RegularizerSpec(kind, 0.6, theta2), params)
+        assert result.iterations > 5
+        assert calls["residual"] <= 2 * result.iterations + 1
 
     def test_fit_result_rejects_increasing_trace(self):
         from mtlhouse.design import WeightMatrix
