@@ -8,7 +8,7 @@ Task definitions use the compact grammar of :mod:`mtlhouse.tasks`
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -121,7 +121,15 @@ def _method_from_dict(raw: dict) -> MethodSpec:
     if "kind" not in raw:
         raise ConfigError(f"method entry {raw} is missing 'kind'")
     kind = raw["kind"]
-    solver = SolverParams(**raw.get("solver", {}))
+    label = raw.get("label", kind)
+    solver_raw = raw.get("solver", {})
+    accepted = [f.name for f in fields(SolverParams)]
+    if not isinstance(solver_raw, dict) or not set(solver_raw) <= set(accepted):
+        raise ConfigError(
+            f"method {label!r}: 'solver' must be a mapping with keys among {accepted},"
+            f" got {solver_raw!r}"
+        )
+    solver = SolverParams(**solver_raw)
 
     def grid(name) -> tuple[float, ...]:
         value = raw.get(name, ())
@@ -130,7 +138,7 @@ def _method_from_dict(raw: dict) -> MethodSpec:
         return tuple(float(v) for v in value)
 
     return MethodSpec(
-        label=raw.get("label", kind),
+        label=label,
         kind=kind,
         theta1=grid("theta1"),
         theta2=grid("theta2"),

@@ -12,13 +12,11 @@ weights are the min/max ratio of the tasks' average sale prices, so similarly
 priced tasks are pulled together hardest. The trailing intercept row is
 excluded from every penalty unless explicitly requested.
 
-The smooth part is a quadratic, so a Lipschitz constant L of its gradient is
-computed once per fit from eigenvalues, and every step is 1/L, capped by
-``SolverParams.initial_step``. Backtracking is kept only as a fallback, for a
-step that fails the majorization test or a design whose L is not finite and
-positive. The residual is affine in W, so the residual at the extrapolated
-point is combined from those of the last two iterates, and an accelerated
-step costs one residual and one gradient product.
+The smooth part is a quadratic, so the Lipschitz constant L of its gradient
+is computed once per fit from eigenvalues and every step is exactly 1/L; no
+line search is needed. The residual is affine in W, so the residual at the
+extrapolated point is combined from those of the last two iterates, and an
+accelerated step costs one residual and one gradient product.
 """
 
 from __future__ import annotations
@@ -61,16 +59,12 @@ class RegularizerSpec:
 class SolverParams:
     max_iters: int = 1000
     rel_tol: float = 1e-6
-    initial_step: float = 1.0  # largest step tried; the step is min(initial_step, 1/L)
-    backtracking_shrink: float = 0.5  # used only when the 1/L step fails the majorization test
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.rel_tol <= 0 or self.initial_step <= 0:
-            raise ValueError("rel_tol and initial_step must be positive")
-        if not 0.0 < self.backtracking_shrink < 1.0:
-            raise ValueError("backtracking_shrink must lie in (0, 1)")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,8 @@ def _graph_quadratic(V: np.ndarray, laplacian: np.ndarray) -> float:
 
     Evaluated on row-centred V, which leaves the term unchanged (Lap 1 = 0);
     near consensus the centred rows are small, so the Laplacian form does not
-    cancel catastrophically and the line search is not stalled by noise.
+    cancel catastrophically and the restart and stopping tests are not swamped
+    by noise.
     """
     centred = V - V.mean(axis=1, keepdims=True)
     return 2.0 * float(np.einsum("dp,dp->", centred @ laplacian, centred))
@@ -250,7 +245,7 @@ class _Smooth:
 
     Losses and gradients are computed from residuals rather than expanded
     Gram quadratics; near a minimizer the expanded form is dominated by
-    rounding noise, which breaks the backtracking test.
+    rounding noise, which breaks the restart and stopping tests.
     """
 
     def __init__(self, data: TaskData, reg: RegularizerSpec, graph: Optional[TaskGraph]):
@@ -320,56 +315,42 @@ def fit(
     """Estimate the weight matrix by monotone accelerated proximal gradient.
 
     Every step is 1/L, with L the Lipschitz constant of the smooth part's
-    gradient, capped by ``params.initial_step``; should the majorization test
-    still fail (or L not be finite and positive), the step backtracks by
-    ``params.backtracking_shrink`` and recovers towards the cap. On an
-    objective increase the momentum is restarted and a plain descent step is
-    taken, so the recorded trace is nonincreasing. Stops when the relative
-    objective change drops below ``params.rel_tol`` or ``params.max_iters`` is
-    reached.
+    gradient; there is no line search. On an objective increase the momentum
+    is restarted and a plain descent step is taken, so the recorded trace is
+    nonincreasing. Stops when the relative objective change drops below
+    ``params.rel_tol`` or ``params.max_iters`` is reached.
     """
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
     d, n_tasks = data.n_columns, data.n_tasks
 
-    L = smooth.lipschitz()
-    largest = min(params.initial_step, 1.0 / L) if 0.0 < L < math.inf else params.initial_step
     W = np.zeros((d, n_tasks))
     W_prev = W
     r = r_prev = smooth._residual(W)
     t, t_old = 1.0, 0.0
-    step = largest
     current = smooth.value_from_residual(W, r) + nonsmooth_penalty(W, reg)
     if not math.isfinite(current):
         # the first step would evaluate this point; inf - inf in its residual would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
+    L = smooth.lipschitz()
+    step = 1.0 if L == 0.0 else 1.0 / L  # L = 0: the smooth part is constant
+    if not step > 0.0:  # NaN or overflowed L
+        raise DivergenceError("step size underflow at iteration 1")
     trace = [current]
     iterations = 0
     converged = False
 
     for iteration in range(1, params.max_iters + 1):
         iterations = iteration
-        # let the step recover so one noisy backtrack cannot shrink it for good
-        step = min(step / params.backtracking_shrink, largest)
         alpha = (t_old - 1.0) / t
         search = W + alpha * (W - W_prev)
         r_search = r + alpha * (r - r_prev)  # the residual is affine in W
-        candidate, r_candidate, f_candidate, step = _backtracked_step(
-            smooth, reg, params, search, r_search, step, iteration
-        )
-        value = f_candidate + nonsmooth_penalty(candidate, reg)
-        if not math.isfinite(value):
-            raise DivergenceError(f"objective became non-finite at iteration {iteration}")
+        candidate, r_candidate, value = _prox_step(smooth, reg, search, r_search, step, iteration)
 
         if value > current:
             # momentum overshot: restart and take a plain descent step
             t, t_old = 1.0, 0.0
-            candidate, r_candidate, f_candidate, step = _backtracked_step(
-                smooth, reg, params, W, r, step, iteration
-            )
-            value = f_candidate + nonsmooth_penalty(candidate, reg)
-            if not math.isfinite(value):
-                raise DivergenceError(f"objective became non-finite at iteration {iteration}")
+            candidate, r_candidate, value = _prox_step(smooth, reg, W, r, step, iteration)
             if value > current:
                 # numerically stationary; keep the previous iterate
                 candidate, r_candidate, value = W, r, current
@@ -394,33 +375,23 @@ def fit(
     )
 
 
-def _backtracked_step(smooth, reg, params, point, r_point, step, iteration):
-    """Shrink the step until the smooth part is majorized at the prox point.
+def _prox_step(smooth, reg, point, r_point, step, iteration):
+    """One proximal gradient step from ``point``, whose residual is ``r_point``.
 
-    ``r_point`` is the residual at ``point``; each candidate's residual is
-    computed directly, so the cached residuals never drift from the iterates.
-    Returns the accepted prox point, its residual, its smooth value and the
-    step used.
+    The candidate's residual is computed directly, so the cached residuals
+    never drift from the iterates. Returns the candidate, its residual and its
+    full objective value.
     """
     f_point = smooth.value_from_residual(point, r_point)
     g_point = smooth.gradient_from_residual(point, r_point)
     if not (math.isfinite(f_point) and np.all(np.isfinite(g_point))):
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
-    while True:
-        candidate = _prox(reg, point - step * g_point, step)
-        delta = candidate - point
-        bound = (
-            f_point
-            + float(np.einsum("ip,ip->", g_point, delta))
-            + float(np.einsum("ip,ip->", delta, delta)) / (2.0 * step)
-        )
-        r_candidate = smooth._residual(candidate)
-        f_candidate = smooth.value_from_residual(candidate, r_candidate)
-        if f_candidate <= bound + 1e-12 * max(1.0, abs(bound)):
-            return candidate, r_candidate, f_candidate, step
-        step *= params.backtracking_shrink
-        if step < 1e-30:
-            raise DivergenceError(f"step size underflow at iteration {iteration}")
+    candidate = _prox(reg, point - step * g_point, step)
+    r_candidate = smooth._residual(candidate)
+    value = smooth.value_from_residual(candidate, r_candidate) + nonsmooth_penalty(candidate, reg)
+    if not math.isfinite(value):
+        raise DivergenceError(f"objective became non-finite at iteration {iteration}")
+    return candidate, r_candidate, value
 
 
 def predict(W: WeightMatrix, data_row: np.ndarray, task_id: str) -> float:

@@ -7,6 +7,7 @@ import pytest
 from mtlhouse.cli import main
 from mtlhouse.config import ConfigError, config_from_dict, load_config
 from mtlhouse.reports import load_json
+from mtlhouse.solver import SolverParams
 
 from conftest import FIXTURE_DIR
 
@@ -277,6 +278,8 @@ class TestConfigValidation:
             {"h": 2},
             {"benchmark": "missing"},
             {"methods": [{"kind": "ols", "label": "a"}, {"kind": "ridge", "label": "a"}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"initial_step": 0.5}}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": 5}]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -287,6 +290,18 @@ class TestConfigValidation:
         }
         config.update(overrides)
         with pytest.raises(ConfigError):
+            config_from_dict(config)
+
+    def test_solver_block_sets_params_and_names_keys_on_error(self):
+        method = {"kind": "mtl_l21", "label": "joint", "theta1": 0.1}
+        config = {
+            "data": {"synthetic": synthetic_section()},
+            "task_definitions": ["region:SA3"],
+            "methods": [{**method, "solver": {"max_iters": 50, "rel_tol": 1e-4}}],
+        }
+        assert config_from_dict(config).methods[0].solver == SolverParams(50, 1e-4)
+        config["methods"] = [{**method, "solver": {"backtracking_shrink": 0.5}}]
+        with pytest.raises(ConfigError, match=r"'joint'.*'max_iters', 'rel_tol'"):
             config_from_dict(config)
 
     def test_data_section_required(self):

@@ -14,6 +14,7 @@ from mtlhouse.solver import (
     TaskGraph,
     _graph_laplacian,
     _graph_quadratic,
+    _prox,
     _Smooth,
     build_task_graph,
     fit,
@@ -496,21 +497,38 @@ class TestFit:
         with pytest.raises(DivergenceError, match=message):
             fit(data, RegularizerSpec("lasso", 0.1))
 
-    def test_all_zero_design_fits(self):
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.1)])
+    def test_all_zero_design_fits(self, kind, theta2):
+        # L = 0 for every kind (theta1 = 0 drops the graph coupling)
         data = TaskData.from_arrays([np.zeros((3, 2))], [np.array([1.0, 2.0, 3.0])])
-        result = fit(data, RegularizerSpec("lasso", 0.1))
+        reg = RegularizerSpec(kind, 0.0 if kind == "graph" else 0.1, theta2)
+        result = fit(data, reg)
         assert result.converged
         assert np.all(result.weights.values == 0.0)
 
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.0)])
-    def test_backtracking_fallback_alone_still_solves(self, kind, theta2, monkeypatch):
+    def test_non_finite_lipschitz_raises(self, kind, theta2, monkeypatch):
         monkeypatch.setattr(_Smooth, "lipschitz", lambda self: math.nan)
         data = well_conditioned_data()
-        result = fit(data, RegularizerSpec(kind, 0.0, theta2), TIGHT)
-        for p in range(data.n_tasks):
-            x, y = data.xs[p], data.ys[p]
-            expected = np.linalg.solve(x.T @ x, x.T @ y)
-            assert np.max(np.abs(result.weights.values[:, p] - expected)) <= 1e-6
+        with pytest.raises(DivergenceError, match="step size underflow at iteration 1"):
+            fit(data, RegularizerSpec(kind, 0.0, theta2), TIGHT)
+
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
+    def test_step_is_one_over_lipschitz(self, kind, theta2, monkeypatch):
+        steps = []
+
+        def recording_prox(reg, V, step):
+            steps.append(step)
+            return _prox(reg, V, step)
+
+        monkeypatch.setattr("mtlhouse.solver._prox", recording_prox)
+        rng = np.random.default_rng(77)
+        data = random_task_data(rng, n_tasks=4, n_columns=5)
+        reg = RegularizerSpec(kind, 0.6, theta2)
+        graph = build_task_graph(data) if kind == "graph" else None
+        result = fit(data, reg)
+        assert len(steps) >= result.iterations > 5
+        assert set(steps) == {1.0 / _Smooth(data, reg, graph).lipschitz()}
 
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
     @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
@@ -557,7 +575,9 @@ class TestRegularizerSpec:
         with pytest.raises(ValueError):
             RegularizerSpec("lasso", 0.1, 0.2)  # theta2 not allowed
         with pytest.raises(ValueError):
-            SolverParams(backtracking_shrink=1.0)
+            SolverParams(max_iters=0)
+        with pytest.raises(ValueError):
+            SolverParams(rel_tol=0.0)
 
 
 class TestPredict:
