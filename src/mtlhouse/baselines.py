@@ -83,13 +83,17 @@ def _solve_ols(x: np.ndarray, y: np.ndarray, spec: StlSpec) -> np.ndarray:
     return np.linalg.solve(x.T @ x, x.T @ y)
 
 
-def _solve_ridge(
-    x: np.ndarray, y: np.ndarray, penalty: float, penalize_intercept: bool
-) -> np.ndarray:
-    d = x.shape[1]
+def _ridge_shrink(d: int, penalize_intercept: bool) -> np.ndarray:
     shrink = np.eye(d)
     if not penalize_intercept:
         shrink[-1, -1] = 0.0
+    return shrink
+
+
+def _solve_ridge(
+    x: np.ndarray, y: np.ndarray, penalty: float, penalize_intercept: bool
+) -> np.ndarray:
+    shrink = _ridge_shrink(x.shape[1], penalize_intercept)
     return np.linalg.solve(x.T @ x + penalty * shrink, x.T @ y)
 
 
@@ -104,20 +108,35 @@ def cv_ridge_penalty(
 
     Folds are contiguous row blocks, so the choice depends only on this task's
     own rows. Tasks too small to split fall back to the middle of the grid.
+
+    Each fold's normal matrix is formed once, exactly as :func:`_solve_ridge`
+    forms it, and the ridge systems of every (fold, penalty) pair are solved
+    in one stacked ``np.linalg.solve`` call. The grid is walked in order and a
+    penalty replaces the best so far only when its held-out SSE is strictly
+    smaller: the first minimum wins, a NaN SSE is never chosen, and when every
+    SSE is NaN the result is ``grid[0]``.
     """
-    m = x.shape[0]
+    m, d = x.shape
     if m < 2:
         return grid[len(grid) // 2]
+    shrinks = np.asarray(grid, dtype=float)[:, None, None] * _ridge_shrink(d, penalize_intercept)
     folds = np.array_split(np.arange(m), min(n_folds, m))
+    systems = np.empty((len(folds), len(grid), d, d))
+    rhs = np.empty((len(folds), len(grid), d, 1))
+    for f, fold in enumerate(folds):
+        mask = np.ones(m, dtype=bool)
+        mask[fold] = False
+        xt, yt = x[mask], y[mask]
+        np.add(xt.T @ xt, shrinks, out=systems[f])
+        rhs[f] = (xt.T @ yt)[:, None]
+    # (folds, grid, D): the weights of every (fold, penalty) pair
+    ws = np.linalg.solve(systems, rhs)[..., 0]
+    sse = np.zeros(len(grid))
+    for fold, w in zip(folds, ws):
+        residual = x[fold] @ w.T - y[fold][:, None]
+        sse += np.einsum("ij,ij->j", residual, residual)
     best_penalty, best_sse = grid[0], np.inf
-    for penalty in grid:
-        sse = 0.0
-        for fold in folds:
-            mask = np.ones(m, dtype=bool)
-            mask[fold] = False
-            w = _solve_ridge(x[mask], y[mask], penalty, penalize_intercept)
-            residual = x[fold] @ w - y[fold]
-            sse += float(residual @ residual)
-        if sse < best_sse:
-            best_penalty, best_sse = penalty, sse
+    for penalty, value in zip(grid, sse):
+        if value < best_sse:
+            best_penalty, best_sse = penalty, value
     return best_penalty

@@ -129,7 +129,10 @@ def _method_from_dict(raw: dict) -> MethodSpec:
             f"method {label!r}: 'solver' must be a mapping with keys among {accepted},"
             f" got {solver_raw!r}"
         )
-    solver = SolverParams(**solver_raw)
+    try:
+        solver = SolverParams(**solver_raw)
+    except ValueError as exc:
+        raise ConfigError(f"method {label!r}: {exc}") from None
 
     def grid(name) -> tuple[float, ...]:
         value = raw.get(name, ())
@@ -153,7 +156,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     data = raw["data"]
     synthetic = None
     if "synthetic" in data:
-        synthetic = SyntheticConfig.from_dict(data["synthetic"])
+        section = data["synthetic"]
+        required = [f.name for f in fields(SyntheticConfig)]
+        if not isinstance(section, dict):
+            raise ConfigError(f"'synthetic' must be a mapping with keys {required}")
+        missing = [name for name in required if name not in section]
+        if missing:
+            raise ConfigError(f"'synthetic' section is missing keys {missing}")
+        synthetic = SyntheticConfig.from_dict(section)
     source = DataSource(
         path=data.get("path"),
         schema=data.get("schema", "melbourne"),

@@ -22,6 +22,7 @@ accelerated step costs one residual and one gradient product.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -61,10 +62,18 @@ class SolverParams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if (
+            not isinstance(self.max_iters, numbers.Integral)
+            or isinstance(self.max_iters, bool)
+            or self.max_iters < 1
+        ):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
+        if (
+            not isinstance(self.rel_tol, numbers.Real)
+            or isinstance(self.rel_tol, bool)
+            or not (math.isfinite(self.rel_tol) and self.rel_tol > 0)
+        ):
+            raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)

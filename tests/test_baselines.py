@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mtlhouse.baselines
 from mtlhouse.baselines import (
     RIDGE_CV_GRID,
     SingularSystemError,
     StlSpec,
+    _solve_ridge,
     cv_ridge_penalty,
     fit_stl,
 )
@@ -145,3 +148,73 @@ class TestRidgeCv:
             if sse < best_sse:
                 best, best_sse = penalty, sse
         assert chosen == best
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 40),
+        d=st.integers(2, 8),
+        penalize_intercept=st.booleans(),
+        custom_grid=st.booleans(),
+    )
+    def test_matches_per_penalty_loop_oracle(self, seed, m, d, penalize_intercept, custom_grid):
+        rng = np.random.default_rng(seed)
+        x = np.hstack([rng.normal(0, 1, (m, d - 1)), np.ones((m, 1))])
+        y = x @ rng.normal(0, 1, d) + rng.normal(0, 0.5, m)
+        grid = (3.0, 0.02, 0.5, 40.0) if custom_grid else RIDGE_CV_GRID
+        # one ridge solve per (penalty, fold), first strict minimum wins
+        folds = np.array_split(np.arange(m), min(5, m))
+        best, best_sse = grid[0], np.inf
+        for penalty in grid:
+            sse = 0.0
+            for fold in folds:
+                mask = np.ones(m, dtype=bool)
+                mask[fold] = False
+                w = _solve_ridge(x[mask], y[mask], penalty, penalize_intercept)
+                residual = x[fold] @ w - y[fold]
+                sse += float(residual @ residual)
+            if sse < best_sse:
+                best, best_sse = penalty, sse
+        assert cv_ridge_penalty(x, y, grid, penalize_intercept=penalize_intercept) == best
+
+    def test_tie_picks_first_grid_point(self):
+        # an unpenalized intercept-only model is the same fit for every penalty
+        x = np.ones((12, 1))
+        y = np.random.default_rng(3).normal(13, 0.5, 12)
+        assert cv_ridge_penalty(x, y) == RIDGE_CV_GRID[0]
+        assert cv_ridge_penalty(x, y, grid=(1.0, 0.1, 10.0)) == 1.0
+
+    def test_nan_sse_is_never_chosen(self):
+        data = well_conditioned(seed=5)
+        y = data.ys[0].copy()
+        y[7] = np.nan
+        assert cv_ridge_penalty(data.xs[0], y) == RIDGE_CV_GRID[0]
+        assert cv_ridge_penalty(data.xs[0], y, grid=(1.0, 0.1, 10.0)) == 1.0
+
+    def test_one_stacked_solve_per_call(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        data = well_conditioned(seed=6)
+        cv_ridge_penalty(data.xs[0], data.ys[0])
+        assert calls == [(5, len(RIDGE_CV_GRID), 5, 5)]
+        cv_ridge_penalty(data.xs[0][:1], data.ys[0][:1])
+        assert len(calls) == 1
+
+    def test_fit_stl_calls_module_function_once_per_task(self, monkeypatch):
+        calls = []
+        original = mtlhouse.baselines.cv_ridge_penalty
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mtlhouse.baselines, "cv_ridge_penalty", counting)
+        data = well_conditioned(seed=8)
+        fit_stl(data, StlSpec("ridge"))
+        assert len(calls) == data.n_tasks

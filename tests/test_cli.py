@@ -280,6 +280,8 @@ class TestConfigValidation:
             {"methods": [{"kind": "ols", "label": "a"}, {"kind": "ridge", "label": "a"}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"initial_step": 0.5}}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": 5}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"max_iters": 2.5}}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"rel_tol": "x"}}]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -302,6 +304,18 @@ class TestConfigValidation:
         assert config_from_dict(config).methods[0].solver == SolverParams(50, 1e-4)
         config["methods"] = [{**method, "solver": {"backtracking_shrink": 0.5}}]
         with pytest.raises(ConfigError, match=r"'joint'.*'max_iters', 'rel_tol'"):
+            config_from_dict(config)
+        config["methods"] = [{**method, "solver": {"max_iters": 2.5}}]
+        with pytest.raises(ConfigError, match=r"'joint'.*max_iters"):
+            config_from_dict(config)
+
+    def test_synthetic_section_names_missing_keys(self):
+        config = {
+            "data": {"synthetic": {"n_tasks": 4}},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+        }
+        with pytest.raises(ConfigError, match="samples_per_task_per_month.*seed"):
             config_from_dict(config)
 
     def test_data_section_required(self):

@@ -578,6 +578,14 @@ class TestRegularizerSpec:
             SolverParams(max_iters=0)
         with pytest.raises(ValueError):
             SolverParams(rel_tol=0.0)
+        for bad in (
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"rel_tol": float("nan")},
+            {"rel_tol": "1e-3"},
+        ):
+            with pytest.raises(ValueError):
+                SolverParams(**bad)
 
 
 class TestPredict:
