@@ -1,9 +1,11 @@
 """Rolling monthly prediction protocol and method comparison.
 
 Each round trains every method on the k months preceding one test month and
-scores per-task predictions for that month. Reports aggregate the per-round
-task means, run rank-sum significance tests against a benchmark method, and
-tabulate Win-Loss-Draw records inside quartile groups of task sample counts.
+scores per-task predictions for that month. A round's training data, and the
+held-out data that multi-point grids are resolved on, are built once and
+shared by every method. Reports aggregate the per-round task means, run
+rank-sum significance tests against a benchmark method, and tabulate
+Win-Loss-Draw records inside quartile groups of task sample counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import StlSpec, fit_stl
-from .data import Dataset
+from .data import Dataset, log_target
 from .design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows
 from .metrics import (
     MethodSummary,
@@ -182,6 +184,7 @@ def run_backtest(
 
     taskset = define_tasks(dataset, taskdef)
     layout = DesignLayout.from_dataset(dataset, taskdef)
+    needs_held_out = any(len(spec.grid_points()) > 1 for spec in methods)
     records: list[MetricRecord] = []
     skipped: list[int] = []
 
@@ -192,15 +195,16 @@ def run_backtest(
             logger.warning("round %d: no task has training data; skipped", round_index)
             skipped.append(round_index)
             continue
-        _assert_no_leakage(dataset, taskset, round_)
+        _assert_no_leakage(data, round_.test_month)
 
         test_rows = _test_rows_by_task(dataset, taskset, data, round_.test_month)
         if not test_rows:
             logger.info("round %d: no test samples for any trained task", round_index)
             continue
 
+        held_out = _held_out(dataset, taskset, layout, round_) if needs_held_out else None
         for spec in methods:
-            point = _select_grid_point(dataset, taskset, layout, round_, spec)
+            point = _select_grid_point(spec, held_out)
             weights = _fit_point(data, spec, point)
             for task_id, rows in test_rows.items():
                 actual = [float(v) for v in rows["y"]]
@@ -230,18 +234,10 @@ def run_backtest(
     )
 
 
-def _assert_no_leakage(dataset, taskset: TaskSet, round_: Round) -> None:
-    lo, hi = round_.train_window
-    train_months = [
-        dataset.records[i].sale_month
-        for task in taskset.tasks
-        for i in task.member_indices
-        if lo <= dataset.records[i].sale_month <= hi
-    ]
-    if train_months and max(train_months) >= round_.test_month:
+def _assert_no_leakage(data: TaskData, scored_month: int) -> None:
+    if data.window[1] >= scored_month:
         raise AssertionError(
-            f"leakage: training month {max(train_months)} reaches test month "
-            f"{round_.test_month}"
+            f"leakage: training window {data.window} reaches scored month {scored_month}"
         )
 
 
@@ -249,38 +245,39 @@ def _test_rows_by_task(dataset, taskset: TaskSet, data: TaskData, test_month: in
     """Standardized test rows and log targets per task trained this round."""
     out = {}
     trained = set(data.task_ids)
-    for task in taskset.tasks:
-        rows = [i for i in task.member_indices if dataset.records[i].sale_month == test_month]
+    for task_id, rows in taskset.rows_in((test_month, test_month)).items():
         if not rows:
             continue
-        if task.task_id not in trained:
-            logger.info(
-                "task %s has test samples but no training window data; excluded",
-                task.task_id,
-            )
+        if task_id not in trained:
+            logger.info("task %s has test samples but no training window data; excluded", task_id)
             continue
         records = [dataset.records[i] for i in rows]
         x = design_rows(records, data.layout, data.standardizer)
-        y = np.array([np.log(r.price) for r in records])
-        out[task.task_id] = {"x": x, "y": y}
+        y = np.array([log_target(r.price) for r in records])
+        out[task_id] = {"x": x, "y": y}
     return out
 
 
-def _select_grid_point(dataset, taskset, layout, round_: Round, spec: MethodSpec):
-    """Pick a grid point by holding out the last training month of the round."""
-    points = spec.grid_points()
-    if len(points) == 1:
-        return points[0]
+def _held_out(dataset, taskset, layout, round_: Round):
+    """Inner-window data and last-training-month validation rows, or None if either is empty."""
     lo, hi = round_.train_window
     if lo == hi:
-        return points[0]
+        return None
     try:
         inner = build_task_data(dataset, taskset, (lo, hi - 1), layout)
     except ValueError:
-        return points[0]
+        return None
+    _assert_no_leakage(inner, hi)
     validation = _test_rows_by_task(dataset, taskset, inner, hi)
-    if not validation:
+    return (inner, validation) if validation else None
+
+
+def _select_grid_point(spec: MethodSpec, held_out):
+    """Pick the point with the least held-out RMSE; the first point if nothing is held out."""
+    points = spec.grid_points()
+    if len(points) == 1 or held_out is None:
         return points[0]
+    inner, validation = held_out
     best_point, best_score = points[0], np.inf
     for point in points:
         weights = _fit_point(inner, spec, point)

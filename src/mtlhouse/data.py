@@ -160,10 +160,6 @@ class Dataset:
         lo, hi = self.month_range
         return hi - lo + 1 if self.records else 0
 
-    def months_in(self, window: tuple[int, int]) -> list[int]:
-        lo, hi = window
-        return [i for i, r in enumerate(self.records) if lo <= r.sale_month <= hi]
-
 
 def melbourne_schema() -> FeatureSchema:
     """Full feature inventory for Melbourne-style transaction files."""

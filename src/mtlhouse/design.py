@@ -197,20 +197,18 @@ def build_task_data(
     Tasks with no records inside the window are dropped with a notice.
     Standardization statistics are computed from the window rows only.
     """
-    lo, hi = window
-    if lo > hi:
+    if window[0] > window[1]:
         raise ValueError(f"empty window {window}")
     if layout is None:
         layout = DesignLayout.from_dataset(dataset, taskset.definition)
 
     kept_ids: list[str] = []
-    kept_rows: list[list[int]] = []
-    for task in taskset.tasks:
-        rows = [i for i in task.member_indices if lo <= dataset.records[i].sale_month <= hi]
+    kept_rows: list[tuple[int, ...]] = []
+    for task_id, rows in taskset.rows_in(window).items():
         if not rows:
-            logger.info("task %s has no records in window %s; excluded", task.task_id, window)
+            logger.info("task %s has no records in window %s; excluded", task_id, window)
             continue
-        kept_ids.append(task.task_id)
+        kept_ids.append(task_id)
         kept_rows.append(rows)
     if not kept_ids:
         raise ValueError(f"no task has records in window {window}")

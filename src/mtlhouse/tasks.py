@@ -8,6 +8,7 @@ accounts for the whole dataset.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -124,11 +125,15 @@ class TaskSet:
     record_months: tuple[int, ...]
 
     def __post_init__(self):
+        if list(self.record_months) != sorted(self.record_months):
+            raise ValueError("record_months must be sorted")
         seen: set[int] = set(self.unassigned)
         total = len(self.unassigned)
         for task in self.tasks:
             if not task.member_indices:
                 raise ValueError(f"task {task.task_id!r} is empty")
+            if list(task.member_indices) != sorted(task.member_indices):
+                raise ValueError(f"task {task.task_id!r} member indices must be ascending")
             seen.update(task.member_indices)
             total += len(task.member_indices)
         if total != len(seen) or seen != set(range(len(self.record_months))):
@@ -138,12 +143,21 @@ class TaskSet:
     def task_ids(self) -> tuple[str, ...]:
         return tuple(t.task_id for t in self.tasks)
 
+    def rows_in(self, window: tuple[int, int]) -> dict[str, tuple[int, ...]]:
+        """Every task's member indices (maybe none) in the inclusive month ``window``.
+
+        Records are month-sorted, so the window is one record range [start, stop);
+        member indices ascend, so each task's rows in it are one slice of them.
+        """
+        start = bisect_left(self.record_months, window[0])
+        stop = bisect_right(self.record_months, window[1])
+        def rows(idx: tuple[int, ...]) -> tuple[int, ...]:
+            return idx[bisect_left(idx, start) : bisect_left(idx, stop)]
+
+        return {t.task_id: rows(t.member_indices) for t in self.tasks}
+
     def window_counts(self, window: tuple[int, int]) -> dict[str, int]:
-        lo, hi = window
-        return {
-            t.task_id: sum(1 for i in t.member_indices if lo <= self.record_months[i] <= hi)
-            for t in self.tasks
-        }
+        return {task_id: len(rows) for task_id, rows in self.rows_in(window).items()}
 
 
 @dataclass(frozen=True)

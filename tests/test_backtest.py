@@ -1,5 +1,6 @@
 import pytest
 
+from mtlhouse import backtest
 from mtlhouse.backtest import (
     MethodSpec,
     RollingPlan,
@@ -8,6 +9,7 @@ from mtlhouse.backtest import (
     make_rolling_plan,
     run_backtest,
 )
+from mtlhouse.design import build_task_data
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import RegionDef, define_tasks
 
@@ -63,8 +65,45 @@ class TestRollingPlan:
     def test_leakage_assertion(self):
         dataset = span_dataset(6)
         taskset = define_tasks(dataset, RegionDef("REGION"))
-        with pytest.raises(AssertionError, match="leakage"):
-            _assert_no_leakage(dataset, taskset, Round((0, 3), 2))
+        data = build_task_data(dataset, taskset, (0, 3))
+        for scored_month in (2, 3):
+            with pytest.raises(AssertionError, match="leakage"):
+                _assert_no_leakage(data, scored_month)
+        _assert_no_leakage(data, 4)
+
+
+def record_builds(monkeypatch, widen_months=None):
+    """Log every window ``run_backtest`` builds data for.
+
+    A window of ``widen_months`` months is widened by one month, so it
+    reaches the month it is scored on.
+    """
+    windows = []
+    real = backtest.build_task_data
+
+    def logged(dataset, taskset, window, layout=None):
+        windows.append(window)
+        lo, hi = window
+        if hi - lo + 1 == widen_months:
+            window = (lo, hi + 1)
+        return real(dataset, taskset, window, layout)
+
+    monkeypatch.setattr(backtest, "build_task_data", logged)
+    return windows
+
+
+def small_market(months=6):
+    config = SyntheticConfig(
+        n_tasks=3,
+        n_features=2,
+        samples_per_task_per_month=6,
+        months=months,
+        shared_support_size=1,
+        coefficient_noise=0.02,
+        observation_noise=0.1,
+        seed=5,
+    )
+    return generate_synthetic(config)[0]
 
 
 def mtl_ols_methods(theta1=1.0):
@@ -159,6 +198,14 @@ class TestRunBacktest:
         )
         assert all(record.task_id == "A" for record in records)
 
+    @pytest.mark.parametrize("widen_months", [3, 2], ids=["training", "inner"])
+    def test_widened_window_trips_leakage_guard(self, monkeypatch, widen_months):
+        record_builds(monkeypatch, widen_months)
+        dataset = small_market()
+        methods = [MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0))]
+        with pytest.raises(AssertionError, match="leakage"):
+            run_backtest(dataset, RegionDef("SA3"), methods, make_rolling_plan(dataset, k=3))
+
     def test_unknown_benchmark_rejected(self):
         dataset = span_dataset(5)
         plan = make_rolling_plan(dataset, k=3)
@@ -203,6 +250,35 @@ class TestGridSelection:
         assert report_grid.summaries["mtl_l21"].overall_rmse == pytest.approx(
             report_fixed.summaries["mtl_l21"].overall_rmse, rel=1e-9
         )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_multi_point_grids_share_one_inner_build_per_round(self, monkeypatch, k):
+        windows = record_builds(monkeypatch)
+        dataset = small_market()
+        plan = make_rolling_plan(dataset, k=k)
+        methods = [
+            MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0)),
+            MethodSpec(label="lasso", kind="lasso", penalty=(0.1, 1.0)),
+            MethodSpec(label="ols", kind="ols"),
+        ]
+        run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        expected = []
+        for round_ in plan.rounds:
+            lo, hi = round_.train_window
+            expected += [(lo, hi), (lo, hi - 1)] if hi > lo else [(lo, hi)]
+        assert windows == expected
+
+    def test_single_point_grids_build_only_training_data(self, monkeypatch):
+        windows = record_builds(monkeypatch)
+        dataset = small_market()
+        plan = make_rolling_plan(dataset, k=3)
+        methods = [
+            MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0,)),
+            MethodSpec(label="ridge", kind="ridge"),
+            MethodSpec(label="ols", kind="ols"),
+        ]
+        run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        assert windows == [round_.train_window for round_ in plan.rounds]
 
     def test_method_spec_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from mtlhouse.tasks import (
     RegionDef,
     SchoolDef,
     StationDef,
+    Task,
+    TaskSet,
     define_tasks,
     filter_min_samples,
     format_definition,
@@ -276,6 +278,57 @@ class TestPartitionProperty:
         second = define_tasks(dataset, RegionDef("REGION"))
         assert first == second
         assert first.task_ids == ("A", "B", "C")  # stable sorted ids
+
+
+class TestRowsIn:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 8), st.sampled_from("ABCD")), min_size=1, max_size=40
+        ),
+        drawn=st.tuples(st.integers(-3, 11), st.integers(-3, 11)),
+    )
+    def test_matches_brute_force_scan(self, rows, drawn):
+        dataset = region_dataset([c for _, c in rows], months=[m for m, _ in rows])
+        taskset = define_tasks(dataset, RegionDef("REGION"))
+        months = [r.sale_month for r in dataset.records]
+        first, last = dataset.month_range
+        windows = [
+            drawn,
+            (first, first),  # single month
+            (last, last),
+            (first + 1, first),  # empty: lo > hi
+            (first - 2, last + 2),  # straddles the whole data
+            (first - 2, first),  # straddles the first month
+            (last, last + 2),  # straddles the last month
+            (first - 5, first - 1),  # before the data
+            (last + 1, last + 4),  # after the data
+        ]
+        for lo, hi in windows:
+            expected = [
+                (t.task_id, tuple(i for i in t.member_indices if lo <= months[i] <= hi))
+                for t in taskset.tasks
+            ]
+            assert list(taskset.rows_in((lo, hi)).items()) == expected
+            assert taskset.window_counts((lo, hi)) == {k: len(v) for k, v in expected}
+
+    def test_rejects_unsorted_record_months(self):
+        with pytest.raises(ValueError, match="record_months must be sorted"):
+            TaskSet(
+                definition=RegionDef("REGION"),
+                tasks=(Task("A", (0, 1)),),
+                unassigned=(),
+                record_months=(1, 0),
+            )
+
+    def test_rejects_unsorted_member_indices(self):
+        with pytest.raises(ValueError, match="ascending"):
+            TaskSet(
+                definition=RegionDef("REGION"),
+                tasks=(Task("A", (1, 0)),),
+                unassigned=(),
+                record_months=(0, 0),
+            )
 
 
 class TestFilterMinSamples:
