@@ -131,10 +131,16 @@ def cv_ridge_penalty(
         rhs[f] = (xt.T @ yt)[:, None]
     # (folds, grid, D): the weights of every (fold, penalty) pair
     ws = np.linalg.solve(systems, rhs)[..., 0]
-    sse = np.zeros(len(grid))
-    for fold, w in zip(folds, ws):
-        residual = x[fold] @ w.T - y[fold][:, None]
-        sse += np.einsum("ij,ij->j", residual, residual)
+    # One matrix-vector product and one dot per (fold, penalty), summed in
+    # fold order: a matrix-matrix product rounds differently, and penalties
+    # that tie exactly (e.g. one training row and a free intercept) must not
+    # be split by rounding noise that a per-penalty fit would not produce.
+    sse = [0.0] * len(grid)
+    for fold, fold_ws in zip(folds, ws):
+        x_held, y_held = x[fold], y[fold]
+        for g, w in enumerate(fold_ws):
+            residual = x_held @ w - y_held
+            sse[g] += float(residual @ residual)
     best_penalty, best_sse = grid[0], np.inf
     for penalty, value in zip(grid, sse):
         if value < best_sse:
