@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -122,6 +123,10 @@ class MethodSpec:
             raise ValueError("mtl_graph needs a theta2 grid")
         if self.kind == "lasso" and not self.penalty:
             raise ValueError("stl lasso needs a penalty grid")
+        for name in ("theta1", "theta2", "penalty"):
+            for value in getattr(self, name):
+                if not (math.isfinite(value) and value >= 0):
+                    raise ValueError(f"{name} values must be finite and >= 0, got {value!r}")
 
     def grid_points(self) -> tuple[tuple[Optional[float], ...], ...]:
         if self.kind == "mtl_graph":
@@ -144,7 +149,7 @@ def _fit_point(data: TaskData, spec: MethodSpec, point: tuple) -> WeightMatrix:
             reg = RegularizerSpec(kind=reg_kind, theta1=point[0])
         return fit(data, reg, spec.solver).weights
     penalty = point[0] if point else None
-    stl = StlSpec(kind=spec.kind, penalty=penalty, on_singular="lstsq")
+    stl = StlSpec(kind=spec.kind, penalty=penalty)
     return fit_stl(data, stl, spec.solver)
 
 
@@ -165,7 +170,6 @@ def run_backtest(
     methods: Sequence[MethodSpec],
     plan: RollingPlan,
     benchmark: Optional[str] = None,
-    alpha: float = 0.05,
 ) -> tuple[list[MetricRecord], ComparisonReport]:
     """Run the full rolling protocol for one task definition.
 
@@ -222,7 +226,7 @@ def run_backtest(
 
     if not records:
         raise ValueError("backtest produced no metric records")
-    report = _build_report(records, taskset, plan, labels, benchmark, alpha)
+    report = _build_report(records, taskset, plan, labels, benchmark)
     return records, ComparisonReport(
         benchmark=benchmark,
         summaries=report[0],
@@ -291,7 +295,7 @@ def _select_grid_point(spec: MethodSpec, held_out):
     return best_point
 
 
-def _build_report(records, taskset, plan, labels, benchmark, alpha):
+def _build_report(records, taskset, plan, labels, benchmark):
     summaries = aggregate(records)
     for label in labels:
         if label not in summaries:
@@ -304,7 +308,7 @@ def _build_report(records, taskset, plan, labels, benchmark, alpha):
         common = [r for r in summary.rounds if r in bench_rounds]
         a = [summary.round_rmse[summary.rounds.index(r)] for r in common]
         b = [bench_rounds[r] for r in common]
-        rank_sum[label] = wilcoxon_rank_sum(a, b, alpha=alpha)
+        rank_sum[label] = wilcoxon_rank_sum(a, b)
 
     boundaries = None
     group_tasks: dict[str, tuple[str, ...]] = {}

@@ -1,10 +1,11 @@
 """Single-task baselines: per-task OLS, ridge, and lasso.
 
 Each task is fitted independently on its own rows; no information crosses
-tasks. OLS and ridge use exact normal equations, lasso reuses the proximal
-solver with a single task. A rank-deficient OLS system either raises or, on
-request, falls back to the minimum-norm least-squares solution so rolling
-comparisons can still score data-starved tasks.
+tasks. OLS is the minimum-norm least-squares fit, so rank-deficient tasks
+(too few rows, or a dummy column equal to the intercept) still get weights
+and rolling comparisons can score data-starved tasks. Ridge uses exact normal
+equations with a free intercept, and lasso reuses the proximal solver with a
+single task.
 """
 
 from __future__ import annotations
@@ -24,16 +25,10 @@ STL_KINDS = ("ols", "ridge", "lasso")
 RIDGE_CV_GRID: tuple[float, ...] = tuple(10.0 ** e for e in range(-4, 3))
 
 
-class SingularSystemError(ValueError):
-    """The OLS normal matrix is singular; ridge regularization would fix it."""
-
-
 @dataclass(frozen=True)
 class StlSpec:
     kind: str
     penalty: Optional[float] = None
-    penalize_intercept: bool = False
-    on_singular: str = "error"  # error | lstsq
 
     def __post_init__(self):
         if self.kind not in STL_KINDS:
@@ -42,8 +37,6 @@ class StlSpec:
             raise ValueError("penalty must be nonnegative")
         if self.kind == "lasso" and self.penalty is None:
             raise ValueError("lasso needs an explicit penalty")
-        if self.on_singular not in ("error", "lstsq"):
-            raise ValueError(f"unknown singular policy {self.on_singular!r}")
 
 
 def fit_stl(
@@ -54,47 +47,29 @@ def fit_stl(
     for p in range(data.n_tasks):
         x, y = data.xs[p], data.ys[p]
         if spec.kind == "ols":
-            columns.append(_solve_ols(x, y, spec))
+            columns.append(np.linalg.lstsq(x, y, rcond=None)[0])
         elif spec.kind == "ridge":
             penalty = spec.penalty
             if penalty is None:
-                penalty = cv_ridge_penalty(x, y, penalize_intercept=spec.penalize_intercept)
-            columns.append(_solve_ridge(x, y, penalty, spec.penalize_intercept))
+                penalty = cv_ridge_penalty(x, y)
+            columns.append(_solve_ridge(x, y, penalty))
         else:
             single = TaskData.from_arrays([x], [y], [data.task_ids[p]])
-            reg = RegularizerSpec(
-                kind="lasso", theta1=spec.penalty, penalize_intercept=spec.penalize_intercept
-            )
+            reg = RegularizerSpec(kind="lasso", theta1=spec.penalty)
             columns.append(fit(single, reg, params).weights.values[:, 0])
     values = np.column_stack(columns)
     return WeightMatrix(values=values, task_ids=data.task_ids, columns=data.columns)
 
 
-def _solve_ols(x: np.ndarray, y: np.ndarray, spec: StlSpec) -> np.ndarray:
-    d = x.shape[1]
-    if np.linalg.matrix_rank(x) < d:
-        if spec.on_singular == "error":
-            raise SingularSystemError(
-                "normal matrix is singular (too few rows or collinear columns); "
-                "use ridge regression instead"
-            )
-        solution, *_ = np.linalg.lstsq(x, y, rcond=None)
-        return solution
-    return np.linalg.solve(x.T @ x, x.T @ y)
-
-
-def _ridge_shrink(d: int, penalize_intercept: bool) -> np.ndarray:
+def _ridge_shrink(d: int) -> np.ndarray:
+    """Identity with a zero for the trailing intercept, which is never penalized."""
     shrink = np.eye(d)
-    if not penalize_intercept:
-        shrink[-1, -1] = 0.0
+    shrink[-1, -1] = 0.0
     return shrink
 
 
-def _solve_ridge(
-    x: np.ndarray, y: np.ndarray, penalty: float, penalize_intercept: bool
-) -> np.ndarray:
-    shrink = _ridge_shrink(x.shape[1], penalize_intercept)
-    return np.linalg.solve(x.T @ x + penalty * shrink, x.T @ y)
+def _solve_ridge(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
+    return np.linalg.solve(x.T @ x + penalty * _ridge_shrink(x.shape[1]), x.T @ y)
 
 
 def cv_ridge_penalty(
@@ -102,7 +77,6 @@ def cv_ridge_penalty(
     y: np.ndarray,
     grid: tuple[float, ...] = RIDGE_CV_GRID,
     n_folds: int = 5,
-    penalize_intercept: bool = False,
 ) -> float:
     """Pick the ridge penalty by deterministic k-fold cross-validation.
 
@@ -119,7 +93,7 @@ def cv_ridge_penalty(
     m, d = x.shape
     if m < 2:
         return grid[len(grid) // 2]
-    shrinks = np.asarray(grid, dtype=float)[:, None, None] * _ridge_shrink(d, penalize_intercept)
+    shrinks = np.asarray(grid, dtype=float)[:, None, None] * _ridge_shrink(d)
     folds = np.array_split(np.arange(m), min(n_folds, m))
     systems = np.empty((len(folds), len(grid), d, d))
     rhs = np.empty((len(folds), len(grid), d, 1))

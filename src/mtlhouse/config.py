@@ -140,14 +140,17 @@ def _method_from_dict(raw: dict) -> MethodSpec:
             value = (value,)
         return tuple(float(v) for v in value)
 
-    return MethodSpec(
-        label=label,
-        kind=kind,
-        theta1=grid("theta1"),
-        theta2=grid("theta2"),
-        penalty=grid("penalty"),
-        solver=solver,
-    )
+    try:
+        return MethodSpec(
+            label=label,
+            kind=kind,
+            theta1=grid("theta1"),
+            theta2=grid("theta2"),
+            penalty=grid("penalty"),
+            solver=solver,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"method {label!r}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

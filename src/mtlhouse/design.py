@@ -134,9 +134,6 @@ class TaskData:
             return self.layout.columns
         return tuple(f"x{j}" for j in range(self.n_columns - 1)) + (INTERCEPT,)
 
-    def index_of(self, task_id: str) -> int:
-        return self.task_ids.index(task_id)
-
     def mean_prices(self) -> np.ndarray:
         """Average raw sale price per task over the training rows."""
         return np.array([float(np.mean(np.exp(y))) for y in self.ys])

@@ -18,6 +18,9 @@ EXACT_RANKSUM_LIMIT = 20
 # Scores are compared at table precision: draws are ties after rounding.
 WLD_DECIMALS = 3
 
+# Two-sided rank-sum p-values at or below this level are marked significant.
+SIGNIFICANCE_LEVEL = 0.05
+
 
 @dataclass(frozen=True)
 class MetricRecord:
@@ -137,10 +140,8 @@ def _exact_ranksum_tail(n: int, m: int, w: int) -> tuple[float, float]:
     return le / count, ge / count
 
 
-def wilcoxon_rank_sum(
-    a: Sequence[float], b: Sequence[float], alpha: float = 0.05
-) -> RankSumOutcome:
-    """Two-sided rank-sum test of ``a`` vs ``b``.
+def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> RankSumOutcome:
+    """Two-sided rank-sum test of ``a`` vs ``b`` at ``SIGNIFICANCE_LEVEL``.
 
     Exact enumeration of the null distribution when the pooled sample is
     tie-free and no larger than ``EXACT_RANKSUM_LIMIT``; otherwise mid-ranks
@@ -172,7 +173,7 @@ def wilcoxon_rank_sum(
             p_value = math.erfc(abs(z) / math.sqrt(2.0 * variance))
         p_value = min(1.0, max(p_value, 0.0))
     return RankSumOutcome(
-        statistic=statistic, p_value=p_value, significant=p_value <= alpha
+        statistic=statistic, p_value=p_value, significant=p_value <= SIGNIFICANCE_LEVEL
     )
 
 
@@ -186,9 +187,9 @@ def _tie_sizes(values: Sequence[float]) -> list[int]:
 
 
 def win_loss_draw(
-    scores_m1: Sequence[float], scores_m2: Sequence[float], lower_is_better: bool = True
+    scores_m1: Sequence[float], scores_m2: Sequence[float]
 ) -> tuple[int, int, int]:
-    """Per-unit comparison at ``WLD_DECIMALS`` precision; returns m1's record."""
+    """Per-unit error comparison at ``WLD_DECIMALS`` precision, lower wins; returns m1's record."""
     if len(scores_m1) != len(scores_m2):
         raise ValueError(f"length mismatch: {len(scores_m1)} vs {len(scores_m2)}")
     win = loss = draw = 0
@@ -196,7 +197,7 @@ def win_loss_draw(
         r1, r2 = round(s1, WLD_DECIMALS), round(s2, WLD_DECIMALS)
         if r1 == r2:
             draw += 1
-        elif (r1 < r2) == lower_is_better:
+        elif r1 < r2:
             win += 1
         else:
             loss += 1

@@ -10,7 +10,7 @@ sparsity: a feature is kept or dropped jointly across tasks), or a task-graph
 quadratic coupling r_pq * ||w_p - w_q||^2 plus an l2,1 term. Graph edge
 weights are the min/max ratio of the tasks' average sale prices, so similarly
 priced tasks are pulled together hardest. The trailing intercept row is
-excluded from every penalty unless explicitly requested.
+never penalized.
 
 The smooth part is a quadratic, so the Lipschitz constant L of its gradient
 is computed once per fit from eigenvalues and every step is exactly 1/L; no
@@ -42,7 +42,6 @@ class RegularizerSpec:
     kind: str
     theta1: float = 0.0
     theta2: Optional[float] = None
-    penalize_intercept: bool = False
 
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
@@ -149,10 +148,6 @@ def _check_shapes(W: np.ndarray, data: TaskData, reg: RegularizerSpec, graph) ->
         raise ValueError(f"a TaskGraph was supplied for kind {reg.kind!r}")
 
 
-def _penalized(W: np.ndarray, reg: RegularizerSpec) -> np.ndarray:
-    return W if reg.penalize_intercept else W[:-1]
-
-
 def _graph_laplacian(weights: np.ndarray) -> np.ndarray:
     """Laplacian diag(s) - off of the task graph, s the off-diagonal row sums."""
     off = weights - np.diag(np.diag(weights))
@@ -186,7 +181,7 @@ def smooth_objective(
 def nonsmooth_penalty(
     W: Union[WeightMatrix, np.ndarray], reg: RegularizerSpec
 ) -> float:
-    w = _penalized(_values(W), reg)
+    w = _values(W)[:-1]
     if reg.kind == "lasso":
         return float(reg.theta1 * np.abs(w).sum())
     if reg.kind == "group_l21":
@@ -241,12 +236,11 @@ def prox_l21(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -
 
 
 def _prox(reg: RegularizerSpec, V: np.ndarray, step: float) -> np.ndarray:
-    skip = not reg.penalize_intercept
     if reg.kind == "lasso":
-        return prox_l1(V, step * reg.theta1, skip_intercept_row=skip)
+        return prox_l1(V, step * reg.theta1)
     if reg.kind == "group_l21":
-        return prox_l21(V, step * reg.theta1, skip_intercept_row=skip)
-    return prox_l21(V, step * reg.theta2, skip_intercept_row=skip)
+        return prox_l21(V, step * reg.theta1)
+    return prox_l21(V, step * reg.theta2)
 
 
 class _Smooth:
@@ -282,7 +276,7 @@ class _Smooth:
     def value_from_residual(self, W: np.ndarray, residual: np.ndarray) -> float:
         loss = float(residual @ residual)
         if self.reg.kind == "graph":
-            loss += self.reg.theta1 * _graph_quadratic(_penalized(W, self.reg), self.laplacian)
+            loss += self.reg.theta1 * _graph_quadratic(W[:-1], self.laplacian)
         return loss
 
     def gradient_from_residual(self, W: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -291,18 +285,14 @@ class _Smooth:
         grad = 2.0 * (self.rows.T @ scattered)
         if self.reg.kind == "graph":
             # d/dV of the ordered-pair quadratic 2 <V Lap, V>
-            part = 4.0 * self.reg.theta1 * (_penalized(W, self.reg) @ self.laplacian)
-            if self.reg.penalize_intercept:
-                grad += part
-            else:
-                grad[:-1] += part
+            grad[:-1] += 4.0 * self.reg.theta1 * (W[:-1] @ self.laplacian)
         return grad
 
     def lipschitz(self) -> float:
         """Lipschitz constant L of the gradient, or NaN if a Gram matrix is not finite.
 
         The loss Hessian is block diagonal with blocks 2 x_p^T x_p; the graph
-        term adds 4 theta1 Lap on every penalized row. L is the Hessian's
+        term adds 4 theta1 Lap on every row but the intercept. L is the Hessian's
         largest eigenvalue for lasso and group_l21; for the graph kind it is the
         sum of the two parts' largest eigenvalues, an upper bound on it.
         """

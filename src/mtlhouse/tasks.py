@@ -172,12 +172,6 @@ class QuartileGrouping:
         if not q1 <= q2 <= q3:
             raise ValueError("quartile boundaries must be nondecreasing")
 
-    def group_of(self, task_id: str) -> int:
-        for g, ids in enumerate(self.groups):
-            if task_id in ids:
-                return g
-        raise KeyError(task_id)
-
 
 def used_key_columns(definition: TaskDefinition, schema: FeatureSchema) -> tuple[str, ...]:
     """Key columns a definition groups by (constant within each of its tasks)."""

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 import mtlhouse.baselines
 from mtlhouse.baselines import (
     RIDGE_CV_GRID,
-    SingularSystemError,
     StlSpec,
     _solve_ridge,
     cv_ridge_penalty,
@@ -35,8 +34,6 @@ class TestSpec:
             StlSpec("ridge", penalty=-1.0)
         with pytest.raises(ValueError):
             StlSpec("lasso")  # penalty required
-        with pytest.raises(ValueError):
-            StlSpec("ols", on_singular="retry")
 
 
 class TestOlsRidge:
@@ -55,23 +52,32 @@ class TestOlsRidge:
         expected = np.linalg.solve(x.T @ x + shrink, x.T @ y)
         assert np.max(np.abs(result.values[:, 0] - expected)) <= 1e-12
 
-    def test_singular_ols_raises_and_suggests_ridge(self):
-        rng = np.random.default_rng(3)
-        x = np.hstack([rng.normal(0, 1, (2, 4)), np.ones((2, 1))])  # 2 rows, 5 cols
-        data = TaskData.from_arrays([x], [np.array([13.0, 13.5])])
-        with pytest.raises(SingularSystemError, match="ridge"):
-            fit_stl(data, StlSpec("ols"))
-
     def test_singular_ols_lstsq_fallback_is_minimum_norm(self):
         rng = np.random.default_rng(4)
         x = np.hstack([rng.normal(0, 1, (2, 4)), np.ones((2, 1))])
         y = np.array([13.0, 13.5])
         data = TaskData.from_arrays([x], [y])
-        result = fit_stl(data, StlSpec("ols", on_singular="lstsq"))
+        result = fit_stl(data, StlSpec("ols"))
         expected = np.linalg.pinv(x) @ y
         assert np.max(np.abs(result.values[:, 0] - expected)) <= 1e-10
         # the fallback interpolates the training rows
         assert np.max(np.abs(x @ result.values[:, 0] - y)) <= 1e-10
+
+    def test_ols_is_one_lstsq_call_without_a_rank_check(self, monkeypatch):
+        # a region task's coarser-region dummy equals its intercept, so x is
+        # rank-deficient, as the per-task designs of region definitions are
+        rng = np.random.default_rng(9)
+        m = 12
+        x = np.hstack([rng.normal(0, 1, (m, 3)), np.ones((m, 1)), np.ones((m, 1))])
+        y = rng.normal(13, 0.5, m)
+        expected = np.linalg.lstsq(x, y, rcond=None)[0]
+
+        def no_rank_check(*args, **kwargs):
+            raise AssertionError("OLS must not run a separate rank check")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank_check)
+        result = fit_stl(TaskData.from_arrays([x], [y]), StlSpec("ols"))
+        assert np.array_equal(result.values[:, 0], expected)
 
     def test_ridge_norm_nonincreasing_in_penalty(self):
         data = well_conditioned(seed=6)
@@ -154,10 +160,9 @@ class TestRidgeCv:
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(2, 40),
         d=st.integers(2, 8),
-        penalize_intercept=st.booleans(),
         custom_grid=st.booleans(),
     )
-    def test_matches_per_penalty_loop_oracle(self, seed, m, d, penalize_intercept, custom_grid):
+    def test_matches_per_penalty_loop_oracle(self, seed, m, d, custom_grid):
         rng = np.random.default_rng(seed)
         x = np.hstack([rng.normal(0, 1, (m, d - 1)), np.ones((m, 1))])
         y = x @ rng.normal(0, 1, d) + rng.normal(0, 0.5, m)
@@ -170,12 +175,12 @@ class TestRidgeCv:
             for fold in folds:
                 mask = np.ones(m, dtype=bool)
                 mask[fold] = False
-                w = _solve_ridge(x[mask], y[mask], penalty, penalize_intercept)
+                w = _solve_ridge(x[mask], y[mask], penalty)
                 residual = x[fold] @ w - y[fold]
                 sse += float(residual @ residual)
             if sse < best_sse:
                 best, best_sse = penalty, sse
-        assert cv_ridge_penalty(x, y, grid, penalize_intercept=penalize_intercept) == best
+        assert cv_ridge_penalty(x, y, grid) == best
 
     def test_tie_picks_first_grid_point(self):
         # an unpenalized intercept-only model is the same fit for every penalty

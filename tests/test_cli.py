@@ -282,6 +282,14 @@ class TestConfigValidation:
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": 5}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"max_iters": 2.5}}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"rel_tol": "x"}}]},
+            {"methods": [{"kind": "ridge", "penalty": [-1.0]}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": [float("nan")]}]},
+            {"methods": [{"kind": "lasso", "penalty": [float("inf")]}]},
+            {"methods": [{"kind": "mtl_graph", "theta1": [0.1], "theta2": [-2.0]}]},
+            {"methods": [{"kind": "svr"}]},
+            {"methods": [{"kind": "mtl_l21"}]},
+            {"methods": [{"kind": "mtl_l21", "theta1": ["big"]}]},
+            {"methods": [{"kind": "mtl_l21", "theta1": [None]}]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -292,6 +300,24 @@ class TestConfigValidation:
         }
         config.update(overrides)
         with pytest.raises(ConfigError):
+            config_from_dict(config)
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            ({"kind": "ridge", "penalty": [-1.0]}, "penalty values must be finite and >= 0"),
+            ({"kind": "mtl_lasso", "theta1": [float("nan")]}, "theta1 values must be finite"),
+            ({"kind": "svr"}, "unknown method kind"),
+            ({"kind": "mtl_l21", "theta1": ["big"]}, "could not convert"),
+        ],
+    )
+    def test_method_errors_name_the_label(self, method, message):
+        config = {
+            "data": {"synthetic": synthetic_section()},
+            "task_definitions": ["region:SA3"],
+            "methods": [{**method, "label": "tuned"}],
+        }
+        with pytest.raises(ConfigError, match=rf"method 'tuned': .*{message}"):
             config_from_dict(config)
 
     def test_solver_block_sets_params_and_names_keys_on_error(self):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mtlhouse.baselines import StlSpec, fit_stl
 from mtlhouse.design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows
+from mtlhouse.solver import RegularizerSpec, SolverParams, fit
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import RegionDef, StationDef, define_tasks
 
@@ -41,6 +43,45 @@ class TestLayout:
         dataset = make_dataset(rows, key=("REGION", "OTHER"))
         layout = DesignLayout.from_dataset(dataset, RegionDef("REGION"))
         assert "OTHER=X" in layout.columns and "OTHER=Y" in layout.columns
+
+    def test_test_month_only_category_carries_no_training_signal(self):
+        # The dummy inventory comes from the whole dataset, test month
+        # included. That is accepted: a category first seen in the test
+        # month gets a column that is zero in every training row, so every
+        # method fits it a zero weight and it cannot carry target information.
+        rng = np.random.default_rng(5)
+        rows = [
+            {
+                "month": month,
+                "SIZE": float(rng.normal(600, 80)),
+                "REGION": region,
+                "OTHER": "XY"[i % 2] if month < 4 else "Z",
+                "price": float(np.exp(rng.normal(13, 0.3))),
+            }
+            for month in range(5)
+            for region in "AB"
+            for i in range(4)
+        ]
+        dataset = make_dataset(rows, numeric=("SIZE",), key=("REGION", "OTHER"))
+        taskset = define_tasks(dataset, RegionDef("REGION"))
+        layout = DesignLayout.from_dataset(dataset, RegionDef("REGION"))
+        assert "OTHER=Z" in layout.columns
+        data = build_task_data(dataset, taskset, (0, 3), layout)
+        j = layout.columns.index("OTHER=Z")
+        assert all(np.all(x[:, j] == 0.0) for x in data.xs)
+
+        params = SolverParams(max_iters=200)
+        joint = [
+            RegularizerSpec("lasso", 1.0),
+            RegularizerSpec("group_l21", 1.0),
+            RegularizerSpec("graph", 0.5, 1.0),
+        ]
+        for reg in joint:
+            assert np.all(fit(data, reg, params).weights.values[j] == 0.0), reg.kind
+        for spec in (StlSpec("ridge", 1.0), StlSpec("ridge"), StlSpec("lasso", 1.0)):
+            assert np.all(fit_stl(data, spec, params).values[j] == 0.0), spec
+        ols = fit_stl(data, StlSpec("ols")).values[j]
+        assert np.max(np.abs(ols)) <= 1e-12
 
     def test_intersection_excludes_both_keys(self):
         rows = [
@@ -91,7 +132,7 @@ class TestBuildTaskData:
             if expected == 0:
                 assert task.task_id not in data.task_ids
             else:
-                assert data.xs[data.index_of(task.task_id)].shape[0] == expected
+                assert data.xs[data.task_ids.index(task.task_id)].shape[0] == expected
 
     def test_zero_variance_feature_standardized_to_zeros(self):
         rows = [

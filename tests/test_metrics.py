@@ -221,9 +221,6 @@ class TestWinLossDraw:
         assert win_loss_draw([0.1234], [0.1231]) == (0, 0, 1)  # both round to 0.123
         assert win_loss_draw([0.1236], [0.1231]) == (0, 1, 0)
 
-    def test_higher_is_better_flag(self):
-        assert win_loss_draw([0.9], [0.1], lower_is_better=False) == (1, 0, 0)
-
     def test_seventeen_unit_fixture_matches_loop(self):
         import numpy as np
 

@@ -46,7 +46,7 @@ def scalar_loop_objective(W, data, reg, graph=None):
         for i in range(x.shape[0]):
             pred = sum(x[i, j] * W[j, p] for j in range(x.shape[1]))
             total += (pred - y[i]) ** 2
-    rows = range(W.shape[0] if reg.penalize_intercept else W.shape[0] - 1)
+    rows = range(W.shape[0] - 1)  # the intercept row is never penalized
     if reg.kind == "lasso":
         total += reg.theta1 * sum(abs(W[i, p]) for i in rows for p in range(W.shape[1]))
     elif reg.kind == "group_l21":
@@ -94,12 +94,11 @@ class TestObjective:
         ) == pytest.approx(loss)
 
     @pytest.mark.parametrize("kind", ["lasso", "group_l21", "graph"])
-    @pytest.mark.parametrize("penalize_intercept", [False, True])
-    def test_matches_scalar_loop_oracle(self, kind, penalize_intercept):
+    def test_matches_scalar_loop_oracle(self, kind):
         rng = np.random.default_rng(7)
         data = random_task_data(rng, n_tasks=3, n_columns=4)
         theta2 = 0.4 if kind == "graph" else None
-        reg = RegularizerSpec(kind, 0.9, theta2, penalize_intercept=penalize_intercept)
+        reg = RegularizerSpec(kind, 0.9, theta2)
         graph = build_task_graph(data) if kind == "graph" else None
         for _ in range(5):
             W = rng.normal(0, 1, (4, 3))
@@ -206,12 +205,11 @@ def largest_eigenvalue(H):
 
 class TestLipschitz:
     @pytest.mark.parametrize("kind", ["lasso", "group_l21", "graph"])
-    @pytest.mark.parametrize("penalize_intercept", [False, True])
-    def test_matches_explicit_hessian(self, kind, penalize_intercept):
+    def test_matches_explicit_hessian(self, kind):
         rng = np.random.default_rng(21)
         data = random_task_data(rng, n_tasks=4, n_columns=5)
         theta2 = 0.4 if kind == "graph" else None
-        reg = RegularizerSpec(kind, 2.5, theta2, penalize_intercept=penalize_intercept)
+        reg = RegularizerSpec(kind, 2.5, theta2)
         graph = build_task_graph(data) if kind == "graph" else None
         L = _Smooth(data, reg, graph).lipschitz()
         H = explicit_hessian(data, reg, graph)
