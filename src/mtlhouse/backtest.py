@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import StlSpec, fit_stl
-from .data import Dataset, log_target
+from .data import Dataset
 from .design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows
 from .metrics import (
     MethodSummary,
@@ -123,6 +123,12 @@ class MethodSpec:
             raise ValueError("mtl_graph needs a theta2 grid")
         if self.kind == "lasso" and not self.penalty:
             raise ValueError("stl lasso needs a penalty grid")
+        if self.theta2 and self.kind != "mtl_graph":
+            raise ValueError(f"{self.kind} takes no theta2 grid; only mtl_graph does")
+        if self.theta1 and self.kind not in MTL_KINDS:
+            raise ValueError(f"{self.kind} takes no theta1 grid; only {', '.join(MTL_KINDS)} do")
+        if self.penalty and self.kind not in ("ridge", "lasso"):
+            raise ValueError(f"{self.kind} takes no penalty grid; only ridge and lasso do")
         for name in ("theta1", "theta2", "penalty"):
             for value in getattr(self, name):
                 if not (math.isfinite(value) and value >= 0):
@@ -246,19 +252,30 @@ def _assert_no_leakage(data: TaskData, scored_month: int) -> None:
 
 
 def _test_rows_by_task(dataset, taskset: TaskSet, data: TaskData, test_month: int):
-    """Standardized test rows and log targets per task trained this round."""
-    out = {}
+    """Standardized test rows and log targets per task trained this round.
+
+    The round's test rows are encoded in one call, then split by task.
+    """
     trained = set(data.task_ids)
+    kept = []
     for task_id, rows in taskset.rows_in((test_month, test_month)).items():
         if not rows:
             continue
         if task_id not in trained:
             logger.info("task %s has test samples but no training window data; excluded", task_id)
             continue
-        records = [dataset.records[i] for i in rows]
-        x = design_rows(records, data.layout, data.standardizer)
-        y = np.array([log_target(r.price) for r in records])
-        out[task_id] = {"x": x, "y": y}
+        kept.append((task_id, rows))
+    if not kept:
+        return {}
+    all_rows = np.fromiter(itertools.chain.from_iterable(rows for _, rows in kept), np.intp)
+    x = design_rows(dataset, all_rows, data.layout, data.standardizer)
+    y = dataset.log_prices[all_rows]
+    out = {}
+    offset = 0
+    for task_id, rows in kept:
+        block = slice(offset, offset + len(rows))
+        out[task_id] = {"x": x[block], "y": y[block]}
+        offset += len(rows)
     return out
 
 

@@ -8,13 +8,14 @@ from the full dataset so the layout is identical across rolling windows.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, HouseRecord, log_target
+from .data import Dataset
 from .tasks import TaskDefinition, TaskSet, used_key_columns
 
 logger = logging.getLogger(__name__)
@@ -40,10 +41,7 @@ class DesignLayout:
             for name in schema.categorical_names() + schema.key_names()
             if name not in excluded
         ]
-        dummies = []
-        for name in dummy_sources:
-            categories = sorted({str(r.values[name]) for r in dataset.records})
-            dummies.append((name, tuple(categories)))
+        dummies = [(name, dataset.inventories[name]) for name in dummy_sources]
         columns = list(numeric)
         for name, categories in dummies:
             columns.extend(f"{name}={c}" for c in categories)
@@ -54,21 +52,20 @@ class DesignLayout:
     def n_columns(self) -> int:
         return len(self.columns)
 
-    def raw_rows(self, records: Sequence[HouseRecord]) -> np.ndarray:
-        """Encode records without standardization (numerics raw, dummies 0/1)."""
-        rows = np.zeros((len(records), self.n_columns))
-        for i, record in enumerate(records):
-            j = 0
-            for name in self.numeric:
-                rows[i, j] = float(record.values[name])
-                j += 1
-            for name, categories in self.dummies:
-                value = str(record.values[name])
-                if value in categories:
-                    rows[i, j + categories.index(value)] = 1.0
-                j += len(categories)
-            rows[i, -1] = 1.0
-        return rows
+    def raw_rows(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
+        """Encode dataset rows without standardization (numerics raw, dummies 0/1)."""
+        if self.numeric != dataset.schema.numeric_names() or any(
+            categories != dataset.inventories[name] for name, categories in self.dummies
+        ):
+            raise ValueError("the layout was not built from this dataset")
+        out = np.zeros((len(rows), self.n_columns))
+        out[:, : len(self.numeric)] = dataset.numeric[rows]
+        j = len(self.numeric)
+        for name, categories in self.dummies:
+            out[np.arange(len(rows)), j + dataset.codes[name][rows]] = 1.0
+            j += len(categories)
+        out[:, -1] = 1.0
+        return out
 
 
 @dataclass(frozen=True)
@@ -154,6 +151,7 @@ class WeightMatrix:
     values: np.ndarray
     task_ids: tuple[str, ...]
     columns: tuple[str, ...]
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -161,6 +159,10 @@ class WeightMatrix:
         d, p = self.values.shape
         if p != len(self.task_ids):
             raise ValueError("one column per task required")
+        index = {task_id: k for k, task_id in enumerate(self.task_ids)}
+        if len(index) != p:
+            raise ValueError("task ids must be unique")
+        object.__setattr__(self, "_index", index)
         if d != len(self.columns):
             raise ValueError("one row per design column required")
         if not np.all(np.isfinite(self.values)):
@@ -168,8 +170,8 @@ class WeightMatrix:
 
     def column(self, task_id: str) -> np.ndarray:
         try:
-            p = self.task_ids.index(task_id)
-        except ValueError:
+            p = self._index[task_id]
+        except KeyError:
             raise KeyError(f"unknown task id {task_id!r}") from None
         return self.values[:, p]
 
@@ -191,8 +193,9 @@ def build_task_data(
 ) -> TaskData:
     """Assemble standardized per-task training data for one month window.
 
-    Tasks with no records inside the window are dropped with a notice.
-    Standardization statistics are computed from the window rows only.
+    Tasks with no records inside the window are dropped with a notice. The
+    kept tasks' rows are gathered in task order, and standardization
+    statistics are computed from those window rows only.
     """
     if window[0] > window[1]:
         raise ValueError(f"empty window {window}")
@@ -210,23 +213,24 @@ def build_task_data(
     if not kept_ids:
         raise ValueError(f"no task has records in window {window}")
 
-    all_rows = [i for rows in kept_rows for i in rows]
-    raw = layout.raw_rows([dataset.records[i] for i in all_rows])
+    all_rows = np.fromiter(itertools.chain.from_iterable(kept_rows), np.intp)
+    raw = layout.raw_rows(dataset, all_rows)
     n_numeric = len(layout.numeric)
     standardizer = Standardizer.fit(raw[:, :n_numeric])
     for j, name in enumerate(layout.numeric):
         if standardizer.stds[j] == 0.0:
             logger.info("feature %s has zero variance in window %s; standardized to zeros", name, window)
     encoded = standardizer.apply(raw, layout)
+    targets = dataset.log_prices[all_rows]
 
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     offset = 0
     for rows in kept_rows:
-        block = encoded[offset : offset + len(rows)]
+        block = slice(offset, offset + len(rows))
         offset += len(rows)
-        xs.append(block)
-        ys.append(np.array([log_target(dataset.records[i].price) for i in rows]))
+        xs.append(encoded[block])
+        ys.append(targets[block])
     return TaskData(
         task_ids=tuple(kept_ids),
         xs=tuple(xs),
@@ -238,7 +242,7 @@ def build_task_data(
 
 
 def design_rows(
-    records: Sequence[HouseRecord], layout: DesignLayout, standardizer: Standardizer
+    dataset: Dataset, rows: np.ndarray, layout: DesignLayout, standardizer: Standardizer
 ) -> np.ndarray:
-    """Encode arbitrary records with an existing layout and training statistics."""
-    return standardizer.apply(layout.raw_rows(records), layout)
+    """Encode dataset rows with an existing layout and training statistics."""
+    return standardizer.apply(layout.raw_rows(dataset, rows), layout)

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .data import Dataset, FeatureEntry, FeatureSchema, HouseRecord, month_index
+from .data import Dataset, FeatureEntry, FeatureSchema, month_index, sort_codes
 from .design import INTERCEPT, WeightMatrix
 
 # (name, low, high) inventory used to calibrate generated numeric features;
@@ -154,14 +154,13 @@ def coarse_code(p: int) -> str:
     return f"A{p // TASKS_PER_COARSE_REGION:02d}"
 
 
-def planted_design(records: Sequence[HouseRecord], n_features: int) -> np.ndarray:
+def planted_design(dataset: Dataset, n_features: int) -> np.ndarray:
     """Rows in the planted basis: range-standardized numerics plus intercept."""
     names = [name for name, _, _ in feature_ranges(n_features)]
+    columns = [dataset.schema.numeric_names().index(name) for name in names]
     means, stds = range_stats(n_features)
-    rows = np.ones((len(records), n_features + 1))
-    for i, record in enumerate(records):
-        for j, name in enumerate(names):
-            rows[i, j] = (float(record.values[name]) - means[j]) / stds[j]
+    rows = np.ones((len(dataset), n_features + 1))
+    rows[:, :-1] = (dataset.numeric[:, columns] - means) / stds
     return rows
 
 
@@ -194,7 +193,10 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, WeightMatrix]:
     )
 
     bounds = config.monthly_count_bounds()
-    records: list[HouseRecord] = []
+    months = [np.empty(0, dtype=np.int64)]
+    tasks = [np.empty(0, dtype=np.int32)]
+    raws = [np.empty((0, n))]
+    prices = [np.empty(0)]
     for month_offset in range(config.months):
         month = START_MONTH + month_offset
         for p in range(p_count):
@@ -206,21 +208,27 @@ def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, WeightMatrix]:
             standardized = (raw - means) / stds
             noise = rng.normal(0.0, config.observation_noise, size=count)
             log_prices = standardized @ planted[:-1, p] + planted[-1, p] + noise
-            for i in range(count):
-                values: dict[str, Union[float, str]] = {
-                    name: float(raw[i, j]) for j, name in enumerate(names)
-                }
-                values[COARSE_KEY] = coarse_code(p)
-                values[TASK_KEY] = task_code(p)
-                records.append(
-                    HouseRecord(
-                        sale_month=month,
-                        values=values,
-                        price=float(np.exp(log_prices[i])),
-                    )
-                )
+            months.append(np.full(count, month, dtype=np.int64))
+            tasks.append(np.full(count, p, dtype=np.int32))
+            raws.append(raw)
+            prices.append(np.exp(log_prices))
 
-    dataset = Dataset(schema=synthetic_schema(n), records=tuple(records))
+    task = np.concatenate(tasks)
+    coarse = task // TASKS_PER_COARSE_REGION
+    used = np.unique(task).tolist()
+    codes, inventories = {}, {}
+    codes[COARSE_KEY], inventories[COARSE_KEY] = sort_codes(
+        coarse, {coarse_code(p): p // TASKS_PER_COARSE_REGION for p in used}
+    )
+    codes[TASK_KEY], inventories[TASK_KEY] = sort_codes(task, {task_code(p): p for p in used})
+    dataset = Dataset(
+        schema=synthetic_schema(n),
+        months=np.concatenate(months),
+        prices=np.concatenate(prices),
+        numeric=np.concatenate(raws),
+        codes=codes,
+        inventories=inventories,
+    )
     weights = WeightMatrix(
         values=planted,
         task_ids=tuple(task_code(p) for p in range(p_count)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .data import Dataset, FeatureSchema
 
@@ -209,62 +209,54 @@ def _require_columns(dataset: Dataset, definition: TaskDefinition, columns) -> N
             )
 
 
-def _assignment_key(dataset: Dataset, definition: TaskDefinition):
-    """Return a function mapping a record to its task label (None = unassigned)."""
+def _row_labels(dataset: Dataset, definition: TaskDefinition) -> list[Optional[str]]:
+    """Each row's task label under ``definition`` (None = unassigned)."""
+
+    def labels(name: str) -> list[str]:
+        return [str(v) for v in dataset.column(name)]
+
     if isinstance(definition, RegionDef):
         _require_columns(dataset, definition, (definition.level,))
-        level = definition.level
-        return lambda r: str(r.values[level])
+        return labels(definition.level)
 
     if isinstance(definition, SchoolDef):
         key_col, rank_col = _school_columns(definition, dataset.schema)
         _require_columns(dataset, definition, (key_col, rank_col))
         lo, hi = definition.rank_lo, definition.rank_hi
-
-        def school_key(r):
-            rank = float(r.values[rank_col])
-            return str(r.values[key_col]) if lo <= rank <= hi else None
-
-        return school_key
+        return [
+            key if lo <= float(rank) <= hi else None
+            for key, rank in zip(labels(key_col), dataset.column(rank_col))
+        ]
 
     if isinstance(definition, StationDef):
         measure_col = STATION_MEASURE_COLUMNS[definition.measure]
         _require_columns(dataset, definition, (STATION_KEY, measure_col))
         threshold = definition.threshold
-
-        def station_key(r):
-            # threshold is inclusive: intervals are closed at the far end
-            if float(r.values[measure_col]) <= threshold:
-                return str(r.values[STATION_KEY])
-            return None
-
-        return station_key
+        # threshold is inclusive: intervals are closed at the far end
+        return [
+            key if float(measure) <= threshold else None
+            for key, measure in zip(labels(STATION_KEY), dataset.column(measure_col))
+        ]
 
     if isinstance(definition, FacilityDef):
         columns = [FACILITY_COLUMNS[k] for k in definition.kinds]
         _require_columns(dataset, definition, columns)
-        return lambda r: "|".join(str(r.values[c]) for c in columns)
+        return ["|".join(keys) for keys in zip(*(labels(c) for c in columns))]
 
     if isinstance(definition, IntersectionDef):
-        key_a = _assignment_key(dataset, definition.a)
-        key_b = _assignment_key(dataset, definition.b)
-
-        def intersect_key(r):
-            a, b = key_a(r), key_b(r)
-            return None if a is None or b is None else f"{a}&{b}"
-
-        return intersect_key
+        return [
+            None if a is None or b is None else f"{a}&{b}"
+            for a, b in zip(_row_labels(dataset, definition.a), _row_labels(dataset, definition.b))
+        ]
 
     raise DefinitionError(f"unknown definition {definition!r}")
 
 
 def define_tasks(dataset: Dataset, definition: TaskDefinition) -> TaskSet:
     """Partition ``dataset`` into tasks according to ``definition``."""
-    key_of = _assignment_key(dataset, definition)
     members: dict[str, list[int]] = {}
     unassigned: list[int] = []
-    for i, record in enumerate(dataset.records):
-        key = key_of(record)
+    for i, key in enumerate(_row_labels(dataset, definition)):
         if key is None:
             unassigned.append(i)
         else:
@@ -280,7 +272,7 @@ def define_tasks(dataset: Dataset, definition: TaskDefinition) -> TaskSet:
         definition=definition,
         tasks=tasks,
         unassigned=tuple(unassigned),
-        record_months=tuple(r.sale_month for r in dataset.records),
+        record_months=tuple(dataset.months.tolist()),
     )
 
 

@@ -37,4 +37,4 @@ def make_dataset(rows, numeric=(), key=()) -> Dataset:
                 price=row.get("price", math.e),
             )
         )
-    return Dataset(schema=schema, records=tuple(records))
+    return Dataset.from_records(schema, records)

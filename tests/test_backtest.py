@@ -290,6 +290,24 @@ class TestGridSelection:
         with pytest.raises(ValueError):
             MethodSpec(label="x", kind="boosting")
 
+    @pytest.mark.parametrize(
+        "kind, grids",
+        [
+            ("ols", {"theta1": (1.0, 3.0)}),
+            ("ridge", {"theta1": (1.0,)}),
+            ("ridge", {"theta2": (1.0,)}),
+            ("lasso", {"penalty": (1.0,), "theta1": (1.0,)}),
+            ("ols", {"penalty": (1.0,)}),
+            ("mtl_lasso", {"theta1": (1.0,), "theta2": (5.0,)}),
+            ("mtl_lasso", {"theta1": (1.0,), "penalty": (2.0,)}),
+            ("mtl_l21", {"theta1": (1.0,), "theta2": (5.0,)}),
+            ("mtl_graph", {"theta1": (1.0,), "theta2": (5.0,), "penalty": (2.0,)}),
+        ],
+    )
+    def test_method_spec_rejects_grids_the_kind_ignores(self, kind, grids):
+        with pytest.raises(ValueError, match=f"{kind} takes no"):
+            MethodSpec(label="x", kind=kind, **grids)
+
     def test_graph_grid_is_cartesian(self):
         spec = MethodSpec(
             label="g", kind="mtl_graph", theta1=(0.1, 1.0), theta2=(0.2, 2.0)

@@ -6,6 +6,7 @@ import pytest
 
 from mtlhouse.cli import main
 from mtlhouse.config import ConfigError, config_from_dict, load_config
+from mtlhouse.data import HouseRecord
 from mtlhouse.reports import load_json
 from mtlhouse.solver import SolverParams
 
@@ -149,6 +150,33 @@ class TestRun:
         report = load_json(tmp_path / "results" / "report.json")
         assert report["definitions"]["region:SA3"]["n_records"] > 0
 
+    @pytest.mark.parametrize("source", ["file", "synthetic"])
+    def test_run_never_builds_the_row_view(self, tmp_path, monkeypatch, source):
+        def refuse(record):
+            raise AssertionError("a run built a HouseRecord")
+
+        monkeypatch.setattr(HouseRecord, "__post_init__", refuse)
+        overrides = {}
+        if source == "file":
+            overrides["data"] = {
+                "path": str(FIXTURE_DIR / "dataset.csv"),
+                "schema": "synthetic",
+                "n_features": 10,
+            }
+        config = write_config(
+            tmp_path,
+            methods=[
+                {"label": "ols", "kind": "ols"},
+                {"label": "ridge", "kind": "ridge"},
+                {"label": "mtl_l21", "kind": "mtl_l21", "theta1": [0.5, 1.0]},
+            ],
+            task_definitions=["region:SA3", "region:SA4"],
+            **overrides,
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        with pytest.raises(AssertionError, match="HouseRecord"):
+            HouseRecord(sale_month=0, values={}, price=1.0)
+
     def test_metric_cells_are_plain_floats(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -290,6 +318,10 @@ class TestConfigValidation:
             {"methods": [{"kind": "mtl_l21"}]},
             {"methods": [{"kind": "mtl_l21", "theta1": ["big"]}]},
             {"methods": [{"kind": "mtl_l21", "theta1": [None]}]},
+            {"methods": [{"kind": "ols", "theta1": [1.0, 3.0]}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": [1.0], "theta2": [5.0]}]},
+            {"methods": [{"kind": "mtl_lasso", "theta1": [1.0], "penalty": [2.0]}]},
+            {"methods": [{"kind": "ridge", "theta1": [1.0]}]},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -309,6 +341,7 @@ class TestConfigValidation:
             ({"kind": "mtl_lasso", "theta1": [float("nan")]}, "theta1 values must be finite"),
             ({"kind": "svr"}, "unknown method kind"),
             ({"kind": "mtl_l21", "theta1": ["big"]}, "could not convert"),
+            ({"kind": "ols", "theta1": [1.0, 3.0]}, "ols takes no theta1 grid"),
         ],
     )
     def test_method_errors_name_the_label(self, method, message):

@@ -1,13 +1,17 @@
 import json
+import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mtlhouse import data as data_module
 from mtlhouse.data import (
     DataError,
     Dataset,
     FeatureEntry,
+    HouseRecord,
     FeatureSchema,
     SchemaError,
     load_dataset,
@@ -20,7 +24,7 @@ from mtlhouse.data import (
 )
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic, synthetic_schema
 
-from conftest import make_dataset
+from conftest import make_dataset, make_schema
 
 # ln(680540), the log of the median sale price, from a 50-digit reference
 LOG_MEDIAN_PRICE = 13.43064187965476
@@ -108,7 +112,7 @@ def _write_csv(path, header, rows):
 
 class TestLoadDataset:
     def small_schema(self):
-        return make_dataset([], numeric=("SIZE",), key=("REGION",)).schema
+        return make_schema(numeric=("SIZE",), key=("REGION",))
 
     def test_three_row_fixture(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -150,6 +154,91 @@ class TestLoadDataset:
             load_dataset(path, self.small_schema())
         assert len(excinfo.value.row_errors) == 2
         assert "line" in excinfo.value.row_errors[0]
+
+    def test_rejection_messages(self, tmp_path):
+        path = tmp_path / "rejects.csv"
+        rows = [[500.0, "A", "2015-01", 100000.0] for _ in range(6)]
+        rows += [
+            ["abc", "A", "2015-01", 100000.0],
+            ["inf", "A", "2015-01", 100000.0],
+            [],  # a blank line is skipped but still counted
+            [500.0, "A", "2015/01", 100000.0],
+            [500.0, "A", "2015-13", 100000.0],
+            [500.0, "A", "2015-01", -5.0],
+            [500.0, "A"],
+        ]
+        _write_csv(path, ["SIZE", "REGION", "DATE", "PRICE"], rows)
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path, self.small_schema())
+        assert excinfo.value.row_errors == [
+            "line 8: could not convert string to float: 'abc'",
+            "line 9: non-finite value in column 'SIZE'",
+            "line 11: expected YYYY-MM, got '2015/01'",
+            "line 12: month out of range in '2015-13'",
+            "line 13: non-positive price -5.0",
+            "line 14: list index out of range",
+        ]
+        assert str(excinfo.value).endswith(
+            "6 of 12 rows rejected (first: line 8: could not convert string to float: 'abc')"
+        )
+
+    @pytest.mark.parametrize("price", ["inf", "9e999"])
+    def test_non_finite_price_rejected(self, tmp_path, price):
+        path = tmp_path / "infinite.csv"
+        rows = [[500.0 + i, "A", "2015-01", 100000.0] for i in range(19)]
+        rows.insert(3, [600.0, "A", "2015-01", price])
+        _write_csv(path, ["SIZE", "REGION", "DATE", "PRICE"], rows)
+        dataset = load_dataset(path, self.small_schema())
+        assert len(dataset) == 19
+        assert np.all(np.isfinite(dataset.log_prices))
+        _write_csv(path, ["SIZE", "REGION", "DATE", "PRICE"], rows[2:5])
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path, self.small_schema())
+        assert excinfo.value.row_errors == ["line 3: non-finite price inf"]
+
+    def test_header_naming_a_schema_column_twice_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        _write_csv(
+            path,
+            ["SIZE", "REGION", "DATE", "PRICE", "REGION", "JUNK", "JUNK"],
+            [[500.0, "A", "2015-01", 100000.0, "B", "x", "y"]],
+        )
+        with pytest.raises(SchemaError, match="'REGION' appears more than once"):
+            load_dataset(path, self.small_schema())
+
+    def test_chunked_load_matches_a_single_chunk(self, tmp_path, monkeypatch, caplog):
+        # months out of order, blank lines and bad rows spread over several
+        # chunks: the result must not depend on where the chunks break
+        path = tmp_path / "chunks.csv"
+        rows = []
+        for i in range(40):
+            region = "ABC"[i * 7 % 3] if i < 30 else "D"
+            rows.append([100.0 + i, region, f"2015-{12 - i % 5:02d}", 1000.0 + i])
+            if i % 9 == 4:
+                rows.append([])
+        rows[17] = ["bad", "A", "2015-01", 5.0]
+        rows[33] = [1.0, "Z", "2015-01", 0.0]
+        _write_csv(path, ["SIZE", "REGION", "DATE", "PRICE"], rows)
+
+        def load(chunk_rows):
+            monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk_rows)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="mtlhouse.data"):
+                dataset = load_dataset(path, self.small_schema())
+            return dataset, caplog.messages
+
+        whole, whole_messages = load(10_000)
+        assert len(whole) == 38 and whole.inventories["REGION"] == ("A", "B", "C", "D")
+        assert [m for m in whole_messages if m.startswith("rejected row")] == [
+            "rejected row: line 19: could not convert string to float: 'bad'",
+            "rejected row: line 35: non-positive price 0.0",
+        ]
+        assert list(whole.months) == sorted(whole.months)
+        for chunk_rows in (1, 3, 7):
+            chunked, messages = load(chunk_rows)
+            assert records_equal(chunked, whole)
+            assert messages == whole_messages
+            assert chunked.inventories == whole.inventories
 
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "extra.csv"
@@ -226,7 +315,7 @@ class TestDatasetInvariants:
             HouseRecord(sale_month=4, values={"SIZE": 1.0}, price=10.0),
         )
         with pytest.raises(ValueError, match="sorted"):
-            Dataset(schema=schema, records=records)
+            Dataset.from_records(schema, records)
 
     def test_missing_feature_rejected(self):
         schema = make_dataset([], numeric=("SIZE", "OTHER")).schema
@@ -234,10 +323,42 @@ class TestDatasetInvariants:
 
         records = (HouseRecord(sale_month=5, values={"SIZE": 1.0}, price=10.0),)
         with pytest.raises(ValueError, match="OTHER"):
-            Dataset(schema=schema, records=records)
+            Dataset.from_records(schema, records)
 
     def test_nonpositive_price_rejected(self):
         from mtlhouse.data import HouseRecord
 
         with pytest.raises(ValueError):
             HouseRecord(sale_month=0, values={}, price=0.0)
+
+    @pytest.mark.parametrize("price", [math.inf, math.nan])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ValueError, match="finite"):
+            HouseRecord(sale_month=0, values={}, price=price)
+        good = make_dataset([{"month": 0, "SIZE": 1.0}], numeric=("SIZE",))
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(
+                schema=good.schema,
+                months=good.months,
+                prices=np.array([price]),
+                numeric=good.numeric,
+                codes=good.codes,
+                inventories=good.inventories,
+            )
+
+    def test_stable_sort_and_row_view(self, tmp_path):
+        path = tmp_path / "order.csv"
+        _write_csv(
+            path,
+            ["SIZE", "REGION", "DATE", "PRICE"],
+            [[3.0, "B", "2015-02", 30.0], [1.0, "A", "2015-01", 10.0], [2.0, "C", "2015-02", 20.0]],
+        )
+        dataset = load_dataset(path, make_schema(numeric=("SIZE",), key=("REGION",)))
+        assert dataset.months.dtype == np.int64 and dataset.codes["REGION"].dtype == np.int32
+        assert [r.values["SIZE"] for r in dataset.records] == [1.0, 3.0, 2.0]
+        second = HouseRecord(month_index("2015-02"), {"SIZE": 3.0, "REGION": "B"}, 30.0)
+        assert dataset.records[1] == second
+        log_prices = np.array([math.log(p) for p in (10.0, 30.0, 20.0)])
+        assert dataset.log_prices.tobytes() == log_prices.tobytes()
+        with pytest.raises(ValueError):
+            dataset.numeric[0, 0] = 5.0  # the columns are read-only

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from mtlhouse.backtest import _test_rows_by_task, make_rolling_plan
 from mtlhouse.baselines import StlSpec, fit_stl
-from mtlhouse.design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows
+from mtlhouse.data import log_target
+from mtlhouse.design import (
+    DesignLayout,
+    Standardizer,
+    TaskData,
+    WeightMatrix,
+    build_task_data,
+    design_rows,
+)
 from mtlhouse.solver import RegularizerSpec, SolverParams, fit
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import RegionDef, StationDef, define_tasks
@@ -167,13 +176,104 @@ class TestBuildTaskData:
             build_task_data(dataset, taskset, (5, 3))
 
 
+def oracle_raw_rows(layout, records):
+    """Row-by-row encoding of records: numerics raw, one-hot dummies, intercept."""
+    rows = np.zeros((len(records), layout.n_columns))
+    for i, record in enumerate(records):
+        j = 0
+        for name in layout.numeric:
+            rows[i, j] = float(record.values[name])
+            j += 1
+        for name, categories in layout.dummies:
+            value = str(record.values[name])
+            if value in categories:
+                rows[i, j + categories.index(value)] = 1.0
+            j += len(categories)
+        rows[i, -1] = 1.0
+    return rows
+
+
+def oracle_task_data(dataset, taskset, window, layout):
+    """Window rows per task from the row view, gathered in task order and standardized."""
+    kept = [(t, rows) for t, rows in taskset.rows_in(window).items() if rows]
+    records = [dataset.records[i] for _, rows in kept for i in rows]
+    raw = oracle_raw_rows(layout, records)
+    standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
+    encoded = standardizer.apply(raw, layout)
+    xs, ys, offset = [], [], 0
+    for _, rows in kept:
+        xs.append(encoded[offset : offset + len(rows)])
+        ys.append(np.array([log_target(dataset.records[i].price) for i in rows]))
+        offset += len(rows)
+    return [t for t, _ in kept], xs, ys
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def category_seen_only_in_test_month():
+    rng = np.random.default_rng(8)
+    rows = [
+        {
+            "month": month,
+            "SIZE": float(rng.normal(600, 80)),
+            "ROOMS": float(rng.integers(1, 5)),
+            "REGION": region,
+            "OTHER": "Z" if month == 4 and i == 0 else "XY"[i % 2],
+            "price": float(np.exp(rng.normal(13, 0.3))),
+        }
+        for month in range(5)
+        for region in "ABC"
+        for i in range(3)
+        if not (region == "C" and month in (1, 2))  # C has a round with no training rows
+    ]
+    return make_dataset(rows, numeric=("SIZE", "ROOMS"), key=("REGION", "OTHER"))
+
+
+class TestColumnarEncodingOracle:
+    @pytest.mark.parametrize("case", ["test_only_category", "synthetic"])
+    def test_rounds_match_row_by_row_oracle_bit_for_bit(self, case):
+        if case == "synthetic":
+            dataset, _ = synthetic_case(seed=44, months=7, tasks=6)
+        else:
+            dataset = category_seen_only_in_test_month()
+            assert "OTHER=Z" in DesignLayout.from_dataset(dataset, RegionDef("REGION")).columns
+        definition = RegionDef("SA3" if case == "synthetic" else "REGION")
+        taskset = define_tasks(dataset, definition)
+        layout = DesignLayout.from_dataset(dataset, definition)
+        plan = make_rolling_plan(dataset, k=2)
+        skipped_tasks = 0
+        for round_ in plan.rounds:
+            data = build_task_data(dataset, taskset, round_.train_window, layout)
+            ids, xs, ys = oracle_task_data(dataset, taskset, round_.train_window, layout)
+            skipped_tasks += len(taskset.tasks) - len(ids)
+            assert list(data.task_ids) == ids
+            assert all(same_bits(a, b) for a, b in zip(data.xs, xs))
+            assert all(same_bits(a, b) for a, b in zip(data.ys, ys))
+
+            test_rows = _test_rows_by_task(dataset, taskset, data, round_.test_month)
+            expected = {}
+            for task_id, rows in taskset.rows_in((round_.test_month,) * 2).items():
+                if rows and task_id in data.task_ids:
+                    records = [dataset.records[i] for i in rows]
+                    x = data.standardizer.apply(oracle_raw_rows(layout, records), layout)
+                    expected[task_id] = (x, np.array([log_target(r.price) for r in records]))
+            assert list(test_rows) == list(expected)
+            for task_id, (x, y) in expected.items():
+                assert same_bits(test_rows[task_id]["x"], x)
+                assert same_bits(test_rows[task_id]["y"], y)
+        assert skipped_tasks > 0 or case == "synthetic"
+
+
 class TestDesignRows:
     def test_test_rows_use_training_statistics(self):
         dataset, taskset = synthetic_case(seed=5)
         lo, hi = dataset.month_range
         data = build_task_data(dataset, taskset, (lo, hi - 1))
-        test_records = [r for r in dataset.records if r.sale_month == hi]
-        rows = design_rows(test_records, data.layout, data.standardizer)
+        test_rows = np.flatnonzero(dataset.months == hi)
+        test_records = [dataset.records[i] for i in test_rows]
+        rows = design_rows(dataset, test_rows, data.layout, data.standardizer)
         j = data.layout.columns.index(data.layout.numeric[0])
         name = data.layout.numeric[0]
         expected = (
@@ -201,6 +301,10 @@ class TestWeightMatrix:
         assert list(weights.column("b")) == [2.0, 4.0]
         with pytest.raises(KeyError):
             weights.column("zzz")
+
+    def test_duplicate_task_ids_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            WeightMatrix(np.zeros((1, 2)), task_ids=("a", "a"), columns=("(intercept)",))
 
 
 class TestTaskDataValidation:

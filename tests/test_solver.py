@@ -630,13 +630,9 @@ class TestPredict:
         from mtlhouse.design import design_rows
 
         for task in taskset.tasks:
-            rows = [
-                dataset.records[i]
-                for i in task.member_indices
-                if dataset.records[i].sale_month == hi
-            ]
-            encoded = design_rows(rows, data.layout, data.standardizer)
-            for row, record in zip(encoded, rows):
+            rows = [i for i in task.member_indices if dataset.months[i] == hi]
+            encoded = design_rows(dataset, np.array(rows), data.layout, data.standardizer)
+            for row, record in zip(encoded, (dataset.records[i] for i in rows)):
                 prediction = predict(result.weights, row, task.task_id)
                 assert prediction == pytest.approx(math.log(record.price), abs=1e-6)
 

@@ -101,7 +101,7 @@ class TestGeneration:
         config = small_config(coefficient_noise=0.0, observation_noise=0.0)
         dataset, planted = generate_synthetic(config)
         assert np.allclose(planted.values, planted.values[:, :1])  # columns all shared
-        rows = planted_design(dataset.records, config.n_features)
+        rows = planted_design(dataset, config.n_features)
         shared = planted.values[:, 0]
         for row, record in zip(rows, dataset.records):
             assert log_target(record.price) == pytest.approx(float(row @ shared), abs=1e-10)
