@@ -217,8 +217,8 @@ def run_backtest(
             point = _select_grid_point(spec, held_out)
             weights = _fit_point(data, spec, point)
             for task_id, rows in test_rows.items():
-                actual = [float(v) for v in rows["y"]]
-                predicted = (rows["x"] @ weights.column(task_id)).tolist()
+                actual = rows["y"]
+                predicted = rows["x"] @ weights.column(task_id)
                 records.append(
                     MetricRecord(
                         round_index=round_index,
@@ -302,10 +302,12 @@ def _select_grid_point(spec: MethodSpec, held_out):
     best_point, best_score = points[0], np.inf
     for point in points:
         weights = _fit_point(inner, spec, point)
-        errors: list[float] = []
-        for task_id, rows in validation.items():
-            predicted = rows["x"] @ weights.column(task_id)
-            errors.extend((np.asarray(rows["y"]) - predicted) ** 2)
+        errors = np.concatenate(
+            [
+                (rows["y"] - rows["x"] @ weights.column(task_id)) ** 2
+                for task_id, rows in validation.items()
+            ]
+        )
         score = float(np.sqrt(np.mean(errors)))
         if score < best_score:
             best_point, best_score = point, score

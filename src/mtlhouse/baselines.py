@@ -4,8 +4,9 @@ Each task is fitted independently on its own rows; no information crosses
 tasks. OLS is the minimum-norm least-squares fit, so rank-deficient tasks
 (too few rows, or a dummy column equal to the intercept) still get weights
 and rolling comparisons can score data-starved tasks. Ridge uses exact normal
-equations with a free intercept, and lasso reuses the proximal solver with a
-single task.
+equations with a free intercept. Per-task lasso is the joint lasso: its loss
+and l1 penalty separate by task, and the solver runs each task's column on
+its own, so one solver call fits every task.
 """
 
 from __future__ import annotations
@@ -43,20 +44,17 @@ def fit_stl(
     data: TaskData, spec: StlSpec, params: SolverParams = SolverParams()
 ) -> WeightMatrix:
     """Fit every task independently and assemble the D x P weight matrix."""
+    if spec.kind == "lasso":
+        return fit(data, RegularizerSpec(kind="lasso", theta1=spec.penalty), params).weights
     columns = []
-    for p in range(data.n_tasks):
-        x, y = data.xs[p], data.ys[p]
+    for x, y in zip(data.xs, data.ys):
         if spec.kind == "ols":
             columns.append(np.linalg.lstsq(x, y, rcond=None)[0])
-        elif spec.kind == "ridge":
+        else:
             penalty = spec.penalty
             if penalty is None:
                 penalty = cv_ridge_penalty(x, y)
             columns.append(_solve_ridge(x, y, penalty))
-        else:
-            single = TaskData.from_arrays([x], [y], [data.task_ids[p]])
-            reg = RegularizerSpec(kind="lasso", theta1=spec.penalty)
-            columns.append(fit(single, reg, params).weights.values[:, 0])
     values = np.column_stack(columns)
     return WeightMatrix(values=values, task_ids=data.task_ids, columns=data.columns)
 

@@ -17,10 +17,18 @@ is computed once per fit from eigenvalues and every step is exactly 1/L; no
 line search is needed. The residual is affine in W, so the residual at the
 extrapolated point is combined from those of the last two iterates, and an
 accelerated step costs one residual and one gradient product.
+
+The l1 penalty and the squared loss both separate by task, so the lasso kind
+is P independent FISTA runs, one per column, swept together: column p has its
+own step 1/L_p (L_p = 2 lambda_max(x_p^T x_p)), momentum, restart test and
+stop, and once it stops it stays fixed. Every operation stays inside one
+task's rows, so a column's iterates are those of a single-task fit of that
+task, bit for bit. The joint kinds are one run over all columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -99,10 +107,21 @@ class TaskGraph:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted weight matrix and how the solver got there.
+
+    ``task_iterations`` holds the steps each task's column took and
+    ``iterations`` their maximum: the number of sweeps, the entries of
+    ``objective_trace`` after its starting value. For the lasso kind columns
+    stop one by one and the trace is the sum of their objectives; for the
+    joint kinds every column takes every step. ``converged`` means every
+    column stopped on the relative-change test before ``max_iters``.
+    """
+
     weights: WeightMatrix
     objective_trace: tuple[float, ...]
     iterations: int
     converged: bool
+    task_iterations: tuple[int, ...] = ()
 
     def __post_init__(self):
         trace = self.objective_trace
@@ -195,8 +214,15 @@ def objective(
     reg: RegularizerSpec,
     graph: Optional[TaskGraph] = None,
 ) -> float:
-    """Full objective value: loss + graph coupling (if any) + sparsity penalty."""
-    return smooth_objective(W, data, reg, graph) + nonsmooth_penalty(W, reg)
+    """Full objective value: loss + graph coupling (if any) + sparsity penalty.
+
+    For lasso it is the sum of the per-task objectives, added as :func:`fit`
+    adds its trace, so a fit's last trace entry is this value exactly.
+    """
+    w = _values(W)
+    _check_shapes(w, data, reg, graph)
+    smooth = _Smooth(data, reg, graph)
+    return float(np.sum(_objective_values(smooth, reg, w, smooth._residual(w))))
 
 
 def smooth_gradient(
@@ -211,11 +237,15 @@ def smooth_gradient(
     return _Smooth(data, reg, graph).gradient(w)
 
 
-def prox_l1(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -> np.ndarray:
-    """Entrywise soft threshold; optionally passes the last row through."""
-    if threshold < 0:
+def prox_l1(
+    V: np.ndarray, threshold: Union[float, np.ndarray], skip_intercept_row: bool = True
+) -> np.ndarray:
+    """Entrywise soft threshold, one threshold or one per column; optionally
+    passes the last row through."""
+    if np.min(threshold) < 0:
         raise ValueError("threshold must be nonnegative")
-    out = np.sign(V) * np.maximum(np.abs(V) - threshold, 0.0)
+    # V minus its clip to [-threshold, threshold]: sign(V) * max(|V| - threshold, 0)
+    out = V - np.minimum(np.maximum(V, -threshold), threshold)
     if skip_intercept_row:
         out[-1] = V[-1]
     return out
@@ -235,7 +265,7 @@ def prox_l21(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -
     return out
 
 
-def _prox(reg: RegularizerSpec, V: np.ndarray, step: float) -> np.ndarray:
+def _prox(reg: RegularizerSpec, V: np.ndarray, step: Union[float, np.ndarray]) -> np.ndarray:
     if reg.kind == "lasso":
         return prox_l1(V, step * reg.theta1)
     if reg.kind == "group_l21":
@@ -248,23 +278,27 @@ class _Smooth:
 
     Losses and gradients are computed from residuals rather than expanded
     Gram quadratics; near a minimizer the expanded form is dominated by
-    rounding noise, which breaks the restart and stopping tests.
+    rounding noise, which breaks the restart and stopping tests. Each task's
+    rows form one contiguous block, and per-task sums run over that block
+    alone (``np.add.reduceat``), in O(N·D) for any task count.
     """
 
     def __init__(self, data: TaskData, reg: RegularizerSpec, graph: Optional[TaskGraph]):
         self.reg = reg
         self.xs = data.xs
-        self.n_tasks = data.n_tasks
         self.rows = np.vstack(data.xs)
+        # 2 X^T, D x N: each task's block is contiguous in every feature row
+        self.twice_columns = 2.0 * self.rows.T.copy()
         self.targets = np.concatenate(data.ys)
-        self.task_of_row = np.repeat(
-            np.arange(data.n_tasks), [x.shape[0] for x in data.xs]
-        )
-        self.row_index = np.arange(self.rows.shape[0])
+        sizes = [x.shape[0] for x in data.xs]
+        self.task_of_row = np.repeat(np.arange(data.n_tasks), sizes)
+        self.starts = np.cumsum([0] + sizes[:-1])  # every task has at least one row
         self.laplacian = _graph_laplacian(graph.weights) if reg.kind == "graph" else None
 
     def _residual(self, W: np.ndarray) -> np.ndarray:
-        predictions = np.einsum("nd,dn->n", self.rows, W[:, self.task_of_row])
+        # each row's own dot product with its task's column; the summation
+        # order depends on the row alone, not on how many rows are stacked
+        predictions = np.einsum("nd,nd->n", self.rows, W.T[self.task_of_row])
         return predictions - self.targets
 
     def value(self, W: np.ndarray) -> float:
@@ -279,14 +313,27 @@ class _Smooth:
             loss += self.reg.theta1 * _graph_quadratic(W[:-1], self.laplacian)
         return loss
 
+    def task_losses(self, residual: np.ndarray) -> np.ndarray:
+        """Each task's squared loss, summed over its own rows."""
+        return np.add.reduceat(residual * residual, self.starts)
+
     def gradient_from_residual(self, W: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        scattered = np.zeros((self.rows.shape[0], self.n_tasks))
-        scattered[self.row_index, self.task_of_row] = residual
-        grad = 2.0 * (self.rows.T @ scattered)
+        # column p is 2 x_p^T r_p, summed over task p's rows alone
+        grad = np.add.reduceat(self.twice_columns * residual, self.starts, axis=1)
         if self.reg.kind == "graph":
             # d/dV of the ordered-pair quadratic 2 <V Lap, V>
             grad[:-1] += 4.0 * self.reg.theta1 * (W[:-1] @ self.laplacian)
         return grad
+
+    def task_lipschitz(self) -> np.ndarray:
+        """2 lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
+        out = np.empty(len(self.xs))
+        for p, x in enumerate(self.xs):
+            with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
+                gram = x.T @ x
+            finite = np.all(np.isfinite(gram))
+            out[p] = 2.0 * float(np.linalg.eigvalsh(gram)[-1]) if finite else math.nan
+        return out
 
     def lipschitz(self) -> float:
         """Lipschitz constant L of the gradient, or NaN if a Gram matrix is not finite.
@@ -296,14 +343,25 @@ class _Smooth:
         largest eigenvalue for lasso and group_l21; for the graph kind it is the
         sum of the two parts' largest eigenvalues, an upper bound on it.
         """
-        with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
-            grams = [x.T @ x for x in self.xs]
-        if not all(np.all(np.isfinite(g)) for g in grams):
-            return math.nan
-        L = 2.0 * max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
+        L = float(np.max(self.task_lipschitz()))  # NaN if any task's is
         if self.reg.kind == "graph":
             L += 4.0 * self.reg.theta1 * float(np.linalg.eigvalsh(self.laplacian)[-1])
         return L
+
+
+def _objective_values(
+    smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray
+) -> Union[float, np.ndarray]:
+    """Full objective: one value per task's column for lasso, one in all for the joint kinds."""
+    if reg.kind == "lasso":
+        # accumulate adds each column's entries in row order whatever the column count
+        penalties = reg.theta1 * np.add.accumulate(np.abs(W[:-1]), axis=0)[-1]
+        return smooth.task_losses(residual) + penalties
+    return smooth.value_from_residual(W, residual) + nonsmooth_penalty(W, reg)
+
+
+def _all_finite(v: Union[float, np.ndarray]) -> bool:
+    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
 
 
 def fit(
@@ -317,38 +375,54 @@ def fit(
     gradient; there is no line search. On an objective increase the momentum
     is restarted and a plain descent step is taken, so the recorded trace is
     nonincreasing. Stops when the relative objective change drops below
-    ``params.rel_tol`` or ``params.max_iters`` is reached.
+    ``params.rel_tol`` or ``params.max_iters`` is reached. For the lasso kind
+    every task's column does all of this on its own, with its own L_p.
     """
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
-    d, n_tasks = data.n_columns, data.n_tasks
-
-    W = np.zeros((d, n_tasks))
-    W_prev = W
-    r = r_prev = smooth._residual(W)
-    t, t_old = 1.0, 0.0
-    current = smooth.value_from_residual(W, r) + nonsmooth_penalty(W, reg)
-    if not math.isfinite(current):
+    W = np.zeros((data.n_columns, data.n_tasks))
+    r = smooth._residual(W)
+    current = _objective_values(smooth, reg, W, r)
+    if not _all_finite(current):
         # the first step would evaluate this point; inf - inf in its residual would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
-    L = smooth.lipschitz()
-    step = 1.0 if L == 0.0 else 1.0 / L  # L = 0: the smooth part is constant
-    if not step > 0.0:  # NaN or overflowed L
+    if reg.kind == "lasso":
+        L = smooth.task_lipschitz()
+        step = 1.0 / np.where(L == 0.0, 1.0, L)  # L_p = 0: the task's loss is constant
+        solve = _fista_columns
+    else:
+        L = smooth.lipschitz()
+        step = 1.0 if L == 0.0 else 1.0 / L  # L = 0: the smooth part is constant
+        solve = _fista
+    if not np.all(step > 0.0):  # NaN or overflowed L
         raise DivergenceError("step size underflow at iteration 1")
+    W, trace, task_iterations, converged = solve(smooth, reg, W, r, current, step, params)
+    return FitResult(
+        weights=WeightMatrix(values=W, task_ids=data.task_ids, columns=data.columns),
+        objective_trace=tuple(trace),
+        iterations=len(trace) - 1,
+        converged=converged,
+        task_iterations=task_iterations,
+    )
+
+
+def _fista(smooth, reg, W, r, current, step, params):
+    """One FISTA run over all columns (the joint kinds)."""
+    W_prev, r_prev = W, r
+    momentum = _momentum(params.max_iters)
+    since = 0  # steps since the last (re)start
     trace = [current]
-    iterations = 0
     converged = False
 
     for iteration in range(1, params.max_iters + 1):
-        iterations = iteration
-        alpha = (t_old - 1.0) / t
+        alpha = momentum[since]
         search = W + alpha * (W - W_prev)
         r_search = r + alpha * (r - r_prev)  # the residual is affine in W
         candidate, r_candidate, value = _prox_step(smooth, reg, search, r_search, step, iteration)
 
         if value > current:
             # momentum overshot: restart and take a plain descent step
-            t, t_old = 1.0, 0.0
+            since = 0
             candidate, r_candidate, value = _prox_step(smooth, reg, W, r, step, iteration)
             if value > current:
                 # numerically stationary; keep the previous iterate
@@ -357,38 +431,114 @@ def fit(
         W_prev, W = W, candidate
         r_prev, r = r, r_candidate
         trace.append(value)
-        t_old, t = t, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        since += 1
 
+        stopped = abs(current - value) <= params.rel_tol * max(abs(current), 1e-12)
         current = value
-        change = abs(trace[-2] - trace[-1])
-        if change <= params.rel_tol * max(abs(trace[-2]), 1e-12):
+        if stopped:
             converged = True
             break
 
-    weights = WeightMatrix(values=W, task_ids=data.task_ids, columns=data.columns)
-    return FitResult(
-        weights=weights,
-        objective_trace=tuple(trace),
-        iterations=iterations,
-        converged=converged,
-    )
+    return W, trace, (len(trace) - 1,) * W.shape[1], converged
+
+
+def _fista_columns(smooth, reg, W, r, current, step, params):
+    """One FISTA run per task's column (the lasso kind), all advanced in one sweep.
+
+    Column p's step, momentum, restart and stop are its own, exactly as in
+    :func:`_fista` on task p alone, and a column that has stopped keeps its
+    iterate while the others go on. Vectors with one entry per column
+    broadcast over W's columns; ``on_rows`` repeats them over each task's
+    residual rows. The trace holds the sum of the columns' objectives.
+    """
+    W_prev, r_prev = W, r
+    n_tasks = W.shape[1]
+    momentum = _momentum(params.max_iters)
+    since = np.zeros(n_tasks, dtype=np.intp)  # steps since the column's last (re)start
+    active = np.ones(n_tasks, dtype=bool)
+    all_active = True
+    stopped_at = np.full(n_tasks, params.max_iters)
+    trace = [float(current.sum())]
+
+    def on_rows(v: np.ndarray) -> np.ndarray:
+        return v[smooth.task_of_row]
+
+    for iteration in range(1, params.max_iters + 1):
+        alpha = momentum[since]
+        search = W + alpha * (W - W_prev)
+        r_search = r + on_rows(alpha) * (r - r_prev)
+        candidate, r_candidate, values = _prox_step(smooth, reg, search, r_search, step, iteration)
+
+        restart = values > current
+        if not all_active:
+            restart &= active
+        if restart.any():
+            # as in _fista: a plain descent step, or the previous iterate if that rises too
+            since[restart] = 0
+            plain, r_plain, plain_values = _prox_step(smooth, reg, W, r, step, iteration)
+            stuck = plain_values > current
+            candidate = np.where(restart, np.where(stuck, W, plain), candidate)
+            r_candidate = np.where(
+                on_rows(restart), np.where(on_rows(stuck), r, r_plain), r_candidate
+            )
+            values = np.where(restart, np.where(stuck, current, plain_values), values)
+        if not all_active:  # stopped columns keep their iterate
+            candidate = np.where(active, candidate, W)
+            r_candidate = np.where(on_rows(active), r_candidate, r)
+            values = np.where(active, values, current)
+
+        W_prev, W = W, candidate
+        r_prev, r = r, r_candidate
+        trace.append(float(values.sum()))
+        since += 1
+
+        # no abs() needed: objectives are nonnegative and no column's ever rises
+        stopped = current - values <= params.rel_tol * np.maximum(current, 1e-12)
+        if not all_active:
+            stopped &= active
+        current = values
+        if stopped.any():
+            stopped_at[stopped] = iteration
+            active &= ~stopped
+            all_active = False
+            if not active.any():
+                break
+
+    return W, trace, tuple(int(n) for n in stopped_at), not active.any()
+
+
+@functools.lru_cache(maxsize=4)
+def _momentum(n_steps: int) -> np.ndarray:
+    """FISTA's extrapolation weight (t_{j-1} - 1) / t_j for step j after a (re)start.
+
+    t_0 = 1 and t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2; the (re)starting step
+    j = 0 takes no momentum. Tabulated once per ``max_iters``.
+    """
+    alphas = np.zeros(n_steps)
+    t = 1.0
+    for j in range(1, n_steps):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        alphas[j] = (t - 1.0) / t_next
+        t = t_next
+    alphas.flags.writeable = False
+    return alphas
 
 
 def _prox_step(smooth, reg, point, r_point, step, iteration):
     """One proximal gradient step from ``point``, whose residual is ``r_point``.
 
     The candidate's residual is computed directly, so the cached residuals
-    never drift from the iterates. Returns the candidate, its residual and its
-    full objective value.
+    never drift from the iterates. Returns the candidate, its residual and
+    its full objective value (one per column for lasso).
     """
-    f_point = smooth.value_from_residual(point, r_point)
     g_point = smooth.gradient_from_residual(point, r_point)
-    if not (math.isfinite(f_point) and np.all(np.isfinite(g_point))):
+    # a non-finite residual entry makes its task's intercept gradient non-finite
+    if not np.isfinite(g_point).all():
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
     candidate = _prox(reg, point - step * g_point, step)
     r_candidate = smooth._residual(candidate)
-    value = smooth.value_from_residual(candidate, r_candidate) + nonsmooth_penalty(candidate, reg)
-    if not math.isfinite(value):
+    value = _objective_values(smooth, reg, candidate, r_candidate)
+    if not _all_finite(value):
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
     return candidate, r_candidate, value
 

@@ -100,6 +100,20 @@ class TestLasso:
             mtl = fit(single, RegularizerSpec("lasso", 0.8), params)
             assert np.max(np.abs(stl.values[:, p] - mtl.weights.values[:, 0])) <= 1e-8
 
+    def test_is_one_solver_call_for_every_task(self, monkeypatch):
+        calls = []
+        original = mtlhouse.baselines.fit
+
+        def counting(data, reg, params):
+            calls.append((data.task_ids, reg))
+            return original(data, reg, params)
+
+        monkeypatch.setattr(mtlhouse.baselines, "fit", counting)
+        data = well_conditioned(seed=8)
+        weights = fit_stl(data, StlSpec("lasso", penalty=0.5))
+        assert calls == [(data.task_ids, RegularizerSpec("lasso", 0.5))]
+        assert weights.task_ids == data.task_ids
+
 
 class TestIndependence:
     def test_perturbing_one_task_leaves_others_bit_identical(self):

@@ -49,6 +49,34 @@ class TestRmseMae:
         assert rmse(actual, predicted) == pytest.approx(expected_rmse, abs=1e-12)
         assert mae(actual, predicted) == pytest.approx(float(absolutes), abs=1e-12)
 
+    def test_arrays_give_the_python_float_sums_bit_for_bit(self):
+        # Reports are compared byte for byte, so numpy inputs must give what
+        # sums of Python floats give: each square rounded as float ** 2 (the C
+        # library's pow) and the terms added left to right.
+        import numpy as np
+
+        def python_sums(actual, predicted):
+            pairs = list(zip(actual.tolist(), predicted.tolist()))
+            squares = sum((y - z) ** 2 for y, z in pairs)
+            return math.sqrt(squares / len(pairs)), sum(abs(y - z) for y, z in pairs) / len(pairs)
+
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 9, 45, 300, 2000):
+            actual = rng.normal(13, 1, n)
+            predicted = actual + rng.normal(0, 0.3, n)
+            expected = python_sums(actual, predicted)
+            assert (rmse(actual, predicted), mae(actual, predicted)) == expected
+        # values whose pow square differs from d * d in the last bit
+        odd = [v for v in rng.normal(0, 1, 400_000).tolist() if v ** 2 != v * v][:40]
+        assert len(odd) == 40
+        exposed = 0
+        for a, b in zip(odd[::2], odd[1::2]):
+            actual, predicted = np.array([a, b]), np.zeros(2)
+            expected = python_sums(actual, predicted)
+            assert rmse(actual, predicted) == expected[0]
+            exposed += math.sqrt((a * a + b * b) / 2) != expected[0]
+        assert exposed > 0  # exactly rounded squares would have changed some of these
+
     @settings(max_examples=200, deadline=None)
     @given(
         pairs=st.lists(

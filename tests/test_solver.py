@@ -506,10 +506,24 @@ class TestFit:
 
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.0)])
     def test_non_finite_lipschitz_raises(self, kind, theta2, monkeypatch):
-        monkeypatch.setattr(_Smooth, "lipschitz", lambda self: math.nan)
         data = well_conditioned_data()
-        with pytest.raises(DivergenceError, match="step size underflow at iteration 1"):
-            fit(data, RegularizerSpec(kind, 0.0, theta2), TIGHT)
+        if kind != "lasso":
+            monkeypatch.setattr(_Smooth, "lipschitz", lambda self: math.nan)
+            with pytest.raises(DivergenceError, match="step size underflow at iteration 1"):
+                fit(data, RegularizerSpec(kind, 0.0, theta2), TIGHT)
+            return
+        # lasso steps each task by its own 1/L_p: one NaN or overflowed L_p is enough
+        task_lipschitz = _Smooth.task_lipschitz
+        for bad in (math.nan, math.inf):
+
+            def one_bad(self, bad=bad):
+                L = task_lipschitz(self)
+                L[2] = bad
+                return L
+
+            monkeypatch.setattr(_Smooth, "task_lipschitz", one_bad)
+            with pytest.raises(DivergenceError, match="step size underflow at iteration 1"):
+                fit(data, RegularizerSpec(kind, 0.0, theta2), TIGHT)
 
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
     def test_step_is_one_over_lipschitz(self, kind, theta2, monkeypatch):
@@ -526,7 +540,15 @@ class TestFit:
         graph = build_task_graph(data) if kind == "graph" else None
         result = fit(data, reg)
         assert len(steps) >= result.iterations > 5
-        assert set(steps) == {1.0 / _Smooth(data, reg, graph).lipschitz()}
+        if kind != "lasso":
+            assert set(steps) == {1.0 / _Smooth(data, reg, graph).lipschitz()}
+            return
+        # lasso: every step is {1/L_p}, one per task, with L_p = 2 lambda_max(x_p^T x_p)
+        expected = np.array(
+            [1.0 / (2.0 * float(np.linalg.eigvalsh(x.T @ x)[-1])) for x in data.xs]
+        )
+        assert len(set(expected)) == data.n_tasks
+        assert all(np.array_equal(step, expected) for step in steps)
 
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
     @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
@@ -560,6 +582,82 @@ class TestFit:
         weights = WeightMatrix(np.zeros((1, 1)), ("t",), ("(intercept)",))
         with pytest.raises(ValueError):
             FitResult(weights, (1.0, 2.0), 1, True)
+
+
+def tasks_with_sizes(rng, sizes, n_columns=6, noise=0.3):
+    """Tasks with the given row counts, planted weights and a trailing intercept column."""
+    xs, ys = [], []
+    for m in sizes:
+        x = np.hstack([rng.normal(0, 1, (m, n_columns - 1)), np.ones((m, 1))])
+        w = rng.normal(0, 1, n_columns)
+        w[-1] = 13.0
+        xs.append(x)
+        ys.append(x @ w + rng.normal(0, noise, m))
+    return TaskData.from_arrays(xs, ys)
+
+
+class TestColumnwiseLasso:
+    @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
+    def test_columns_match_single_task_fits(self, params):
+        # each column takes the steps, and reaches the weights, of a fit of its task alone
+        rng = np.random.default_rng(31)
+        data = tasks_with_sizes(rng, [1, 2, 5, 40, 120, 2, 17], n_columns=11)
+        reg = RegularizerSpec("lasso", 0.7)
+        joint = fit(data, reg, params)
+        singles = [
+            fit(TaskData.from_arrays([x], [y]), reg, params) for x, y in zip(data.xs, data.ys)
+        ]
+        assert joint.task_iterations == tuple(single.iterations for single in singles)
+        assert len(set(joint.task_iterations)) > 1  # the columns stopped at different sweeps
+        assert joint.iterations == max(joint.task_iterations) == len(joint.objective_trace) - 1
+        assert joint.converged and all(single.converged for single in singles)
+        for p, single in enumerate(singles):
+            assert np.max(np.abs(joint.weights.values[:, p] - single.weights.values[:, 0])) <= 1e-12
+
+    def test_starved_tasks_land_near_a_tight_solve(self):
+        # One large task and five 1-2 row tasks. With one step 1/L, set by the
+        # large task, the small columns crawled: after max_iters they were
+        # still up to 9.6 from the optimum. Each column now has its own step.
+        rng = np.random.default_rng(0)
+        data = tasks_with_sizes(rng, [400, 1, 2, 1, 2, 2], n_columns=8)
+        reg = RegularizerSpec("lasso", 0.1)
+        tight = fit(data, reg, SolverParams(max_iters=100000, rel_tol=1e-14))
+        assert tight.converged
+        result = fit(data, reg)
+        distance = np.max(np.abs(result.weights.values - tight.weights.values), axis=0)
+        assert np.all(distance <= 1e-2)
+        assert result.converged
+
+    def test_unconverged_when_a_column_reaches_max_iters(self):
+        rng = np.random.default_rng(33)
+        data = tasks_with_sizes(rng, [1, 60], n_columns=6)
+        result = fit(data, RegularizerSpec("lasso", 0.5), SolverParams(max_iters=30))
+        # the one-row task is underdetermined and converges slowly
+        assert not result.converged
+        assert result.iterations == result.task_iterations[0] == 30
+        assert result.task_iterations[1] < 30
+
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
+    def test_gradient_matches_dense_scatter_oracle(self, kind, theta2):
+        # per-task sums over each task's row block, against one N x P scatter at P = 300
+        rng = np.random.default_rng(34)
+        sizes = rng.integers(1, 9, 300)
+        data = tasks_with_sizes(rng, sizes, n_columns=7)
+        reg = RegularizerSpec(kind, 0.5, theta2)
+        graph = build_task_graph(data) if kind == "graph" else None
+        W = rng.normal(0, 1, (7, 300))
+        rows = np.vstack(data.xs)
+        task_of_row = np.repeat(np.arange(300), sizes)
+        residual = np.concatenate(
+            [x @ W[:, p] - y for p, (x, y) in enumerate(zip(data.xs, data.ys))]
+        )
+        scattered = np.zeros((rows.shape[0], 300))
+        scattered[np.arange(rows.shape[0]), task_of_row] = residual
+        oracle = 2.0 * rows.T @ scattered
+        if kind == "graph":
+            oracle[:-1] += 4.0 * reg.theta1 * (W[:-1] @ _graph_laplacian(graph.weights))
+        grad = smooth_gradient(W, data, reg, graph)
+        assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 class TestRegularizerSpec:
