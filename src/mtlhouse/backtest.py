@@ -207,8 +207,8 @@ def run_backtest(
             continue
         _assert_no_leakage(data, round_.test_month)
 
-        test_rows = _test_rows_by_task(dataset, taskset, data, round_.test_month)
-        if not test_rows:
+        test = _test_rows_by_task(dataset, taskset, data, round_.test_month)
+        if test is None:
             logger.info("round %d: no test samples for any trained task", round_index)
             continue
 
@@ -216,9 +216,8 @@ def run_backtest(
         for spec in methods:
             point = _select_grid_point(spec, held_out)
             weights = _fit_point(data, spec, point)
-            for task_id, rows in test_rows.items():
-                actual = rows["y"]
-                predicted = rows["x"] @ weights.column(task_id)
+            for task_id, x, actual in zip(test.task_ids, test.xs, test.ys):
+                predicted = x @ weights.column(task_id)
                 records.append(
                     MetricRecord(
                         round_index=round_index,
@@ -232,16 +231,7 @@ def run_backtest(
 
     if not records:
         raise ValueError("backtest produced no metric records")
-    report = _build_report(records, taskset, plan, labels, benchmark)
-    return records, ComparisonReport(
-        benchmark=benchmark,
-        summaries=report[0],
-        rank_sum=report[1],
-        quartile_boundaries=report[2],
-        quartile_tasks=report[3],
-        quartile_wld=report[4],
-        skipped_rounds=tuple(skipped),
-    )
+    return records, _build_report(records, taskset, plan, labels, benchmark, skipped)
 
 
 def _assert_no_leakage(data: TaskData, scored_month: int) -> None:
@@ -251,11 +241,11 @@ def _assert_no_leakage(data: TaskData, scored_month: int) -> None:
         )
 
 
-def _test_rows_by_task(dataset, taskset: TaskSet, data: TaskData, test_month: int):
-    """Standardized test rows and log targets per task trained this round.
-
-    The round's test rows are encoded in one call, then split by task.
-    """
+def _test_rows_by_task(
+    dataset, taskset: TaskSet, data: TaskData, test_month: int
+) -> Optional[TaskData]:
+    """Standardized test rows and log targets of the tasks trained this round,
+    encoded in one call; None if no trained task has test rows."""
     trained = set(data.task_ids)
     kept = []
     for task_id, rows in taskset.rows_in((test_month, test_month)).items():
@@ -266,17 +256,18 @@ def _test_rows_by_task(dataset, taskset: TaskSet, data: TaskData, test_month: in
             continue
         kept.append((task_id, rows))
     if not kept:
-        return {}
-    all_rows = np.fromiter(itertools.chain.from_iterable(rows for _, rows in kept), np.intp)
-    x = design_rows(dataset, all_rows, data.layout, data.standardizer)
-    y = dataset.log_prices[all_rows]
-    out = {}
-    offset = 0
-    for task_id, rows in kept:
-        block = slice(offset, offset + len(rows))
-        out[task_id] = {"x": x[block], "y": y[block]}
-        offset += len(rows)
-    return out
+        return None
+    task_ids, kept_rows = zip(*kept)
+    all_rows = np.fromiter(itertools.chain.from_iterable(kept_rows), np.intp)
+    return TaskData(
+        task_ids=task_ids,
+        x=design_rows(dataset, all_rows, data.layout, data.standardizer),
+        y=dataset.log_prices[all_rows],
+        sizes=[len(rows) for rows in kept_rows],
+        layout=data.layout,
+        standardizer=data.standardizer,
+        window=(test_month, test_month),
+    )
 
 
 def _held_out(dataset, taskset, layout, round_: Round):
@@ -290,7 +281,7 @@ def _held_out(dataset, taskset, layout, round_: Round):
         return None
     _assert_no_leakage(inner, hi)
     validation = _test_rows_by_task(dataset, taskset, inner, hi)
-    return (inner, validation) if validation else None
+    return (inner, validation) if validation is not None else None
 
 
 def _select_grid_point(spec: MethodSpec, held_out):
@@ -304,8 +295,8 @@ def _select_grid_point(spec: MethodSpec, held_out):
         weights = _fit_point(inner, spec, point)
         errors = np.concatenate(
             [
-                (rows["y"] - rows["x"] @ weights.column(task_id)) ** 2
-                for task_id, rows in validation.items()
+                (y - x @ weights.column(task_id)) ** 2
+                for task_id, x, y in zip(validation.task_ids, validation.xs, validation.ys)
             ]
         )
         score = float(np.sqrt(np.mean(errors)))
@@ -314,7 +305,7 @@ def _select_grid_point(spec: MethodSpec, held_out):
     return best_point
 
 
-def _build_report(records, taskset, plan, labels, benchmark):
+def _build_report(records, taskset, plan, labels, benchmark, skipped) -> ComparisonReport:
     summaries = aggregate(records)
     for label in labels:
         if label not in summaries:
@@ -358,4 +349,12 @@ def _build_report(records, taskset, plan, labels, benchmark):
                 )
                 for m in labels
             }
-    return summaries, rank_sum, boundaries, group_tasks, group_wld
+    return ComparisonReport(
+        benchmark=benchmark,
+        summaries=summaries,
+        rank_sum=rank_sum,
+        quartile_boundaries=boundaries,
+        quartile_tasks=group_tasks,
+        quartile_wld=group_wld,
+        skipped_rounds=tuple(skipped),
+    )

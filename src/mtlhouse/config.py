@@ -8,7 +8,7 @@ Task definitions use the compact grammar of :mod:`mtlhouse.tasks`
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -87,17 +87,7 @@ class ExperimentConfig:
     def with_seed(self, seed: Optional[int]) -> "ExperimentConfig":
         if seed is None:
             return self
-        return ExperimentConfig(
-            source=self.source,
-            definition_texts=self.definition_texts,
-            methods=self.methods,
-            k=self.k,
-            h=self.h,
-            benchmark=self.benchmark,
-            out_dir=self.out_dir,
-            seed=seed,
-            raw=self.raw,
-        )
+        return replace(self, seed=seed)
 
     def effective_seed(self) -> Optional[int]:
         if self.seed is not None:

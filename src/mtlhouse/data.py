@@ -123,12 +123,6 @@ class FeatureSchema:
     def has(self, name: str) -> bool:
         return name in self.names
 
-    def entry(self, name: str) -> FeatureEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise SchemaError(f"no feature named {name!r}")
-
 
 @dataclass(frozen=True)
 class HouseRecord:

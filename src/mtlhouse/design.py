@@ -8,6 +8,7 @@ from the full dataset so the layout is identical across rolling windows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -32,9 +33,9 @@ class DesignLayout:
     columns: tuple[str, ...]
 
     @classmethod
-    def from_dataset(cls, dataset: Dataset, definition: Optional[TaskDefinition]) -> "DesignLayout":
+    def from_dataset(cls, dataset: Dataset, definition: TaskDefinition) -> "DesignLayout":
         schema = dataset.schema
-        excluded = set(used_key_columns(definition, schema)) if definition is not None else set()
+        excluded = set(used_key_columns(definition, schema))
         numeric = schema.numeric_names()
         dummy_sources = [
             name
@@ -81,41 +82,55 @@ class Standardizer:
         stds = raw_numeric.std(axis=0)
         return cls(means=means, stds=stds)
 
-    def apply(self, rows: np.ndarray, layout: DesignLayout) -> np.ndarray:
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """Standardize the leading numeric columns; zero-variance columns become 0."""
         out = rows.copy()
-        k = len(layout.numeric)
-        for j in range(k):
-            if self.stds[j] == 0.0:
-                out[:, j] = 0.0
-            else:
-                out[:, j] = (rows[:, j] - self.means[j]) / self.stds[j]
+        k = len(self.means)
+        zero = self.stds == 0.0
+        scaled = (rows[:, :k] - self.means) / np.where(zero, 1.0, self.stds)
+        out[:, :k] = np.where(zero, 0.0, scaled)
         return out
 
 
 @dataclass(frozen=True)
 class TaskData:
-    """Training matrices per task: x_p is m_p x D with a trailing ones column."""
+    """A round's rows: x is N x D with a trailing ones column, y the N log targets.
+
+    Task p's rows are the contiguous block of ``sizes[p]`` rows at ``starts[p]``,
+    in ``task_ids`` order; ``xs``/``ys`` are views of those blocks.
+    """
 
     task_ids: tuple[str, ...]
-    xs: tuple[np.ndarray, ...]
-    ys: tuple[np.ndarray, ...]
+    x: np.ndarray
+    y: np.ndarray
+    sizes: np.ndarray
     layout: Optional[DesignLayout] = None
     standardizer: Optional[Standardizer] = None
     window: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        if not (len(self.task_ids) == len(self.xs) == len(self.ys)):
-            raise ValueError("task_ids, xs and ys must align")
-        if not self.xs:
-            raise ValueError("need at least one task")
-        d = self.xs[0].shape[1]
-        for x, y in zip(self.xs, self.ys):
-            if x.ndim != 2 or x.shape[1] != d:
-                raise ValueError("all design matrices must share one column count")
-            if x.shape[0] < 1:
-                raise ValueError("every task needs at least one row")
-            if y.shape != (x.shape[0],):
-                raise ValueError("targets must match design rows")
+        sizes = np.asarray(self.sizes, dtype=np.intp)
+        object.__setattr__(self, "sizes", sizes)
+        if not self.task_ids or sizes.shape != (len(self.task_ids),):
+            raise ValueError("task_ids and sizes must align, with at least one task")
+        if sizes.min() < 1:
+            raise ValueError("every task needs at least one row")
+        if self.x.ndim != 2 or self.x.shape[0] != sizes.sum():
+            raise ValueError("the task blocks must cover the design rows")
+        if self.y.shape != (self.x.shape[0],):
+            raise ValueError("targets must match design rows")
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+    @functools.cached_property
+    def xs(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self.x, self.starts[1:]))
+
+    @functools.cached_property
+    def ys(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self.y, self.starts[1:]))
 
     @property
     def n_tasks(self) -> int:
@@ -123,7 +138,7 @@ class TaskData:
 
     @property
     def n_columns(self) -> int:
-        return self.xs[0].shape[1]
+        return self.x.shape[1]
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -137,11 +152,24 @@ class TaskData:
 
     @classmethod
     def from_arrays(cls, xs, ys, task_ids=None) -> "TaskData":
-        xs = tuple(np.asarray(x, dtype=float) for x in xs)
-        ys = tuple(np.asarray(y, dtype=float).reshape(-1) for y in ys)
+        """Stack per-task blocks, checked one by one: totals can balance out a mismatch."""
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        ys = [np.asarray(y, dtype=float).reshape(-1) for y in ys]
         if task_ids is None:
             task_ids = tuple(f"task{p}" for p in range(len(xs)))
-        return cls(task_ids=tuple(task_ids), xs=xs, ys=ys)
+        if not (len(task_ids) == len(xs) == len(ys)):
+            raise ValueError("task_ids, xs and ys must align")
+        for x, y in zip(xs, ys):
+            if x.ndim != 2 or x.shape[1] != xs[0].shape[1]:
+                raise ValueError("all design matrices must share one column count")
+            if y.shape != (x.shape[0],):
+                raise ValueError("targets must match design rows")
+        return cls(
+            task_ids=tuple(task_ids),
+            x=np.vstack(xs),
+            y=np.concatenate(ys),
+            sizes=[x.shape[0] for x in xs],
+        )
 
 
 @dataclass(frozen=True)
@@ -215,26 +243,15 @@ def build_task_data(
 
     all_rows = np.fromiter(itertools.chain.from_iterable(kept_rows), np.intp)
     raw = layout.raw_rows(dataset, all_rows)
-    n_numeric = len(layout.numeric)
-    standardizer = Standardizer.fit(raw[:, :n_numeric])
+    standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
     for j, name in enumerate(layout.numeric):
         if standardizer.stds[j] == 0.0:
             logger.info("feature %s has zero variance in window %s; standardized to zeros", name, window)
-    encoded = standardizer.apply(raw, layout)
-    targets = dataset.log_prices[all_rows]
-
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    offset = 0
-    for rows in kept_rows:
-        block = slice(offset, offset + len(rows))
-        offset += len(rows)
-        xs.append(encoded[block])
-        ys.append(targets[block])
     return TaskData(
         task_ids=tuple(kept_ids),
-        xs=tuple(xs),
-        ys=tuple(ys),
+        x=standardizer.apply(raw),
+        y=dataset.log_prices[all_rows],
+        sizes=[len(rows) for rows in kept_rows],
         layout=layout,
         standardizer=standardizer,
         window=window,
@@ -245,4 +262,4 @@ def design_rows(
     dataset: Dataset, rows: np.ndarray, layout: DesignLayout, standardizer: Standardizer
 ) -> np.ndarray:
     """Encode dataset rows with an existing layout and training statistics."""
-    return standardizer.apply(layout.raw_rows(dataset, rows), layout)
+    return standardizer.apply(layout.raw_rows(dataset, rows))

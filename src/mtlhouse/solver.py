@@ -274,7 +274,7 @@ def _prox(reg: RegularizerSpec, V: np.ndarray, step: Union[float, np.ndarray]) -
 
 
 class _Smooth:
-    """Stacked row view of the data for fast, cancellation-free evaluation.
+    """The smooth part over the data's stacked rows, fast and cancellation-free.
 
     Losses and gradients are computed from residuals rather than expanded
     Gram quadratics; near a minimizer the expanded form is dominated by
@@ -285,21 +285,17 @@ class _Smooth:
 
     def __init__(self, data: TaskData, reg: RegularizerSpec, graph: Optional[TaskGraph]):
         self.reg = reg
-        self.xs = data.xs
-        self.rows = np.vstack(data.xs)
+        self.data = data
         # 2 X^T, D x N: each task's block is contiguous in every feature row
-        self.twice_columns = 2.0 * self.rows.T.copy()
-        self.targets = np.concatenate(data.ys)
-        sizes = [x.shape[0] for x in data.xs]
-        self.task_of_row = np.repeat(np.arange(data.n_tasks), sizes)
-        self.starts = np.cumsum([0] + sizes[:-1])  # every task has at least one row
+        self.twice_columns = 2.0 * data.x.T.copy()
+        self.task_of_row = np.repeat(np.arange(data.n_tasks), data.sizes)
         self.laplacian = _graph_laplacian(graph.weights) if reg.kind == "graph" else None
 
     def _residual(self, W: np.ndarray) -> np.ndarray:
         # each row's own dot product with its task's column; the summation
         # order depends on the row alone, not on how many rows are stacked
-        predictions = np.einsum("nd,nd->n", self.rows, W.T[self.task_of_row])
-        return predictions - self.targets
+        predictions = np.einsum("nd,nd->n", self.data.x, W.T[self.task_of_row])
+        return predictions - self.data.y
 
     def value(self, W: np.ndarray) -> float:
         return self.value_from_residual(W, self._residual(W))
@@ -315,11 +311,11 @@ class _Smooth:
 
     def task_losses(self, residual: np.ndarray) -> np.ndarray:
         """Each task's squared loss, summed over its own rows."""
-        return np.add.reduceat(residual * residual, self.starts)
+        return np.add.reduceat(residual * residual, self.data.starts)
 
     def gradient_from_residual(self, W: np.ndarray, residual: np.ndarray) -> np.ndarray:
         # column p is 2 x_p^T r_p, summed over task p's rows alone
-        grad = np.add.reduceat(self.twice_columns * residual, self.starts, axis=1)
+        grad = np.add.reduceat(self.twice_columns * residual, self.data.starts, axis=1)
         if self.reg.kind == "graph":
             # d/dV of the ordered-pair quadratic 2 <V Lap, V>
             grad[:-1] += 4.0 * self.reg.theta1 * (W[:-1] @ self.laplacian)
@@ -327,8 +323,8 @@ class _Smooth:
 
     def task_lipschitz(self) -> np.ndarray:
         """2 lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
-        out = np.empty(len(self.xs))
-        for p, x in enumerate(self.xs):
+        out = np.empty(self.data.n_tasks)
+        for p, x in enumerate(self.data.xs):
             with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
                 gram = x.T @ x
             finite = np.all(np.isfinite(gram))

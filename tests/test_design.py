@@ -153,6 +153,11 @@ class TestBuildTaskData:
         const_col = data.layout.columns.index("CONST")
         assert np.all(data.xs[0][:, const_col] == 0.0)
 
+    def test_zero_variance_column_is_zero_on_rows_off_the_mean(self):
+        standardizer = Standardizer(means=np.array([7.0, 1.0]), stds=np.array([0.0, 2.0]))
+        out = standardizer.apply(np.array([[9.0, 5.0, 1.0], [-3.0, 1.0, 1.0]]))
+        assert out.tolist() == [[0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
+
     def test_tasks_without_window_records_are_excluded(self):
         rows = [
             {"month": 0, "REGION": "A"},
@@ -199,7 +204,7 @@ def oracle_task_data(dataset, taskset, window, layout):
     records = [dataset.records[i] for _, rows in kept for i in rows]
     raw = oracle_raw_rows(layout, records)
     standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
-    encoded = standardizer.apply(raw, layout)
+    encoded = standardizer.apply(raw)
     xs, ys, offset = [], [], 0
     for _, rows in kept:
         xs.append(encoded[offset : offset + len(rows)])
@@ -257,12 +262,12 @@ class TestColumnarEncodingOracle:
             for task_id, rows in taskset.rows_in((round_.test_month,) * 2).items():
                 if rows and task_id in data.task_ids:
                     records = [dataset.records[i] for i in rows]
-                    x = data.standardizer.apply(oracle_raw_rows(layout, records), layout)
+                    x = data.standardizer.apply(oracle_raw_rows(layout, records))
                     expected[task_id] = (x, np.array([log_target(r.price) for r in records]))
-            assert list(test_rows) == list(expected)
-            for task_id, (x, y) in expected.items():
-                assert same_bits(test_rows[task_id]["x"], x)
-                assert same_bits(test_rows[task_id]["y"], y)
+            assert list(test_rows.task_ids) == list(expected)
+            for (x, y), test_x, test_y in zip(expected.values(), test_rows.xs, test_rows.ys):
+                assert same_bits(test_x, x)
+                assert same_bits(test_y, y)
         assert skipped_tasks > 0 or case == "synthetic"
 
 
@@ -323,3 +328,36 @@ class TestTaskDataValidation:
             [np.ones((2, 1))], [np.log(np.array([500.0, 1000.0]))]
         )
         assert data.mean_prices()[0] == pytest.approx(750.0, rel=1e-12)
+
+    def test_ids_and_blocks_must_align(self):
+        with pytest.raises(ValueError, match="align"):
+            TaskData(task_ids=("a",), x=np.ones((4, 2)), y=np.ones(4), sizes=[2, 2])
+        with pytest.raises(ValueError, match="align"):
+            TaskData.from_arrays([np.ones((2, 2))], [np.ones(2)], task_ids=("a", "b"))
+
+    def test_zero_row_block_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            TaskData(task_ids=("a", "b"), x=np.ones((2, 2)), y=np.ones(2), sizes=[2, 0])
+        with pytest.raises(ValueError, match="at least one row"):
+            TaskData.from_arrays([np.ones((2, 2)), np.ones((0, 2))], [np.ones(2), np.ones(0)])
+
+    @pytest.mark.parametrize("sizes", [[2, 1], [2, 3]])
+    def test_block_sizes_must_sum_to_row_count(self, sizes):
+        with pytest.raises(ValueError, match="cover"):
+            TaskData(task_ids=("a", "b"), x=np.ones((4, 2)), y=np.ones(4), sizes=sizes)
+
+    def test_per_task_mismatch_that_balances_in_total_rejected(self):
+        with pytest.raises(ValueError, match="targets"):
+            TaskData.from_arrays(
+                [np.ones((2, 3)), np.ones((3, 3))], [np.ones(3), np.ones(2)]
+            )
+
+    def test_blocks_are_views_of_the_stacked_rows_in_task_order(self):
+        xs = [np.full((2, 3), 1.0), np.full((1, 3), 2.0), np.full((3, 3), 3.0)]
+        ys = [np.full(2, 1.0), np.full(1, 2.0), np.full(3, 3.0)]
+        data = TaskData.from_arrays(xs, ys, ("c", "a", "b"))
+        assert data.x.shape == (6, 3) and list(data.sizes) == [2, 1, 3]
+        assert list(data.starts) == [0, 2, 3]
+        for x, y, expected_x, expected_y in zip(data.xs, data.ys, xs, ys):
+            assert np.shares_memory(x, data.x) and np.shares_memory(y, data.y)
+            assert np.array_equal(x, expected_x) and np.array_equal(y, expected_y)
