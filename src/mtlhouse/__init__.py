@@ -38,7 +38,6 @@ from .solver import (
     build_task_graph,
     fit,
     objective,
-    predict,
     prox_l1,
     prox_l21,
     smooth_gradient,

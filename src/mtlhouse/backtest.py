@@ -133,6 +133,8 @@ class MethodSpec:
             for value in getattr(self, name):
                 if not (math.isfinite(value) and value >= 0):
                     raise ValueError(f"{name} values must be finite and >= 0, got {value!r}")
+        if self.kind == "ridge" and not all(p > 0 for p in self.penalty):
+            raise ValueError("ridge penalties must be > 0; a ridge penalty of 0 is the ols method")
 
     def grid_points(self) -> tuple[tuple[Optional[float], ...], ...]:
         if self.kind == "mtl_graph":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -132,6 +133,18 @@ class TaskData:
     def ys(self) -> tuple[np.ndarray, ...]:
         return tuple(np.split(self.y, self.starts[1:]))
 
+    @functools.cached_property
+    def top_gram_eigenvalues(self) -> np.ndarray:
+        """lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
+        out = np.empty(self.n_tasks)
+        for p, x in enumerate(self.xs):
+            with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
+                gram = x.T @ x
+            finite = np.all(np.isfinite(gram))
+            out[p] = float(np.linalg.eigvalsh(gram)[-1]) if finite else math.nan
+        out.flags.writeable = False  # shared by every fit of this data
+        return out
+
     @property
     def n_tasks(self) -> int:
         return len(self.task_ids)
@@ -202,15 +215,6 @@ class WeightMatrix:
         except KeyError:
             raise KeyError(f"unknown task id {task_id!r}") from None
         return self.values[:, p]
-
-    def to_dict(self) -> dict:
-        """Per-task weights keyed by design column name."""
-        return {
-            task_id: {
-                column: float(self.values[i, p]) for i, column in enumerate(self.columns)
-            }
-            for p, task_id in enumerate(self.task_ids)
-        }
 
 
 def build_task_data(

@@ -18,12 +18,14 @@ line search is needed. The residual is affine in W, so the residual at the
 extrapolated point is combined from those of the last two iterates, and an
 accelerated step costs one residual and one gradient product.
 
-The l1 penalty and the squared loss both separate by task, so the lasso kind
-is P independent FISTA runs, one per column, swept together: column p has its
-own step 1/L_p (L_p = 2 lambda_max(x_p^T x_p)), momentum, restart test and
-stop, and once it stops it stays fixed. Every operation stays inside one
-task's rows, so a column's iterates are those of a single-task fit of that
-task, bit for bit. The joint kinds are one run over all columns.
+One FISTA loop advances blocks of W's columns together; each block has its
+own step 1/L, momentum, restart test and stop, and once it stops it stays
+fixed. The joint kinds couple every column, so they are one block: all
+columns take every step, with one L. The l1 penalty and the squared loss
+both separate by task, so the lasso kind has one block per task's column,
+with its own L_p = 2 lambda_max(x_p^T x_p). Every operation on a lasso block
+stays inside its task's rows, so a column's iterates are those of a
+single-task fit of that task, bit for bit.
 """
 
 from __future__ import annotations
@@ -109,12 +111,13 @@ class TaskGraph:
 class FitResult:
     """A fitted weight matrix and how the solver got there.
 
-    ``task_iterations`` holds the steps each task's column took and
-    ``iterations`` their maximum: the number of sweeps, the entries of
-    ``objective_trace`` after its starting value. For the lasso kind columns
-    stop one by one and the trace is the sum of their objectives; for the
-    joint kinds every column takes every step. ``converged`` means every
-    column stopped on the relative-change test before ``max_iters``.
+    The solver runs FISTA over blocks of columns: one block per task's column
+    for the lasso kind, one block of all columns for the joint kinds. Each
+    block steps, restarts and stops on its own. ``task_iterations`` holds the
+    steps each task's block took and ``iterations`` their maximum: the number
+    of sweeps, the entries of ``objective_trace`` after its starting value.
+    Each trace entry is the sum of the blocks' objectives. ``converged`` means
+    every block stopped on the relative-change test within ``max_iters``.
     """
 
     weights: WeightMatrix
@@ -128,15 +131,6 @@ class FitResult:
         for a, b in zip(trace, trace[1:]):
             if b > a:
                 raise ValueError("objective trace must be nonincreasing")
-
-    def to_dict(self) -> dict:
-        """Report form: named per-task weights, trace, and convergence flag."""
-        return {
-            "weights": self.weights.to_dict(),
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 def build_task_graph(data: TaskData) -> TaskGraph:
@@ -204,8 +198,14 @@ def nonsmooth_penalty(
     if reg.kind == "lasso":
         return float(reg.theta1 * np.abs(w).sum())
     if reg.kind == "group_l21":
-        return float(reg.theta1 * np.linalg.norm(w, axis=1).sum())
-    return float(reg.theta2 * np.linalg.norm(w, axis=1).sum())
+        return float(reg.theta1 * _row_norms(w).sum())
+    return float(reg.theta2 * _row_norms(w).sum())
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row, as ``np.linalg.norm(V, axis=1)`` computes it,
+    without that call's argument handling (it runs twice per solver step)."""
+    return np.sqrt(np.add.reduce(V * V, axis=1))
 
 
 def objective(
@@ -255,7 +255,7 @@ def prox_l21(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -
     """Row shrinkage by max(0, 1 - threshold/||row||); zero rows stay zero."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    norms = np.linalg.norm(V, axis=1)
+    norms = _row_norms(V)
     scale = np.zeros_like(norms)
     positive = norms > 0
     scale[positive] = np.maximum(0.0, 1.0 - threshold / norms[positive])
@@ -323,13 +323,7 @@ class _Smooth:
 
     def task_lipschitz(self) -> np.ndarray:
         """2 lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
-        out = np.empty(self.data.n_tasks)
-        for p, x in enumerate(self.data.xs):
-            with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
-                gram = x.T @ x
-            finite = np.all(np.isfinite(gram))
-            out[p] = 2.0 * float(np.linalg.eigvalsh(gram)[-1]) if finite else math.nan
-        return out
+        return 2.0 * self.data.top_gram_eigenvalues
 
     def lipschitz(self) -> float:
         """Lipschitz constant L of the gradient, or NaN if a Gram matrix is not finite.
@@ -347,13 +341,14 @@ class _Smooth:
 
 def _objective_values(
     smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray
-) -> Union[float, np.ndarray]:
-    """Full objective: one value per task's column for lasso, one in all for the joint kinds."""
+) -> Union[np.float64, np.ndarray]:
+    """Full objective of each block: one per task's column for lasso, shape (P,);
+    one in all for the joint kinds, an ``np.float64`` of shape ()."""
     if reg.kind == "lasso":
         # accumulate adds each column's entries in row order whatever the column count
         penalties = reg.theta1 * np.add.accumulate(np.abs(W[:-1]), axis=0)[-1]
         return smooth.task_losses(residual) + penalties
-    return smooth.value_from_residual(W, residual) + nonsmooth_penalty(W, reg)
+    return np.float64(smooth.value_from_residual(W, residual) + nonsmooth_penalty(W, reg))
 
 
 def _all_finite(v: Union[float, np.ndarray]) -> bool:
@@ -382,94 +377,55 @@ def fit(
     if not _all_finite(current):
         # the first step would evaluate this point; inf - inf in its residual would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
-    if reg.kind == "lasso":
-        L = smooth.task_lipschitz()
-        step = 1.0 / np.where(L == 0.0, 1.0, L)  # L_p = 0: the task's loss is constant
-        solve = _fista_columns
-    else:
-        L = smooth.lipschitz()
-        step = 1.0 if L == 0.0 else 1.0 / L  # L = 0: the smooth part is constant
-        solve = _fista
+    L = smooth.task_lipschitz() if reg.kind == "lasso" else smooth.lipschitz()
+    step = 1.0 / np.where(L == 0.0, 1.0, L)  # L = 0: the block's smooth part is constant
     if not np.all(step > 0.0):  # NaN or overflowed L
         raise DivergenceError("step size underflow at iteration 1")
-    W, trace, task_iterations, converged = solve(smooth, reg, W, r, current, step, params)
+    W, trace, stopped_at, converged = _fista(smooth, reg, W, r, current, step, params)
     return FitResult(
         weights=WeightMatrix(values=W, task_ids=data.task_ids, columns=data.columns),
         objective_trace=tuple(trace),
         iterations=len(trace) - 1,
         converged=converged,
-        task_iterations=task_iterations,
+        task_iterations=tuple(int(n) for n in np.broadcast_to(stopped_at, data.n_tasks)),
     )
 
 
 def _fista(smooth, reg, W, r, current, step, params):
-    """One FISTA run over all columns (the joint kinds)."""
-    W_prev, r_prev = W, r
-    momentum = _momentum(params.max_iters)
-    since = 0  # steps since the last (re)start
-    trace = [current]
-    converged = False
+    """FISTA over blocks of W's columns, all advanced in one sweep.
 
-    for iteration in range(1, params.max_iters + 1):
-        alpha = momentum[since]
-        search = W + alpha * (W - W_prev)
-        r_search = r + alpha * (r - r_prev)  # the residual is affine in W
-        candidate, r_candidate, value = _prox_step(smooth, reg, search, r_search, step, iteration)
-
-        if value > current:
-            # momentum overshot: restart and take a plain descent step
-            since = 0
-            candidate, r_candidate, value = _prox_step(smooth, reg, W, r, step, iteration)
-            if value > current:
-                # numerically stationary; keep the previous iterate
-                candidate, r_candidate, value = W, r, current
-
-        W_prev, W = W, candidate
-        r_prev, r = r, r_candidate
-        trace.append(value)
-        since += 1
-
-        stopped = abs(current - value) <= params.rel_tol * max(abs(current), 1e-12)
-        current = value
-        if stopped:
-            converged = True
-            break
-
-    return W, trace, (len(trace) - 1,) * W.shape[1], converged
-
-
-def _fista_columns(smooth, reg, W, r, current, step, params):
-    """One FISTA run per task's column (the lasso kind), all advanced in one sweep.
-
-    Column p's step, momentum, restart and stop are its own, exactly as in
-    :func:`_fista` on task p alone, and a column that has stopped keeps its
-    iterate while the others go on. Vectors with one entry per column
-    broadcast over W's columns; ``on_rows`` repeats them over each task's
-    residual rows. The trace holds the sum of the columns' objectives.
+    A block is one task's column for the lasso kind and all columns for the
+    joint kinds. Each block has its own step, momentum, restart and stop, and
+    a block that has stopped keeps its iterate while the others go on. Block
+    state has one entry per block (shape (P,)) or is a scalar (shape ()), so
+    it broadcasts over W's columns either way; ``on_rows`` repeats a per-task
+    entry over that task's residual rows. The trace holds the sum of the
+    blocks' objectives.
     """
     W_prev, r_prev = W, r
-    n_tasks = W.shape[1]
     momentum = _momentum(params.max_iters)
-    since = np.zeros(n_tasks, dtype=np.intp)  # steps since the column's last (re)start
-    active = np.ones(n_tasks, dtype=bool)
+    since = np.zeros(current.shape, dtype=np.intp)  # steps since the block's last (re)start
+    active = np.ones(current.shape, dtype=bool)
     all_active = True
-    stopped_at = np.full(n_tasks, params.max_iters)
+    stopped_at = np.full(current.shape, params.max_iters)
     trace = [float(current.sum())]
+    blocks = current.size
 
     def on_rows(v: np.ndarray) -> np.ndarray:
-        return v[smooth.task_of_row]
+        return v[smooth.task_of_row] if blocks > 1 else v  # one block broadcasts
 
     for iteration in range(1, params.max_iters + 1):
         alpha = momentum[since]
         search = W + alpha * (W - W_prev)
-        r_search = r + on_rows(alpha) * (r - r_prev)
+        r_search = r + on_rows(alpha) * (r - r_prev)  # the residual is affine in W
         candidate, r_candidate, values = _prox_step(smooth, reg, search, r_search, step, iteration)
 
         restart = values > current
         if not all_active:
             restart &= active
         if restart.any():
-            # as in _fista: a plain descent step, or the previous iterate if that rises too
+            # momentum overshot: restart and take a plain descent step, or keep
+            # the previous iterate if that rises too (numerically stationary)
             since[restart] = 0
             plain, r_plain, plain_values = _prox_step(smooth, reg, W, r, step, iteration)
             stuck = plain_values > current
@@ -478,7 +434,7 @@ def _fista_columns(smooth, reg, W, r, current, step, params):
                 on_rows(restart), np.where(on_rows(stuck), r, r_plain), r_candidate
             )
             values = np.where(restart, np.where(stuck, current, plain_values), values)
-        if not all_active:  # stopped columns keep their iterate
+        if not all_active:  # stopped blocks keep their iterate
             candidate = np.where(active, candidate, W)
             r_candidate = np.where(on_rows(active), r_candidate, r)
             values = np.where(active, values, current)
@@ -488,8 +444,7 @@ def _fista_columns(smooth, reg, W, r, current, step, params):
         trace.append(float(values.sum()))
         since += 1
 
-        # no abs() needed: objectives are nonnegative and no column's ever rises
-        stopped = current - values <= params.rel_tol * np.maximum(current, 1e-12)
+        stopped = abs(current - values) <= params.rel_tol * np.maximum(abs(current), 1e-12)
         if not all_active:
             stopped &= active
         current = values
@@ -500,7 +455,7 @@ def _fista_columns(smooth, reg, W, r, current, step, params):
             if not active.any():
                 break
 
-    return W, trace, tuple(int(n) for n in stopped_at), not active.any()
+    return W, trace, stopped_at, not active.any()
 
 
 @functools.lru_cache(maxsize=4)
@@ -537,12 +492,3 @@ def _prox_step(smooth, reg, point, r_point, step, iteration):
     if not _all_finite(value):
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
     return candidate, r_candidate, value
-
-
-def predict(W: WeightMatrix, data_row: np.ndarray, task_id: str) -> float:
-    """Predicted log price: inner product of the encoded row with the task column."""
-    column = W.column(task_id)
-    row = np.asarray(data_row, dtype=float).reshape(-1)
-    if row.shape[0] != column.shape[0]:
-        raise ValueError(f"row length {row.shape[0]} does not match weights {column.shape[0]}")
-    return float(row @ column)

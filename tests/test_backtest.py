@@ -318,6 +318,13 @@ class TestGridSelection:
         spec = MethodSpec(label="r", kind="ridge")
         assert spec.grid_points() == ((None,),)
 
+    def test_ridge_penalty_of_zero_points_to_ols(self):
+        # ridge at 0 is ols, and its normal equations are singular on dummy columns
+        with pytest.raises(ValueError, match="ols"):
+            MethodSpec(label="r", kind="ridge", penalty=(1.0, 0.0))
+        # stl lasso at 0 is still allowed
+        assert MethodSpec(label="l", kind="lasso", penalty=(0.0,)).penalty == (0.0,)
+
 
 class TestQuartileReport:
     def test_groups_cover_all_tasks(self):

@@ -311,6 +311,7 @@ class TestConfigValidation:
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"max_iters": 2.5}}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"rel_tol": "x"}}]},
             {"methods": [{"kind": "ridge", "penalty": [-1.0]}]},
+            {"methods": [{"kind": "ridge", "penalty": [0.0]}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": [float("nan")]}]},
             {"methods": [{"kind": "lasso", "penalty": [float("inf")]}]},
             {"methods": [{"kind": "mtl_graph", "theta1": [0.1], "theta2": [-2.0]}]},

@@ -14,12 +14,14 @@ from mtlhouse.solver import (
     TaskGraph,
     _graph_laplacian,
     _graph_quadratic,
+    _momentum,
     _prox,
+    _row_norms,
     _Smooth,
     build_task_graph,
     fit,
+    nonsmooth_penalty,
     objective,
-    predict,
     prox_l1,
     prox_l21,
     smooth_gradient,
@@ -222,6 +224,18 @@ class TestLipschitz:
         assert L == pytest.approx(parts, rel=1e-10)
         assert L >= largest_eigenvalue(H) * (1 - 1e-10)
 
+    def test_task_eigenvalues_are_computed_once_per_task_data(self, monkeypatch):
+        data = random_task_data(np.random.default_rng(22), n_tasks=4, n_columns=5)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        first = fit(data, RegularizerSpec("lasso", 0.5))
+        second = fit(data, RegularizerSpec("lasso", 0.5))
+        assert len(calls) == data.n_tasks
+        assert first.weights.values.tobytes() == second.weights.values.tobytes()
+        expected = [2.0 * float(eigvalsh(x.T @ x)[-1]) for x in data.xs]
+        assert list(_Smooth(data, RegularizerSpec("lasso", 0.5), None).task_lipschitz()) == expected
+
 
 class TestProxL1:
     def test_zero_fixed_point(self):
@@ -255,6 +269,11 @@ class TestProxL1:
 
 
 class TestProxL21:
+    def test_row_norms_match_linalg_norm_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for V in (rng.normal(0, 1, (16, 20)), rng.normal(0, 1e150, (4, 7)), np.zeros((3, 2))):
+            assert _row_norms(V).tobytes() == np.linalg.norm(V, axis=1).tobytes()
+
     def test_row_at_threshold_vanishes(self):
         V = np.array([[3.0, 4.0]])
         assert np.array_equal(
@@ -685,26 +704,6 @@ class TestRegularizerSpec:
 
 
 class TestPredict:
-    def test_zero_weights(self):
-        from mtlhouse.design import WeightMatrix
-
-        weights = WeightMatrix(np.zeros((3, 2)), ("a", "b"), ("x0", "x1", "(intercept)"))
-        assert predict(weights, np.array([1.0, 2.0, 1.0]), "a") == 0.0
-
-    def test_intercept_only_model(self):
-        from mtlhouse.design import WeightMatrix
-
-        values = np.array([[0.0], [0.0], [1.0]])
-        weights = WeightMatrix(values, ("a",), ("x0", "x1", "(intercept)"))
-        assert predict(weights, np.array([5.0, -2.0, 1.0]), "a") == 1.0
-
-    def test_unknown_task_rejected(self):
-        from mtlhouse.design import WeightMatrix
-
-        weights = WeightMatrix(np.zeros((1, 1)), ("a",), ("(intercept)",))
-        with pytest.raises(KeyError):
-            predict(weights, np.array([1.0]), "b")
-
     def test_noiseless_synthetic_recovery(self):
         from mtlhouse.design import build_task_data
         from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
@@ -731,34 +730,83 @@ class TestPredict:
             rows = [i for i in task.member_indices if dataset.months[i] == hi]
             encoded = design_rows(dataset, np.array(rows), data.layout, data.standardizer)
             for row, record in zip(encoded, (dataset.records[i] for i in rows)):
-                prediction = predict(result.weights, row, task.task_id)
+                prediction = float(row @ result.weights.column(task.task_id))
                 assert prediction == pytest.approx(math.log(record.price), abs=1e-6)
 
 
-class TestFitResultSerialization:
-    def test_to_dict_carries_named_weights_trace_and_flag(self, tmp_path):
-        import json
+def oracle_joint_fit(data, reg, params):
+    """Reference for the joint kinds: plain scalar FISTA with restart over all
+    columns at once, with one step 1/L.
 
-        data = well_conditioned_data()
-        result = fit(data, RegularizerSpec("group_l21", 0.5), TIGHT)
-        payload = result.to_dict()
-        assert set(payload) == {"weights", "objective_trace", "iterations", "converged"}
-        assert set(payload["weights"]) == set(data.task_ids)
-        first = payload["weights"][data.task_ids[0]]
-        assert set(first) == set(data.columns)
-        assert payload["objective_trace"][0] == pytest.approx(result.objective_trace[0])
-        assert payload["converged"] == result.converged
-        # the report form is JSON-serializable as is
-        text = json.dumps(payload, sort_keys=True)
-        assert json.loads(text)["iterations"] == result.iterations
+    Returns the weights, trace, iterations, converged flag and the number of
+    restarts.
+    """
+    graph = build_task_graph(data) if reg.kind == "graph" else None
+    smooth = _Smooth(data, reg, graph)
 
-    def test_stl_weights_share_the_same_serialization(self):
-        from mtlhouse.baselines import StlSpec, fit_stl
+    def value_of(V, r_V):
+        return smooth.value_from_residual(V, r_V) + nonsmooth_penalty(V, reg)
 
-        data = well_conditioned_data()
-        weights = fit_stl(data, StlSpec("ridge", penalty=1.0))
-        payload = weights.to_dict()
-        assert set(payload) == set(data.task_ids)
-        assert payload[data.task_ids[0]]["(intercept)"] == pytest.approx(
-            float(weights.values[-1, 0])
+    def prox_step(point, r_point):
+        candidate = _prox(reg, point - step * smooth.gradient_from_residual(point, r_point), step)
+        r_candidate = smooth._residual(candidate)
+        return candidate, r_candidate, value_of(candidate, r_candidate)
+
+    W = np.zeros((data.n_columns, data.n_tasks))
+    r = smooth._residual(W)
+    current = value_of(W, r)
+    L = smooth.lipschitz()
+    step = 1.0 if L == 0.0 else 1.0 / L
+    W_prev, r_prev = W, r
+    momentum = _momentum(params.max_iters)
+    since, restarts = 0, 0
+    trace = [current]
+    converged = False
+    for _ in range(params.max_iters):
+        alpha = momentum[since]
+        candidate, r_candidate, value = prox_step(
+            W + alpha * (W - W_prev), r + alpha * (r - r_prev)
         )
+        if value > current:
+            since, restarts = 0, restarts + 1
+            candidate, r_candidate, value = prox_step(W, r)
+            if value > current:
+                candidate, r_candidate, value = W, r, current
+        W_prev, W = W, candidate
+        r_prev, r = r, r_candidate
+        trace.append(value)
+        since += 1
+        stopped = abs(current - value) <= params.rel_tol * max(abs(current), 1e-12)
+        current = value
+        if stopped:
+            converged = True
+            break
+    return W, tuple(trace), len(trace) - 1, converged, restarts
+
+
+class TestJointKindsFollowScalarFista:
+    """The joint kinds are the one-block case of the solver's block loop."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    @pytest.mark.parametrize(
+        "params, stops_early",
+        [(SolverParams(), True), (SolverParams(2000, 1e-10), True), (SolverParams(6), False)],
+        ids=["default", "tight", "max_iters"],
+    )
+    @pytest.mark.parametrize("kind, theta1, theta2", [("group_l21", 2.0, None), ("graph", 0.5, 1.0)])
+    def test_fit_matches_scalar_loop_bit_for_bit(
+        self, kind, theta1, theta2, params, stops_early, seed
+    ):
+        data = random_task_data(np.random.default_rng(seed), n_tasks=4, n_columns=5)
+        reg = RegularizerSpec(kind, theta1, theta2)
+        W, trace, iterations, converged, restarts = oracle_joint_fit(data, reg, params)
+        result = fit(data, reg, params)
+        assert result.weights.values.tobytes() == W.tobytes()
+        assert result.objective_trace == trace
+        assert result.iterations == iterations
+        assert result.converged == converged == stops_early
+        assert result.task_iterations == (iterations,) * data.n_tasks
+        if stops_early:
+            assert restarts > 0  # the restart branch is part of what is compared
+        else:
+            assert iterations == params.max_iters
