@@ -202,14 +202,13 @@ def run_backtest(
 
     for round_index, round_ in enumerate(plan.rounds):
         try:
-            data = build_task_data(dataset, taskset, round_.train_window, layout)
+            data, test = _round_data(
+                dataset, taskset, layout, round_.train_window, round_.test_month
+            )
         except ValueError:
             logger.warning("round %d: no task has training data; skipped", round_index)
             skipped.append(round_index)
             continue
-        _assert_no_leakage(data, round_.test_month)
-
-        test = _test_rows_by_task(dataset, taskset, data, round_.test_month)
         if test is None:
             logger.info("round %d: no test samples for any trained task", round_index)
             continue
@@ -248,28 +247,32 @@ def _test_rows_by_task(
 ) -> Optional[TaskData]:
     """Standardized test rows and log targets of the tasks trained this round,
     encoded in one call; None if no trained task has test rows."""
-    trained = set(data.task_ids)
-    kept = []
-    for task_id, rows in taskset.rows_in((test_month, test_month)).items():
-        if not rows:
-            continue
-        if task_id not in trained:
-            logger.info("task %s has test samples but no training window data; excluded", task_id)
-            continue
-        kept.append((task_id, rows))
-    if not kept:
+    rows, counts = taskset.rows_in((test_month, test_month))
+    trained = np.isin(taskset.tasks, data.task_ids)
+    for p in np.flatnonzero((counts > 0) & ~trained):
+        task_id = taskset.tasks[p]
+        logger.info("task %s has test samples but no training window data; excluded", task_id)
+    kept = (counts > 0) & trained
+    if not kept.any():
         return None
-    task_ids, kept_rows = zip(*kept)
-    all_rows = np.fromiter(itertools.chain.from_iterable(kept_rows), np.intp)
+    rows = rows[np.repeat(kept, counts)]
     return TaskData(
-        task_ids=task_ids,
-        x=design_rows(dataset, all_rows, data.layout, data.standardizer),
-        y=dataset.log_prices[all_rows],
-        sizes=[len(rows) for rows in kept_rows],
+        task_ids=tuple(taskset.tasks[p] for p in np.flatnonzero(kept)),
+        x=design_rows(dataset, rows, data.layout, data.standardizer),
+        y=dataset.log_prices[rows],
+        sizes=counts[kept],
         layout=data.layout,
         standardizer=data.standardizer,
         window=(test_month, test_month),
     )
+
+
+def _round_data(dataset, taskset, layout, window, scored_month):
+    """Training data on ``window`` and the scored month's rows of its tasks (None if
+    there are none). Raises ValueError when no task has training rows."""
+    train = build_task_data(dataset, taskset, window, layout)
+    _assert_no_leakage(train, scored_month)
+    return train, _test_rows_by_task(dataset, taskset, train, scored_month)
 
 
 def _held_out(dataset, taskset, layout, round_: Round):
@@ -278,11 +281,9 @@ def _held_out(dataset, taskset, layout, round_: Round):
     if lo == hi:
         return None
     try:
-        inner = build_task_data(dataset, taskset, (lo, hi - 1), layout)
+        inner, validation = _round_data(dataset, taskset, layout, (lo, hi - 1), hi)
     except ValueError:
         return None
-    _assert_no_leakage(inner, hi)
-    validation = _test_rows_by_task(dataset, taskset, inner, hi)
     return (inner, validation) if validation is not None else None
 
 

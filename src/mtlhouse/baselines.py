@@ -21,9 +21,10 @@ from .solver import RegularizerSpec, SolverParams, fit
 
 STL_KINDS = ("ols", "ridge", "lasso")
 
-# Penalty grid searched by per-task 5-fold cross-validation when a ridge
-# penalty is not given explicitly.
+# Penalty grid searched by per-task RIDGE_CV_FOLDS-fold cross-validation when
+# a ridge penalty is not given explicitly.
 RIDGE_CV_GRID: tuple[float, ...] = tuple(10.0 ** e for e in range(-4, 3))
+RIDGE_CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,6 @@ def cv_ridge_penalty(
     x: np.ndarray,
     y: np.ndarray,
     grid: tuple[float, ...] = RIDGE_CV_GRID,
-    n_folds: int = 5,
 ) -> float:
     """Pick the ridge penalty by deterministic k-fold cross-validation.
 
@@ -92,7 +92,7 @@ def cv_ridge_penalty(
     if m < 2:
         return grid[len(grid) // 2]
     shrinks = np.asarray(grid, dtype=float)[:, None, None] * _ridge_shrink(d)
-    folds = np.array_split(np.arange(m), min(n_folds, m))
+    folds = np.array_split(np.arange(m), min(RIDGE_CV_FOLDS, m))
     systems = np.empty((len(folds), len(grid), d, d))
     rhs = np.empty((len(folds), len(grid), d, 1))
     for f, fold in enumerate(folds):

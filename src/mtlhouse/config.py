@@ -8,6 +8,7 @@ Task definitions use the compact grammar of :mod:`mtlhouse.tasks`
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -101,7 +102,7 @@ class ExperimentConfig:
         if self.source.synthetic is not None:
             synth = self.source.synthetic
             if self.seed is not None and self.seed != synth.seed:
-                synth = SyntheticConfig.from_dict({**synth.to_dict(), "seed": self.seed})
+                synth = replace(synth, seed=self.seed)
             return generate_synthetic(synth)
         dataset = load_dataset(self.source.path, self.source.resolve_schema())
         return dataset, None
@@ -143,6 +144,16 @@ def _method_from_dict(raw: dict) -> MethodSpec:
         raise ConfigError(f"method {label!r}: {exc}") from None
 
 
+def _integer(raw: dict, name: str, default: Optional[int]) -> Optional[int]:
+    """``raw[name]``, which must be an integer and not a bool; ``default`` if absent or null."""
+    value = raw.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if "data" not in raw:
         raise ConfigError("config is missing the 'data' section")
@@ -168,11 +179,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         source=source,
         definition_texts=tuple(raw.get("task_definitions", ())),
         methods=methods,
-        k=int(raw.get("k", 3)),
-        h=int(raw.get("h", 1)),
+        k=_integer(raw, "k", 3),
+        h=_integer(raw, "h", 1),
         benchmark=raw.get("benchmark"),
         out_dir=raw.get("out_dir", "results"),
-        seed=raw.get("seed"),
+        seed=_integer(raw, "seed", None),
         raw=raw,
     )
 

@@ -239,13 +239,6 @@ class Dataset:
         lo, hi = self.month_range
         return hi - lo + 1 if len(self) else 0
 
-    def column(self, name: str) -> list[Value]:
-        """One feature's value per row: floats for a numeric feature, labels otherwise."""
-        if name in self.codes:
-            inventory = self.inventories[name]
-            return [inventory[c] for c in self.codes[name].tolist()]
-        return self.numeric[:, self._numeric_column[name]].tolist()
-
     @cached_property
     def records(self) -> tuple[HouseRecord, ...]:
         """The rows as :class:`HouseRecord`s, built on first access.

@@ -9,7 +9,6 @@ from the full dataset so the layout is identical across rolling windows.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -234,28 +233,23 @@ def build_task_data(
     if layout is None:
         layout = DesignLayout.from_dataset(dataset, taskset.definition)
 
-    kept_ids: list[str] = []
-    kept_rows: list[tuple[int, ...]] = []
-    for task_id, rows in taskset.rows_in(window).items():
-        if not rows:
-            logger.info("task %s has no records in window %s; excluded", task_id, window)
-            continue
-        kept_ids.append(task_id)
-        kept_rows.append(rows)
-    if not kept_ids:
+    rows, counts = taskset.rows_in(window)
+    for p in np.flatnonzero(counts == 0):
+        logger.info("task %s has no records in window %s; excluded", taskset.tasks[p], window)
+    kept = np.flatnonzero(counts)
+    if not kept.size:
         raise ValueError(f"no task has records in window {window}")
 
-    all_rows = np.fromiter(itertools.chain.from_iterable(kept_rows), np.intp)
-    raw = layout.raw_rows(dataset, all_rows)
+    raw = layout.raw_rows(dataset, rows)
     standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
     for j, name in enumerate(layout.numeric):
         if standardizer.stds[j] == 0.0:
             logger.info("feature %s has zero variance in window %s; standardized to zeros", name, window)
     return TaskData(
-        task_ids=tuple(kept_ids),
+        task_ids=tuple(taskset.tasks[p] for p in kept),
         x=standardizer.apply(raw),
-        y=dataset.log_prices[all_rows],
-        sizes=[len(rows) for rows in kept_rows],
+        y=dataset.log_prices[rows],
+        sizes=counts[kept],
         layout=layout,
         standardizer=standardizer,
         window=window,

@@ -2,15 +2,17 @@
 
 Four single-profile strategies (statistical region, ranked school district,
 station radius, shared facilities) plus pairwise intersections of any two.
-Records matched by no task are kept in ``unassigned`` so coverage always
-accounts for the whole dataset.
+A :class:`TaskSet` holds one task code per dataset row, built from the
+dataset's key-column codes, with -1 for a row that no task takes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from .data import Dataset, FeatureSchema
 
@@ -109,55 +111,49 @@ class IntersectionDef:
 TaskDefinition = Union[RegionDef, SchoolDef, StationDef, FacilityDef, IntersectionDef]
 
 
-@dataclass(frozen=True)
-class Task:
-    task_id: str
-    member_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskSet:
-    """A disjoint cover of record indices: tasks plus the unassigned remainder."""
+    """A partition of the dataset's rows into tasks: one task code per row.
+
+    ``codes[i]`` indexes row i's task in ``tasks``, the sorted task ids, or is
+    -1 where no task takes the row. ``months`` is the dataset's month column.
+    """
 
     definition: TaskDefinition
-    tasks: tuple[Task, ...]
-    unassigned: tuple[int, ...]
-    record_months: tuple[int, ...]
+    tasks: tuple[str, ...]
+    codes: np.ndarray
+    months: np.ndarray
 
     def __post_init__(self):
-        if list(self.record_months) != sorted(self.record_months):
-            raise ValueError("record_months must be sorted")
-        seen: set[int] = set(self.unassigned)
-        total = len(self.unassigned)
-        for task in self.tasks:
-            if not task.member_indices:
-                raise ValueError(f"task {task.task_id!r} is empty")
-            if list(task.member_indices) != sorted(task.member_indices):
-                raise ValueError(f"task {task.task_id!r} member indices must be ascending")
-            seen.update(task.member_indices)
-            total += len(task.member_indices)
-        if total != len(seen) or seen != set(range(len(self.record_months))):
-            raise ValueError("tasks plus unassigned must partition the record indices")
+        codes = np.asarray(self.codes, dtype=np.intp)
+        months = np.asarray(self.months, dtype=np.int64)
+        if months.ndim != 1 or codes.shape != months.shape:
+            raise ValueError("codes and months must be vectors of one length")
+        if np.any(np.diff(months) < 0):
+            raise ValueError("months must be sorted")
+        n_tasks = len(self.tasks)
+        if list(self.tasks) != sorted(set(self.tasks)):
+            raise ValueError("task ids must be sorted and unique")
+        if len(codes) and not -1 <= codes.min() <= codes.max() < n_tasks:
+            raise ValueError(f"task codes must lie in [-1, {n_tasks})")
+        if not np.all(np.bincount(codes[codes >= 0], minlength=n_tasks)):
+            raise ValueError("every task needs at least one row")
+        codes.flags.writeable = months.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "months", months)
 
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(t.task_id for t in self.tasks)
+    def rows_in(self, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in the inclusive month ``window`` that a task takes, and each task's count.
 
-    def rows_in(self, window: tuple[int, int]) -> dict[str, tuple[int, ...]]:
-        """Every task's member indices (maybe none) in the inclusive month ``window``.
-
-        Records are month-sorted, so the window is one record range [start, stop);
-        member indices ascend, so each task's rows in it are one slice of them.
+        Rows are month-sorted, so the window is one row range; the rows come
+        grouped in task order, ascending within a task.
         """
-        start = bisect_left(self.record_months, window[0])
-        stop = bisect_right(self.record_months, window[1])
-        def rows(idx: tuple[int, ...]) -> tuple[int, ...]:
-            return idx[bisect_left(idx, start) : bisect_left(idx, stop)]
-
-        return {t.task_id: rows(t.member_indices) for t in self.tasks}
-
-    def window_counts(self, window: tuple[int, int]) -> dict[str, int]:
-        return {task_id: len(rows) for task_id, rows in self.rows_in(window).items()}
+        start = np.searchsorted(self.months, window[0], "left")
+        stop = np.searchsorted(self.months, window[1], "right")
+        order = np.argsort(self.codes[start:stop], kind="stable")
+        grouped = self.codes[start:stop][order]
+        first = np.searchsorted(grouped, 0)  # past the unassigned rows, code -1
+        return start + order[first:], np.bincount(grouped[first:], minlength=len(self.tasks))
 
 
 @dataclass(frozen=True)
@@ -209,88 +205,90 @@ def _require_columns(dataset: Dataset, definition: TaskDefinition, columns) -> N
             )
 
 
-def _row_labels(dataset: Dataset, definition: TaskDefinition) -> list[Optional[str]]:
-    """Each row's task label under ``definition`` (None = unassigned)."""
+def _numeric(dataset: Dataset, name: str) -> np.ndarray:
+    return dataset.numeric[:, dataset.schema.numeric_names().index(name)]
 
-    def labels(name: str) -> list[str]:
-        return [str(v) for v in dataset.column(name)]
 
+def _row_keys(dataset: Dataset, definition: TaskDefinition) -> tuple[Sequence[str], np.ndarray]:
+    """Labels, and each row's index into them under ``definition`` (-1 = unassigned).
+
+    Labels may repeat a text, and some may be used by no row.
+    """
     if isinstance(definition, RegionDef):
         _require_columns(dataset, definition, (definition.level,))
-        return labels(definition.level)
+        return dataset.inventories[definition.level], dataset.codes[definition.level]
 
     if isinstance(definition, SchoolDef):
         key_col, rank_col = _school_columns(definition, dataset.schema)
         _require_columns(dataset, definition, (key_col, rank_col))
-        lo, hi = definition.rank_lo, definition.rank_hi
-        return [
-            key if lo <= float(rank) <= hi else None
-            for key, rank in zip(labels(key_col), dataset.column(rank_col))
-        ]
+        rank = _numeric(dataset, rank_col)
+        inside = (definition.rank_lo <= rank) & (rank <= definition.rank_hi)
+        return dataset.inventories[key_col], np.where(inside, dataset.codes[key_col], -1)
 
     if isinstance(definition, StationDef):
-        measure_col = STATION_MEASURE_COLUMNS[definition.measure]
-        _require_columns(dataset, definition, (STATION_KEY, measure_col))
-        threshold = definition.threshold
-        # threshold is inclusive: intervals are closed at the far end
-        return [
-            key if float(measure) <= threshold else None
-            for key, measure in zip(labels(STATION_KEY), dataset.column(measure_col))
-        ]
+        key_col, measure_col = STATION_KEY, STATION_MEASURE_COLUMNS[definition.measure]
+        _require_columns(dataset, definition, (key_col, measure_col))
+        # threshold is inclusive: intervals are closed at the far end; NaN is outside
+        inside = _numeric(dataset, measure_col) <= definition.threshold
+        return dataset.inventories[key_col], np.where(inside, dataset.codes[key_col], -1)
 
     if isinstance(definition, FacilityDef):
         columns = [FACILITY_COLUMNS[k] for k in definition.kinds]
         _require_columns(dataset, definition, columns)
-        return ["|".join(keys) for keys in zip(*(labels(c) for c in columns))]
+        keyed = [(dataset.inventories[c], dataset.codes[c]) for c in columns]
+        return functools.reduce(lambda a, b: _pair(a, b, "|"), keyed)
 
     if isinstance(definition, IntersectionDef):
-        return [
-            None if a is None or b is None else f"{a}&{b}"
-            for a, b in zip(_row_labels(dataset, definition.a), _row_labels(dataset, definition.b))
-        ]
+        return _pair(_row_keys(dataset, definition.a), _row_keys(dataset, definition.b), "&")
 
     raise DefinitionError(f"unknown definition {definition!r}")
 
 
+def _pair(a, b, sep: str) -> tuple[Sequence[str], np.ndarray]:
+    """Row keys of the label pairs of ``a`` and ``b`` that some row holds, texts joined
+    by ``sep``; a row unassigned in either is unassigned."""
+    (labels_a, codes_a), (labels_b, codes_b) = a, b
+    both = (codes_a >= 0) & (codes_b >= 0)
+    pairs, inverse = np.unique(
+        codes_a[both].astype(np.int64) * len(labels_b) + codes_b[both], return_inverse=True
+    )
+    codes = np.full(len(both), -1, dtype=np.intp)
+    codes[both] = inverse
+    i, j = np.divmod(pairs, len(labels_b))
+    return [f"{labels_a[p]}{sep}{labels_b[q]}" for p, q in zip(i.tolist(), j.tolist())], codes
+
+
 def define_tasks(dataset: Dataset, definition: TaskDefinition) -> TaskSet:
-    """Partition ``dataset`` into tasks according to ``definition``."""
-    members: dict[str, list[int]] = {}
-    unassigned: list[int] = []
-    for i, key in enumerate(_row_labels(dataset, definition)):
-        if key is None:
-            unassigned.append(i)
-        else:
-            members.setdefault(key, []).append(i)
-    if not members:
+    """Partition ``dataset`` into tasks according to ``definition``.
+
+    Task ids are the sorted label texts that some row holds; labels that join
+    to one text are one task.
+    """
+    labels, keys = _row_keys(dataset, definition)
+    used = np.unique(keys[keys >= 0]).tolist()
+    task_ids = sorted({labels[k] for k in used})
+    if not task_ids:
         raise EmptyTaskSetError(
             f"definition {format_definition(definition)!r} produced zero tasks"
         )
-    tasks = tuple(
-        Task(task_id=key, member_indices=tuple(members[key])) for key in sorted(members)
-    )
-    return TaskSet(
-        definition=definition,
-        tasks=tasks,
-        unassigned=tuple(unassigned),
-        record_months=tuple(dataset.months.tolist()),
-    )
+    position = {task_id: p for p, task_id in enumerate(task_ids)}
+    code_of = np.full(len(labels) + 1, -1, dtype=np.intp)  # the last entry: key -1
+    code_of[used] = [position[labels[k]] for k in used]
+    return TaskSet(definition, tuple(task_ids), code_of[keys], dataset.months)
 
 
 def filter_min_samples(taskset: TaskSet, window: tuple[int, int], min_count: int) -> TaskSet:
-    """Drop tasks with fewer than ``min_count`` members inside ``window``.
-
-    Members of dropped tasks move to ``unassigned``.
-    """
+    """Drop tasks with fewer than ``min_count`` rows inside ``window``; their rows
+    become unassigned."""
     if min_count < 0:
         raise ValueError("min_count must be >= 0")
-    counts = taskset.window_counts(window)
-    kept = tuple(t for t in taskset.tasks if counts[t.task_id] >= min_count)
-    dropped = [i for t in taskset.tasks if counts[t.task_id] < min_count for i in t.member_indices]
+    kept = taskset.rows_in(window)[1] >= min_count
+    code_of = np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)  # the last entry: code -1
     return TaskSet(
         definition=taskset.definition,
-        tasks=kept,
-        unassigned=tuple(sorted(set(taskset.unassigned) | set(dropped))),
-        record_months=taskset.record_months,
+        tasks=tuple(t for t, keep in zip(taskset.tasks, kept) if keep),
+        codes=code_of[taskset.codes],
+        months=taskset.months,
     )
 
 
@@ -310,12 +308,11 @@ def quartile_groups(taskset: TaskSet, window: tuple[int, int]) -> QuartileGroupi
     """
     if len(taskset.tasks) < 4:
         raise ValueError(f"need at least 4 tasks, got {len(taskset.tasks)}")
-    counts = taskset.window_counts(window)
-    q1, q2, q3 = nearest_rank_quartiles(list(counts.values()))
-    top = max(counts.values())
+    counts = taskset.rows_in(window)[1].tolist()
+    q1, q2, q3 = nearest_rank_quartiles(counts)
+    top = max(counts)
     groups: tuple[list[str], ...] = ([], [], [], [])
-    for task in taskset.tasks:
-        c = counts[task.task_id]
+    for task_id, c in zip(taskset.tasks, counts):
         if c == top or c > q3:
             g = 3
         elif c <= q1:
@@ -324,7 +321,7 @@ def quartile_groups(taskset: TaskSet, window: tuple[int, int]) -> QuartileGroupi
             g = 1
         else:
             g = 2
-        groups[g].append(task.task_id)
+        groups[g].append(task_id)
     return QuartileGrouping(
         boundaries=(q1, q2, q3), groups=tuple(tuple(g) for g in groups)
     )

@@ -244,8 +244,7 @@ def test_07_protocol_shape_and_no_leakage():
         lo, hi = round_.train_window
         train_months = [
             month_of[i]
-            for task in taskset.tasks
-            for i in task.member_indices
+            for i in np.flatnonzero(taskset.codes >= 0).tolist()
             if lo <= month_of[i] <= hi
         ]
         if train_months and max(train_months) >= round_.test_month:

@@ -303,7 +303,13 @@ class TestConfigValidation:
             {"task_definitions": []},
             {"methods": []},
             {"k": 0},
+            {"k": 2.5},
+            {"k": True},
+            {"k": "3"},
             {"h": 2},
+            {"h": 1.0},
+            {"seed": 1.5},
+            {"seed": False},
             {"benchmark": "missing"},
             {"methods": [{"kind": "ols", "label": "a"}, {"kind": "ridge", "label": "a"}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": 0.1, "solver": {"initial_step": 0.5}}]},
@@ -333,6 +339,17 @@ class TestConfigValidation:
         }
         config.update(overrides)
         with pytest.raises(ConfigError):
+            config_from_dict(config)
+
+    @pytest.mark.parametrize("key", ["k", "h", "seed"])
+    def test_non_integer_settings_name_the_key(self, key):
+        config = {
+            "data": {"synthetic": synthetic_section()},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+            key: 2.5,
+        }
+        with pytest.raises(ConfigError, match=f"'{key}' must be an integer, got 2.5"):
             config_from_dict(config)
 
     @pytest.mark.parametrize(

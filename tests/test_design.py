@@ -132,16 +132,16 @@ class TestBuildTaskData:
         lo = dataset.month_range[0] + 2
         window = (lo, lo + 2)
         data = build_task_data(dataset, taskset, window)
-        for task in taskset.tasks:
+        for p, task_id in enumerate(taskset.tasks):
             expected = sum(
                 1
-                for i in task.member_indices
+                for i in np.flatnonzero(taskset.codes == p).tolist()
                 if lo <= dataset.records[i].sale_month <= lo + 2
             )
             if expected == 0:
-                assert task.task_id not in data.task_ids
+                assert task_id not in data.task_ids
             else:
-                assert data.xs[data.task_ids.index(task.task_id)].shape[0] == expected
+                assert data.xs[data.task_ids.index(task_id)].shape[0] == expected
 
     def test_zero_variance_feature_standardized_to_zeros(self):
         rows = [
@@ -198,9 +198,20 @@ def oracle_raw_rows(layout, records):
     return rows
 
 
+def window_members(dataset, taskset, window):
+    """(task id, its rows inside ``window``) of every task, by a scan of the row view."""
+    lo, hi = window
+    codes = taskset.codes.tolist()
+    months = [r.sale_month for r in dataset.records]
+    return [
+        (task_id, [i for i, m in enumerate(months) if codes[i] == p and lo <= m <= hi])
+        for p, task_id in enumerate(taskset.tasks)
+    ]
+
+
 def oracle_task_data(dataset, taskset, window, layout):
     """Window rows per task from the row view, gathered in task order and standardized."""
-    kept = [(t, rows) for t, rows in taskset.rows_in(window).items() if rows]
+    kept = [(t, rows) for t, rows in window_members(dataset, taskset, window) if rows]
     records = [dataset.records[i] for _, rows in kept for i in rows]
     raw = oracle_raw_rows(layout, records)
     standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
@@ -259,7 +270,7 @@ class TestColumnarEncodingOracle:
 
             test_rows = _test_rows_by_task(dataset, taskset, data, round_.test_month)
             expected = {}
-            for task_id, rows in taskset.rows_in((round_.test_month,) * 2).items():
+            for task_id, rows in window_members(dataset, taskset, (round_.test_month,) * 2):
                 if rows and task_id in data.task_ids:
                     records = [dataset.records[i] for i in rows]
                     x = data.standardizer.apply(oracle_raw_rows(layout, records))

@@ -726,11 +726,11 @@ class TestPredict:
         result = fit(data, RegularizerSpec("lasso", 0.0), TIGHT)
         from mtlhouse.design import design_rows
 
-        for task in taskset.tasks:
-            rows = [i for i in task.member_indices if dataset.months[i] == hi]
+        for p, task_id in enumerate(taskset.tasks):
+            rows = [i for i in np.flatnonzero(taskset.codes == p) if dataset.months[i] == hi]
             encoded = design_rows(dataset, np.array(rows), data.layout, data.standardizer)
             for row, record in zip(encoded, (dataset.records[i] for i in rows)):
-                prediction = float(row @ result.weights.column(task.task_id))
+                prediction = float(row @ result.weights.column(task_id))
                 assert prediction == pytest.approx(math.log(record.price), abs=1e-6)
 
 

@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtlhouse.data import Dataset
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import (
+    FACILITY_COLUMNS,
+    FACILITY_KINDS,
+    STATION_KEY,
+    STATION_MEASURE_COLUMNS,
     DefinitionError,
     EmptyTaskSetError,
     FacilityDef,
@@ -13,7 +19,6 @@ from mtlhouse.tasks import (
     RegionDef,
     SchoolDef,
     StationDef,
-    Task,
     TaskSet,
     define_tasks,
     filter_min_samples,
@@ -24,6 +29,82 @@ from mtlhouse.tasks import (
 )
 
 from conftest import make_dataset
+
+
+def oracle_row_labels(dataset, definition):
+    """Each row's task label text under ``definition`` (None = unassigned), read
+    row by row from the dataset's row view."""
+
+    def labels(name):
+        return [str(r.values[name]) for r in dataset.records]
+
+    def measures(name):
+        return [float(r.values[name]) for r in dataset.records]
+
+    if isinstance(definition, RegionDef):
+        return labels(definition.level)
+    if isinstance(definition, SchoolDef):
+        prefix = definition.school_kind.upper()
+        district = f"{prefix}_DISTRICT"
+        key = district if dataset.schema.has(district) else f"{prefix}_NEAREST"
+        lo, hi = definition.rank_lo, definition.rank_hi
+        return [
+            k if lo <= rank <= hi else None
+            for k, rank in zip(labels(key), measures(f"{prefix}_RANK"))
+        ]
+    if isinstance(definition, StationDef):
+        measure = STATION_MEASURE_COLUMNS[definition.measure]
+        return [
+            k if m <= definition.threshold else None
+            for k, m in zip(labels(STATION_KEY), measures(measure))
+        ]
+    if isinstance(definition, FacilityDef):
+        columns = [labels(FACILITY_COLUMNS[k]) for k in definition.kinds]
+        return ["|".join(keys) for keys in zip(*columns)]
+    return [
+        None if a is None or b is None else f"{a}&{b}"
+        for a, b in zip(
+            oracle_row_labels(dataset, definition.a), oracle_row_labels(dataset, definition.b)
+        )
+    ]
+
+
+def oracle_define_tasks(dataset, definition):
+    """The string-label partition: {task id: ascending member rows}, in sorted id order."""
+    members = {}
+    for i, label in enumerate(oracle_row_labels(dataset, definition)):
+        if label is not None:
+            members.setdefault(label, []).append(i)
+    return {label: tuple(members[label]) for label in sorted(members)}
+
+
+def members(taskset, p):
+    """Rows whose task code is ``p`` (-1: the unassigned rows)."""
+    return tuple(np.flatnonzero(taskset.codes == p).tolist())
+
+
+def unassigned(taskset):
+    return members(taskset, -1)
+
+
+def members_by_task(taskset):
+    return {task_id: members(taskset, p) for p, task_id in enumerate(taskset.tasks)}
+
+
+def with_unused_label(dataset, label):
+    """The same rows, with ``label`` added to every key inventory but held by no row."""
+    codes, inventories = {}, {}
+    for name, inventory in dataset.inventories.items():
+        inventories[name] = tuple(sorted(set(inventory) | {label}))
+        codes[name] = np.searchsorted(inventories[name], inventory)[dataset.codes[name]]
+    return Dataset(
+        schema=dataset.schema,
+        months=dataset.months,
+        prices=dataset.prices,
+        numeric=dataset.numeric,
+        codes=codes,
+        inventories=inventories,
+    )
 
 
 def region_dataset(codes, months=None):
@@ -51,14 +132,21 @@ class TestRegion:
         dataset, _ = generate_synthetic(config)
         taskset = define_tasks(dataset, RegionDef("SA4"))
         assert len(taskset.tasks) == 17
-        assert not taskset.unassigned
+        assert not unassigned(taskset)
 
     def test_single_region_code(self):
         dataset = region_dataset(["Z"] * 6)
         taskset = define_tasks(dataset, RegionDef("REGION"))
         assert len(taskset.tasks) == 1
-        assert taskset.unassigned == ()
-        assert taskset.tasks[0].member_indices == tuple(range(6))
+        assert unassigned(taskset) == ()
+        assert members(taskset, 0) == tuple(range(6))
+
+    def test_unused_inventory_label_makes_no_task(self):
+        dataset = with_unused_label(region_dataset(["A", "C", "A"]), "B")
+        assert dataset.inventories["REGION"] == ("A", "B", "C")
+        taskset = define_tasks(dataset, RegionDef("REGION"))
+        assert taskset.tasks == ("A", "C")
+        assert members_by_task(taskset) == {"A": (0, 2), "C": (1,)}
 
     def test_missing_level_column(self):
         dataset = region_dataset(["A"])
@@ -84,14 +172,20 @@ class TestStation:
         # independent brute-force threshold scan
         expected_members = tuple(i for i, d in enumerate(distances) if d <= 4000.0)
         expected_out = tuple(i for i, d in enumerate(distances) if d > 4000.0)
-        assert taskset.tasks[0].member_indices == expected_members
-        assert taskset.unassigned == expected_out
+        assert members(taskset, 0) == expected_members
+        assert unassigned(taskset) == expected_out
 
     def test_time_measure(self):
         dataset = self.station_dataset([800.0, 8000.0])
         taskset = define_tasks(dataset, StationDef(threshold=50.0, measure="time"))
-        assert taskset.tasks[0].member_indices == (0,)
-        assert taskset.unassigned == (1,)
+        assert members(taskset, 0) == (0,)
+        assert unassigned(taskset) == (1,)
+
+    def test_nan_measure_is_unassigned(self):
+        dataset = self.station_dataset([100.0, math.nan])
+        taskset = define_tasks(dataset, StationDef(threshold=4000.0))
+        assert members(taskset, 0) == (0,)
+        assert unassigned(taskset) == (1,)
 
     def test_monotone_in_threshold(self):
         distances = [100.0, 2500.0, 3900.0, 4100.0, 6000.0]
@@ -100,11 +194,11 @@ class TestStation:
         previous_unassigned = math.inf
         for threshold in (500.0, 3000.0, 4000.0, 7000.0):
             taskset = define_tasks(dataset, StationDef(threshold=threshold))
-            assigned = sum(len(t.member_indices) for t in taskset.tasks)
+            assigned = int(np.sum(taskset.codes >= 0))
             assert assigned >= previous_assigned
-            assert len(taskset.unassigned) <= previous_unassigned
+            assert len(unassigned(taskset)) <= previous_unassigned
             previous_assigned = assigned
-            previous_unassigned = len(taskset.unassigned)
+            previous_unassigned = len(unassigned(taskset))
 
     def test_all_beyond_threshold_is_empty_task_set(self):
         dataset = self.station_dataset([5000.0, 6000.0])
@@ -124,8 +218,8 @@ class TestSchool:
     def test_rank_range_filters_districts(self):
         dataset = self.school_dataset(["D1", "D1", "D2", "D3"], [5, 5, 30, 90])
         taskset = define_tasks(dataset, SchoolDef("primary", 1, 40))
-        assert [t.task_id for t in taskset.tasks] == ["D1", "D2"]
-        assert taskset.unassigned == (3,)
+        assert list(taskset.tasks) == ["D1", "D2"]
+        assert unassigned(taskset) == (3,)
 
     def test_nearest_school_fallback(self):
         dataset = self.school_dataset(
@@ -155,13 +249,23 @@ class TestFacility:
 
     def test_single_facility_grouping(self):
         taskset = define_tasks(self.facility_dataset(), FacilityDef(1, ("market",)))
-        assert [t.task_id for t in taskset.tasks] == ["M1", "M2"]
-        assert taskset.tasks[0].member_indices == (0, 2, 3)
+        assert list(taskset.tasks) == ["M1", "M2"]
+        assert members(taskset, 0) == (0, 2, 3)
 
     def test_shared_two_grouping(self):
         taskset = define_tasks(self.facility_dataset(), FacilityDef(2, ("shop", "market")))
         assert len(taskset.tasks) == 3
-        assert taskset.tasks[0].member_indices == (0, 3)  # S1|M1
+        assert members(taskset, 0) == (0, 3)  # S1|M1
+
+    def test_labels_that_join_to_one_text_are_one_task(self):
+        rows = [
+            {"month": 0, "SHOP_ID": "S|1", "MARKET_ID": "2"},
+            {"month": 0, "SHOP_ID": "S", "MARKET_ID": "1|2"},
+            {"month": 0, "SHOP_ID": "S", "MARKET_ID": "2"},
+        ]
+        dataset = make_dataset(rows, key=("SHOP_ID", "MARKET_ID"))
+        taskset = define_tasks(dataset, FacilityDef(2, ("shop", "market")))
+        assert members_by_task(taskset) == {"S|1|2": (0, 1), "S|2": (2,)}
 
     @pytest.mark.parametrize(
         "level,kinds",
@@ -184,7 +288,7 @@ class TestIntersection:
         definition = IntersectionDef(RegionDef("REGION"), FacilityDef(1, ("market",)))
         taskset = define_tasks(dataset, definition)
         assert len(taskset.tasks) == 4
-        assert all(len(t.member_indices) == 1 for t in taskset.tasks)
+        assert all(len(rows) == 1 for rows in members_by_task(taskset).values())
 
     def test_refinement(self):
         rows = [
@@ -203,10 +307,10 @@ class TestIntersection:
         both = define_tasks(dataset, IntersectionDef(a, b))
         tasks_a = define_tasks(dataset, a)
         tasks_b = define_tasks(dataset, b)
-        for task in both.tasks:
-            members = set(task.member_indices)
-            assert sum(members <= set(t.member_indices) for t in tasks_a.tasks) == 1
-            assert sum(members <= set(t.member_indices) for t in tasks_b.tasks) == 1
+        for rows in members_by_task(both).values():
+            rows = set(rows)
+            assert sum(rows <= set(m) for m in members_by_task(tasks_a).values()) == 1
+            assert sum(rows <= set(m) for m in members_by_task(tasks_b).values()) == 1
 
     def test_unassigned_in_either_operand_stays_unassigned(self):
         rows = [
@@ -217,7 +321,7 @@ class TestIntersection:
             rows, numeric=("DIST_STATION",), key=("REGION", "STATION_ID")
         )
         taskset = define_tasks(dataset, IntersectionDef(RegionDef("REGION"), StationDef(4000.0)))
-        assert taskset.unassigned == (0,)
+        assert unassigned(taskset) == (0,)
 
     def test_nested_intersections_rejected(self):
         inner = IntersectionDef(RegionDef("A"), StationDef(1.0))
@@ -266,18 +370,19 @@ class TestPartitionProperty:
             taskset = define_tasks(dataset, definition)
         except EmptyTaskSetError:
             return
-        seen: list[int] = list(taskset.unassigned)
-        for task in taskset.tasks:
-            assert task.member_indices  # no empty task
-            seen.extend(task.member_indices)
+        seen: list[int] = list(unassigned(taskset))
+        for rows in members_by_task(taskset).values():
+            assert rows  # no empty task
+            seen.extend(rows)
         assert sorted(seen) == list(range(n))
 
     def test_determinism(self):
         dataset = region_dataset(["B", "A", "B", "C", "A"])
         first = define_tasks(dataset, RegionDef("REGION"))
         second = define_tasks(dataset, RegionDef("REGION"))
-        assert first == second
-        assert first.task_ids == ("A", "B", "C")  # stable sorted ids
+        assert first.tasks == second.tasks
+        assert first.codes.tobytes() == second.codes.tobytes()
+        assert first.tasks == ("A", "B", "C")  # stable sorted ids
 
 
 class TestRowsIn:
@@ -287,11 +392,15 @@ class TestRowsIn:
             st.tuples(st.integers(0, 8), st.sampled_from("ABCD")), min_size=1, max_size=40
         ),
         drawn=st.tuples(st.integers(-3, 11), st.integers(-3, 11)),
+        min_count=st.integers(0, 3),
     )
-    def test_matches_brute_force_scan(self, rows, drawn):
+    def test_matches_brute_force_scan(self, rows, drawn, min_count):
         dataset = region_dataset([c for _, c in rows], months=[m for m, _ in rows])
         taskset = define_tasks(dataset, RegionDef("REGION"))
+        # dropping the tasks with few rows in the drawn window leaves unassigned rows
+        taskset = filter_min_samples(taskset, drawn, min_count)
         months = [r.sale_month for r in dataset.records]
+        codes = taskset.codes.tolist()
         first, last = dataset.month_range
         windows = [
             drawn,
@@ -306,29 +415,106 @@ class TestRowsIn:
         ]
         for lo, hi in windows:
             expected = [
-                (t.task_id, tuple(i for i in t.member_indices if lo <= months[i] <= hi))
-                for t in taskset.tasks
+                [i for i in range(len(months)) if codes[i] == p and lo <= months[i] <= hi]
+                for p in range(len(taskset.tasks))
             ]
-            assert list(taskset.rows_in((lo, hi)).items()) == expected
-            assert taskset.window_counts((lo, hi)) == {k: len(v) for k, v in expected}
+            found, counts = taskset.rows_in((lo, hi))
+            assert found.tolist() == [i for task_rows in expected for i in task_rows]
+            assert counts.tolist() == [len(task_rows) for task_rows in expected]
 
-    def test_rejects_unsorted_record_months(self):
-        with pytest.raises(ValueError, match="record_months must be sorted"):
-            TaskSet(
-                definition=RegionDef("REGION"),
-                tasks=(Task("A", (0, 1)),),
-                unassigned=(),
-                record_months=(1, 0),
-            )
 
-    def test_rejects_unsorted_member_indices(self):
-        with pytest.raises(ValueError, match="ascending"):
-            TaskSet(
-                definition=RegionDef("REGION"),
-                tasks=(Task("A", (1, 0)),),
-                unassigned=(),
-                record_months=(0, 0),
-            )
+class TestTaskSetValidation:
+    def taskset(self, tasks=("A", "B"), codes=(0, 1, -1), months=(0, 0, 1)):
+        return TaskSet(RegionDef("REGION"), tasks, np.array(codes), np.array(months))
+
+    def test_valid_partition_is_read_only(self):
+        taskset = self.taskset()
+        assert not taskset.codes.flags.writeable
+        assert not taskset.months.flags.writeable
+
+    def test_zero_tasks_allowed(self):
+        assert self.taskset(tasks=(), codes=(-1, -1, -1)).tasks == ()
+
+    def test_keeps_the_dataset_months(self):
+        dataset = region_dataset(["B", "A"], months=[0, 1])
+        assert define_tasks(dataset, RegionDef("REGION")).months is dataset.months
+
+    def test_rejects_unsorted_months(self):
+        with pytest.raises(ValueError, match="months must be sorted"):
+            self.taskset(months=(1, 0, 0))
+
+    @pytest.mark.parametrize("codes", [(0, 2, 1), (0, 1, -2)])
+    def test_rejects_code_out_of_range(self, codes):
+        with pytest.raises(ValueError, match="task codes must lie in"):
+            self.taskset(codes=codes)
+
+    def test_rejects_task_without_rows(self):
+        with pytest.raises(ValueError, match="every task needs at least one row"):
+            self.taskset(codes=(0, 0, -1))
+
+    @pytest.mark.parametrize("tasks", [("B", "A"), ("A", "A")])
+    def test_rejects_unsorted_task_ids(self, tasks):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            self.taskset(tasks=tasks)
+
+    def test_rejects_misaligned_codes(self):
+        with pytest.raises(ValueError, match="one length"):
+            self.taskset(codes=(0, 1))
+
+
+SINGLE_DEFINITIONS = st.one_of(
+    st.just(RegionDef("REGION")),
+    st.sampled_from([(1, 40), (5, 41), (1, 90)]).map(lambda r: SchoolDef("primary", *r)),
+    st.sampled_from([StationDef(4000.0), StationDef(50.0, measure="time")]),
+    st.lists(st.sampled_from(FACILITY_KINDS), min_size=1, max_size=3, unique=True).map(
+        lambda kinds: FacilityDef(len(kinds), tuple(kinds))
+    ),
+)
+DEFINITIONS = st.one_of(
+    SINGLE_DEFINITIONS, st.builds(IntersectionDef, SINGLE_DEFINITIONS, SINGLE_DEFINITIONS)
+)
+
+
+class TestOraclePartition:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), definition=DEFINITIONS)
+    def test_matches_string_label_partition(self, data, definition):
+        n = data.draw(st.integers(min_value=1, max_value=30))
+
+        def column(values):
+            return data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+        school_key = data.draw(st.sampled_from(["PRIMARY_DISTRICT", "PRIMARY_NEAREST"]))
+        columns = {
+            "REGION": column(["A", "B", "C"]),
+            school_key: column(["D1", "D2", "D3"]),
+            "PRIMARY_RANK": column([1.0, 5.0, 40.0, 41.0, 90.0, math.nan]),
+            STATION_KEY: column(["S1", "S2"]),
+            "DIST_STATION": column([100.0, 4000.0, 4000.5, 9000.0, math.nan]),
+            "TIME_STATION": column([10.0, 50.0, 50.25, 120.0, math.nan]),
+            "SHOP_ID": column(["S", "S|1", "T"]),  # S|1 + 2 and S + 1|2 both join to S|1|2
+            "HOSPITAL_ID": column(["H1", "H2"]),
+            "GP_ID": column(["G1", "G2"]),
+            "MARKET_ID": column(["1", "2", "1|2"]),
+        }
+        rows = [
+            {"month": i % 3, **{name: values[i] for name, values in columns.items()}}
+            for i in range(n)
+        ]
+        numeric = ("PRIMARY_RANK", "DIST_STATION", "TIME_STATION")
+        key = tuple(name for name in columns if name not in numeric)
+        dataset = make_dataset(rows, numeric=numeric, key=key)
+        if data.draw(st.booleans()):
+            dataset = with_unused_label(dataset, "B0")
+
+        expected = oracle_define_tasks(dataset, definition)
+        if not expected:
+            with pytest.raises(EmptyTaskSetError):
+                define_tasks(dataset, definition)
+            return
+        taskset = define_tasks(dataset, definition)
+        assert taskset.tasks == tuple(expected)
+        assert members_by_task(taskset) == expected
 
 
 class TestFilterMinSamples:
@@ -342,14 +528,16 @@ class TestFilterMinSamples:
     def test_zero_min_count_is_noop(self):
         dataset = self.counted_dataset([3, 5])
         taskset = define_tasks(dataset, RegionDef("REGION"))
-        assert filter_min_samples(taskset, (0, 1), 0) == taskset
+        filtered = filter_min_samples(taskset, (0, 1), 0)
+        assert filtered.tasks == taskset.tasks
+        assert filtered.codes.tobytes() == taskset.codes.tobytes()
 
     def test_simple_threshold(self):
         dataset = self.counted_dataset([5, 10])
         taskset = define_tasks(dataset, RegionDef("REGION"))
         filtered = filter_min_samples(taskset, (0, 1), 6)
-        assert [t.task_id for t in filtered.tasks] == ["R01"]
-        assert len(filtered.unassigned) == 5
+        assert list(filtered.tasks) == ["R01"]
+        assert len(unassigned(filtered)) == 5
 
     def test_quartile_threshold_matches_sort_oracle(self):
         counts = [7, 2, 9, 14, 3, 11, 5, 8, 1, 6, 13, 4, 10, 12, 15, 16, 17, 18, 19, 20]
@@ -363,7 +551,7 @@ class TestFilterMinSamples:
         expected = sorted(
             f"R{i:02d}" for i, c in enumerate(counts) if c >= q1
         )
-        assert list(filtered.task_ids) == expected
+        assert list(filtered.tasks) == expected
 
     def test_window_restricts_counting(self):
         dataset = self.counted_dataset([4, 4], months=(0, 5))
@@ -406,16 +594,16 @@ class TestQuartileGroups:
         q = [ordered[math.ceil(k * n / 4) - 1] for k in (1, 2, 3)]
         top = max(counts)
         expected: list[list[str]] = [[], [], [], []]
-        for task in taskset.tasks:
-            c = counts[int(task.task_id[1:])]
+        for task_id in taskset.tasks:
+            c = counts[int(task_id[1:])]
             if c == top or c > q[2]:
-                expected[3].append(task.task_id)
+                expected[3].append(task_id)
             elif c <= q[0]:
-                expected[0].append(task.task_id)
+                expected[0].append(task_id)
             elif c <= q[1]:
-                expected[1].append(task.task_id)
+                expected[1].append(task_id)
             else:
-                expected[2].append(task.task_id)
+                expected[2].append(task_id)
         assert grouping.boundaries == tuple(q)
         assert [list(g) for g in grouping.groups] == expected
 
@@ -423,7 +611,7 @@ class TestQuartileGroups:
         taskset = self.grouped_taskset([9, 1, 6, 6, 2, 8, 30, 30])
         grouping = quartile_groups(taskset, (0, 0))
         all_ids = [t for g in grouping.groups for t in g]
-        assert sorted(all_ids) == sorted(taskset.task_ids)
+        assert sorted(all_ids) == sorted(taskset.tasks)
 
     def test_needs_four_tasks(self):
         taskset = self.grouped_taskset([1, 2, 3])
