@@ -8,7 +8,7 @@ from .backtest import (
     make_rolling_plan,
     run_backtest,
 )
-from .baselines import StlSpec, cv_ridge_penalty, fit_stl
+from .baselines import cv_ridge_penalty, fit_stl
 from .data import (
     Dataset,
     FeatureEntry,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import StlSpec, fit_stl
+from .baselines import fit_stl
 from .data import Dataset
 from .design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows
 from .metrics import (
@@ -27,6 +27,7 @@ from .metrics import (
     RankSumOutcome,
     aggregate,
     mae,
+    mean_left_to_right,
     rmse,
     wilcoxon_rank_sum,
     win_loss_draw,
@@ -42,11 +43,19 @@ from .tasks import (
 
 logger = logging.getLogger(__name__)
 
-MTL_KINDS = ("mtl_lasso", "mtl_l21", "mtl_graph")
-STL_METHOD_KINDS = ("ols", "ridge", "lasso")
-METHOD_KINDS = MTL_KINDS + STL_METHOD_KINDS
-
-_REG_KIND = {"mtl_lasso": "lasso", "mtl_l21": "group_l21", "mtl_graph": "graph"}
+# Each method kind: the solver regularizer kind it fits with (None for a
+# per-task baseline, fitted by fit_stl), the grids it takes, in grid-point
+# order, and the grids it needs. A grid it takes but does not need may be
+# left empty; the fit then picks that value itself (ridge: per-task CV).
+METHODS: dict[str, tuple[Optional[str], tuple[str, ...], tuple[str, ...]]] = {
+    "mtl_lasso": ("lasso", ("theta1",), ("theta1",)),
+    "mtl_l21": ("group_l21", ("theta1",), ("theta1",)),
+    "mtl_graph": ("graph", ("theta1", "theta2"), ("theta1", "theta2")),
+    "ols": (None, (), ()),
+    "ridge": (None, ("penalty",), ()),
+    "lasso": (None, ("penalty",), ("penalty",)),
+}
+GRIDS = ("theta1", "theta2", "penalty")
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ def make_rolling_plan(dataset: Dataset, k: int = 3, h: int = 1) -> RollingPlan:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method plus its hyperparameter grid.
+    """A method of one of the METHODS kinds plus its hyperparameter grids.
 
     Multi-point grids are resolved per round by refitting on the window minus
     its last month and scoring that month; the best point is then refitted on
@@ -115,50 +124,36 @@ class MethodSpec:
     solver: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in METHODS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.kind in MTL_KINDS and not self.theta1:
-            raise ValueError(f"{self.kind} needs a theta1 grid")
-        if self.kind == "mtl_graph" and not self.theta2:
-            raise ValueError("mtl_graph needs a theta2 grid")
-        if self.kind == "lasso" and not self.penalty:
-            raise ValueError("stl lasso needs a penalty grid")
-        if self.theta2 and self.kind != "mtl_graph":
-            raise ValueError(f"{self.kind} takes no theta2 grid; only mtl_graph does")
-        if self.theta1 and self.kind not in MTL_KINDS:
-            raise ValueError(f"{self.kind} takes no theta1 grid; only {', '.join(MTL_KINDS)} do")
-        if self.penalty and self.kind not in ("ridge", "lasso"):
-            raise ValueError(f"{self.kind} takes no penalty grid; only ridge and lasso do")
-        for name in ("theta1", "theta2", "penalty"):
-            for value in getattr(self, name):
+        _, takes, needs = METHODS[self.kind]
+        for name in needs:
+            if not getattr(self, name):
+                raise ValueError(f"{self.kind} needs a {name} grid")
+        for name in GRIDS:
+            values = getattr(self, name)
+            if values and name not in takes:
+                takers = [kind for kind, (_, grids, _) in METHODS.items() if name in grids]
+                raise ValueError(
+                    f"{self.kind} takes no {name} grid; only {', '.join(takers)} take one"
+                )
+            for value in values:
                 if not (math.isfinite(value) and value >= 0):
                     raise ValueError(f"{name} values must be finite and >= 0, got {value!r}")
         if self.kind == "ridge" and not all(p > 0 for p in self.penalty):
             raise ValueError("ridge penalties must be > 0; a ridge penalty of 0 is the ols method")
 
     def grid_points(self) -> tuple[tuple[Optional[float], ...], ...]:
-        if self.kind == "mtl_graph":
-            return tuple(itertools.product(self.theta1, self.theta2))
-        if self.kind in MTL_KINDS:
-            return tuple((t,) for t in self.theta1)
-        if self.kind == "ols":
-            return ((),)
-        if not self.penalty:  # ridge with per-task CV
-            return ((None,),)
-        return tuple((p,) for p in self.penalty)
+        """The product of the kind's grids in table order; an empty grid gives None."""
+        _, takes, _ = METHODS[self.kind]
+        return tuple(itertools.product(*(getattr(self, name) or (None,) for name in takes)))
 
 
 def _fit_point(data: TaskData, spec: MethodSpec, point: tuple) -> WeightMatrix:
-    if spec.kind in MTL_KINDS:
-        reg_kind = _REG_KIND[spec.kind]
-        if spec.kind == "mtl_graph":
-            reg = RegularizerSpec(kind=reg_kind, theta1=point[0], theta2=point[1])
-        else:
-            reg = RegularizerSpec(kind=reg_kind, theta1=point[0])
-        return fit(data, reg, spec.solver).weights
-    penalty = point[0] if point else None
-    stl = StlSpec(kind=spec.kind, penalty=penalty)
-    return fit_stl(data, stl, spec.solver)
+    reg_kind = METHODS[spec.kind][0]
+    if reg_kind is None:
+        return fit_stl(data, spec, *point)
+    return fit(data, RegularizerSpec(reg_kind, *point), spec.solver).weights
 
 
 @dataclass(frozen=True)
@@ -335,7 +330,7 @@ def _build_report(records, taskset, plan, labels, benchmark, skipped) -> Compari
                 record.rmse
             )
         task_score = {
-            method: {t: sum(v) / len(v) for t, v in tasks.items()}
+            method: {t: mean_left_to_right(v) for t, v in tasks.items()}
             for method, tasks in by_task.items()
         }
         for label_text, ids in zip(GROUP_LABELS, grouping.groups):

@@ -11,15 +11,15 @@ its own, so one solver call fits every task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .design import TaskData, WeightMatrix
-from .solver import RegularizerSpec, SolverParams, fit
+from .solver import RegularizerSpec, fit
 
-STL_KINDS = ("ols", "ridge", "lasso")
+if TYPE_CHECKING:  # backtest imports this module
+    from .backtest import MethodSpec
 
 # Penalty grid searched by per-task RIDGE_CV_FOLDS-fold cross-validation when
 # a ridge penalty is not given explicitly.
@@ -27,34 +27,25 @@ RIDGE_CV_GRID: tuple[float, ...] = tuple(10.0 ** e for e in range(-4, 3))
 RIDGE_CV_FOLDS = 5
 
 
-@dataclass(frozen=True)
-class StlSpec:
-    kind: str
-    penalty: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in STL_KINDS:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.penalty is not None and self.penalty < 0:
-            raise ValueError("penalty must be nonnegative")
-        if self.kind == "lasso" and self.penalty is None:
-            raise ValueError("lasso needs an explicit penalty")
-
-
-def fit_stl(
-    data: TaskData, spec: StlSpec, params: SolverParams = SolverParams()
-) -> WeightMatrix:
-    """Fit every task independently and assemble the D x P weight matrix."""
+def fit_stl(data: TaskData, spec: MethodSpec, penalty: Optional[float] = None) -> WeightMatrix:
+    """Fit every task independently with ``spec.kind`` (ols, ridge or lasso) and
+    assemble the D x P weight matrix. ols ignores the penalty; ridge without one
+    picks it per task by cross-validation; lasso runs ``spec.solver``."""
+    if penalty is not None and penalty < 0:
+        raise ValueError("penalty must be nonnegative")
     if spec.kind == "lasso":
-        return fit(data, RegularizerSpec(kind="lasso", theta1=spec.penalty), params).weights
+        if penalty is None:
+            raise ValueError("lasso needs an explicit penalty")
+        return fit(data, RegularizerSpec(kind="lasso", theta1=penalty), spec.solver).weights
+    if spec.kind not in ("ols", "ridge"):
+        raise ValueError(f"{spec.kind!r} is not a per-task baseline kind")
     columns = []
     for x, y in zip(data.xs, data.ys):
         if spec.kind == "ols":
             columns.append(np.linalg.lstsq(x, y, rcond=None)[0])
+        elif penalty is None:
+            columns.append(_solve_ridge(x, y, cv_ridge_penalty(x, y)))
         else:
-            penalty = spec.penalty
-            if penalty is None:
-                penalty = cv_ridge_penalty(x, y)
             columns.append(_solve_ridge(x, y, penalty))
     values = np.column_stack(columns)
     return WeightMatrix(values=values, task_ids=data.task_ids, columns=data.columns)

@@ -21,7 +21,6 @@ from typing import Optional
 from .backtest import make_rolling_plan, run_backtest
 from .config import ConfigError, load_config
 from .data import save_dataset
-from .design import WeightMatrix
 from .reports import (
     definition_result_dict,
     dump_json,
@@ -29,6 +28,7 @@ from .reports import (
     write_records_csv,
     write_ranksum_csv,
     write_summary_csv,
+    write_weights_csv,
     write_wld_csv,
 )
 
@@ -44,16 +44,6 @@ def _resolve_out(flag: Optional[str], config_out: str) -> Path:
     return Path(config_out)
 
 
-def _write_weights_csv(path: Path, weights: WeightMatrix) -> None:
-    import csv
-
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column"] + list(weights.task_ids))
-        for i, name in enumerate(weights.columns):
-            writer.writerow([name] + [repr(float(v)) for v in weights.values[i]])
-
-
 def cmd_generate(args) -> int:
     config = load_config(args.config).with_seed(args.seed)
     if config.source.synthetic is None:
@@ -62,7 +52,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dataset, planted = config.resolve_dataset()
     save_dataset(dataset, out / "dataset.csv")
-    _write_weights_csv(out / "planted_weights.csv", planted)
+    write_weights_csv(out / "planted_weights.csv", planted)
     synth = config.source.synthetic.to_dict()
     if config.seed is not None:
         synth["seed"] = config.seed

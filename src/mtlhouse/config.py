@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .backtest import MethodSpec
+from .backtest import GRIDS, MethodSpec
 from .data import Dataset, FeatureSchema, load_dataset, melbourne_schema
 from .design import WeightMatrix
 from .solver import SolverParams
@@ -40,6 +40,8 @@ class DataSource:
                 raise ConfigError(f"unknown schema {self.schema!r}")
             if self.schema == "synthetic" and self.n_features is None:
                 raise ConfigError("schema 'synthetic' needs n_features")
+            if self.n_features is not None and self.n_features < 1:
+                raise ConfigError(f"'n_features' must be >= 1, got {self.n_features}")
 
     def resolve_schema(self) -> FeatureSchema:
         if self.synthetic is not None:
@@ -126,20 +128,16 @@ def _method_from_dict(raw: dict) -> MethodSpec:
         raise ConfigError(f"method {label!r}: {exc}") from None
 
     def grid(name) -> tuple[float, ...]:
-        value = raw.get(name, ())
-        if isinstance(value, (int, float)):
-            value = (value,)
-        return tuple(float(v) for v in value)
+        values = raw.get(name, ())
+        if not isinstance(values, (list, tuple)):
+            values = (values,)
+        for v in values:
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise ValueError(f"{name} values must be real numbers, got {v!r}")
+        return tuple(float(v) for v in values)
 
     try:
-        return MethodSpec(
-            label=label,
-            kind=kind,
-            theta1=grid("theta1"),
-            theta2=grid("theta2"),
-            penalty=grid("penalty"),
-            solver=solver,
-        )
+        return MethodSpec(label=label, kind=kind, solver=solver, **{g: grid(g) for g in GRIDS})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"method {label!r}: {exc}") from None
 
@@ -167,11 +165,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         missing = [name for name in required if name not in section]
         if missing:
             raise ConfigError(f"'synthetic' section is missing keys {missing}")
-        synthetic = SyntheticConfig.from_dict(section)
+        try:
+            synthetic = SyntheticConfig.from_dict(section)
+        except ValueError as exc:
+            raise ConfigError(f"'synthetic' section: {exc}") from None
     source = DataSource(
         path=data.get("path"),
         schema=data.get("schema", "melbourne"),
-        n_features=data.get("n_features"),
+        n_features=_integer(data, "n_features", None),
         synthetic=synthetic,
     )
     methods = tuple(_method_from_dict(m) for m in raw.get("methods", []))

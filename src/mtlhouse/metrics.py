@@ -69,12 +69,12 @@ def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     # differs in the last bit for about one value in a thousand, and that
     # changed 2 of tall_file's 4,200 RMSE cells.
     squares = np.fromiter(map(math.pow, diff.tolist(), itertools.repeat(2.0)), float, len(diff))
-    return math.sqrt(_sum_left_to_right(squares) / len(diff))
+    return math.sqrt(mean_left_to_right(squares))
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     diff = _differences(actual, predicted)
-    return _sum_left_to_right(np.abs(diff)) / len(diff)
+    return mean_left_to_right(np.abs(diff))
 
 
 def _differences(actual: Sequence[float], predicted: Sequence[float]) -> np.ndarray:
@@ -82,9 +82,10 @@ def _differences(actual: Sequence[float], predicted: Sequence[float]) -> np.ndar
     return np.asarray(actual, dtype=float) - np.asarray(predicted, dtype=float)
 
 
-def _sum_left_to_right(values: np.ndarray) -> float:
-    """Sum in index order, as Python 3.11's ``sum`` adds floats; ``np.sum`` adds pairwise."""
-    return float(np.add.accumulate(values)[-1])
+def mean_left_to_right(values: Sequence[float]) -> float:
+    """Mean with the sum taken in index order, as Python 3.11's ``sum`` adds floats;
+    ``np.sum`` adds pairwise, and Python 3.12's ``sum`` compensates."""
+    return float(np.add.accumulate(values)[-1]) / len(values)
 
 
 def _check_pairs(actual, predicted) -> None:
@@ -108,15 +109,15 @@ def aggregate(records: Sequence[MetricRecord]) -> dict[str, MethodSummary]:
         round_mae = []
         for r in rounds:
             bucket = by_method[method][r]
-            round_rmse.append(sum(rec.rmse for rec in bucket) / len(bucket))
-            round_mae.append(sum(rec.mae for rec in bucket) / len(bucket))
+            round_rmse.append(mean_left_to_right([rec.rmse for rec in bucket]))
+            round_mae.append(mean_left_to_right([rec.mae for rec in bucket]))
         summaries[method] = MethodSummary(
             method=method,
             rounds=tuple(rounds),
             round_rmse=tuple(round_rmse),
             round_mae=tuple(round_mae),
-            overall_rmse=sum(round_rmse) / len(round_rmse),
-            overall_mae=sum(round_mae) / len(round_mae),
+            overall_rmse=mean_left_to_right(round_rmse),
+            overall_mae=mean_left_to_right(round_mae),
         )
     return summaries
 

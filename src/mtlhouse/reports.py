@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .backtest import ComparisonReport
+from .design import WeightMatrix
 from .metrics import MetricRecord
+from .tasks import GROUP_LABELS
 
 SUMMARY_DECIMALS = 3
 
@@ -67,97 +69,119 @@ def load_json(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def write_records_csv(path: Path, rows: Sequence[tuple[str, MetricRecord]]) -> None:
-    """One line per (definition, method, round, task) metric record."""
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["definition", "method", "round", "task_id", "n", "rmse", "mae"])
-        for definition, record in rows:
-            writer.writerow(
-                [
-                    definition,
-                    record.method,
-                    record.round_index,
-                    record.task_id,
-                    record.n,
-                    repr(record.rmse),
-                    repr(record.mae),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _method_order(report: dict) -> list[str]:
-    return report["method_order"]
+def _markdown_table(title: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    lines = [f"# {title}", "", "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    lines.append("")
+    return "\n".join(lines)
+
+
+def write_records_csv(path: Path, rows: Sequence[tuple[str, MetricRecord]]) -> None:
+    """One line per (definition, method, round, task) metric record."""
+    _write_csv(
+        path,
+        ["definition", "method", "round", "task_id", "n", "rmse", "mae"],
+        (
+            [d, r.method, r.round_index, r.task_id, r.n, repr(r.rmse), repr(r.mae)]
+            for d, r in rows
+        ),
+    )
+
+
+def write_weights_csv(path: Path, weights: WeightMatrix) -> None:
+    """One row per design column, one weight column per task."""
+    _write_csv(
+        path,
+        ["column"] + list(weights.task_ids),
+        (
+            [name] + [repr(float(v)) for v in row]
+            for name, row in zip(weights.columns, weights.values)
+        ),
+    )
+
+
+def _summary_rows(report: dict):
+    """(definition, per-method overall RMSEs, per-method overall MAEs) for each definition."""
+    for definition in report["definition_order"]:
+        results = [report["definitions"][definition]["methods"][m] for m in report["method_order"]]
+        yield definition, [r["overall_rmse"] for r in results], [r["overall_mae"] for r in results]
 
 
 def write_summary_csv(path: Path, report: dict) -> None:
     """Wide table: one row per task definition, RMSE/MAE columns per method."""
-    methods = _method_order(report)
-    header = ["definition"]
-    for label in methods:
-        header += [f"{label}_rmse", f"{label}_mae"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for definition in report["definition_order"]:
-            result = report["definitions"][definition]
-            row = [definition]
-            for label in methods:
-                row.append(repr(result["methods"][label]["overall_rmse"]))
-                row.append(repr(result["methods"][label]["overall_mae"]))
-            writer.writerow(row)
+    _write_csv(
+        path,
+        ["definition"] + [f"{m}_{e}" for m in report["method_order"] for e in ("rmse", "mae")],
+        (
+            [definition] + [repr(v) for pair in zip(rmses, maes) for v in pair]
+            for definition, rmses, maes in _summary_rows(report)
+        ),
+    )
+
+
+def _ranksum_rows(report: dict):
+    """(definition, method, outcome) for each rank-sum test, in report order."""
+    for definition in report["definition_order"]:
+        for label in report["method_order"]:
+            yield definition, label, report["definitions"][definition]["rank_sum"][label]
+
+
+def _wld_rows(report: dict):
+    """(definition, group, per-method (win, loss, draw) list) for each quartile group.
+
+    Groups follow GROUP_LABELS: report.json stores them under sorted keys, which
+    put (1/2,3/4] before (1/4,1/2].
+    """
+    for definition in report["definition_order"]:
+        quartiles = report["definitions"][definition]["quartiles"]
+        if quartiles is None:
+            continue
+        for group in GROUP_LABELS:
+            per_method = quartiles["wld"][group]
+            yield definition, group, [per_method[label] for label in report["method_order"]]
 
 
 def write_ranksum_csv(path: Path, report: dict) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["definition", "method", "statistic", "p_value", "significant"])
-        for definition in report["definition_order"]:
-            result = report["definitions"][definition]
-            for label in _method_order(report):
-                outcome = result["rank_sum"][label]
-                writer.writerow(
-                    [
-                        definition,
-                        label,
-                        repr(outcome["statistic"]),
-                        repr(outcome["p_value"]),
-                        outcome["significant"],
-                    ]
-                )
+    _write_csv(
+        path,
+        ["definition", "method", "statistic", "p_value", "significant"],
+        (
+            [definition, label, repr(o["statistic"]), repr(o["p_value"]), o["significant"]]
+            for definition, label, o in _ranksum_rows(report)
+        ),
+    )
 
 
 def write_wld_csv(path: Path, report: dict) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["definition", "group", "method", "win", "loss", "draw"])
-        for definition in report["definition_order"]:
-            quartiles = report["definitions"][definition]["quartiles"]
-            if quartiles is None:
-                continue
-            for group, per_method in quartiles["wld"].items():
-                for label in _method_order(report):
-                    w, l, d = per_method[label]
-                    writer.writerow([definition, group, label, w, l, d])
+    _write_csv(
+        path,
+        ["definition", "group", "method", "win", "loss", "draw"],
+        (
+            [definition, group, label, w, l, d]
+            for definition, group, records in _wld_rows(report)
+            for label, (w, l, d) in zip(report["method_order"], records)
+        ),
+    )
 
 
 def summary_markdown(report: dict) -> str:
     """Summary table with the best (lowest RMSE, lowest MAE) method in bold."""
-    methods = _method_order(report)
-    lines = ["# Backtest summary", ""]
-    header = ["definition"] + [f"{m} RMSE" for m in methods] + [f"{m} MAE" for m in methods]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for definition in report["definition_order"]:
-        result = report["definitions"][definition]
-        rmse_values = [result["methods"][m]["overall_rmse"] for m in methods]
-        mae_values = [result["methods"][m]["overall_mae"] for m in methods]
-        cells = [definition]
-        cells += _bold_min_cells(rmse_values)
-        cells += _bold_min_cells(mae_values)
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    return "\n".join(lines)
+    methods = report["method_order"]
+    return _markdown_table(
+        "Backtest summary",
+        ["definition"] + [f"{m} RMSE" for m in methods] + [f"{m} MAE" for m in methods],
+        (
+            [definition] + _bold_min_cells(rmses) + _bold_min_cells(maes)
+            for definition, rmses, maes in _summary_rows(report)
+        ),
+    )
 
 
 def _bold_min_cells(values: Sequence[float]) -> list[str]:
@@ -170,50 +194,25 @@ def _bold_min_cells(values: Sequence[float]) -> list[str]:
 
 
 def wld_markdown(report: dict) -> str:
-    methods = _method_order(report)
-    lines = ["# Win/Loss/Draw vs benchmark", ""]
-    header = ["definition", "group"] + methods
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for definition in report["definition_order"]:
-        quartiles = report["definitions"][definition]["quartiles"]
-        if quartiles is None:
-            continue
-        for group, per_method in quartiles["wld"].items():
-            row = [definition, group]
-            for label in methods:
-                w, l, d = per_method[label]
-                row.append(f"{w}/{l}/{d}")
-            lines.append("| " + " | ".join(row) + " |")
-    lines.append("")
-    return "\n".join(lines)
+    return _markdown_table(
+        "Win/Loss/Draw vs benchmark",
+        ["definition", "group"] + report["method_order"],
+        (
+            [definition, group] + [f"{w}/{l}/{d}" for w, l, d in records]
+            for definition, group, records in _wld_rows(report)
+        ),
+    )
 
 
 def ranksum_markdown(report: dict) -> str:
-    methods = _method_order(report)
-    lines = ["# Rank-sum test vs benchmark", ""]
-    header = ["definition", "method", "statistic", "p-value", "significant"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "---|" * len(header))
-    for definition in report["definition_order"]:
-        result = report["definitions"][definition]
-        for label in methods:
-            outcome = result["rank_sum"][label]
-            lines.append(
-                "| "
-                + " | ".join(
-                    [
-                        definition,
-                        label,
-                        f"{outcome['statistic']:g}",
-                        f"{outcome['p_value']:.4f}",
-                        str(outcome["significant"]),
-                    ]
-                )
-                + " |"
-            )
-    lines.append("")
-    return "\n".join(lines)
+    return _markdown_table(
+        "Rank-sum test vs benchmark",
+        ["definition", "method", "statistic", "p-value", "significant"],
+        (
+            [definition, label, f"{o['statistic']:g}", f"{o['p_value']:.4f}", str(o["significant"])]
+            for definition, label, o in _ranksum_rows(report)
+        ),
+    )
 
 
 def render(results_dir: Path, fmt: str, out_dir: Optional[Path] = None) -> list[Path]:

@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -60,6 +61,13 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_tasks", "n_features", "months", "shared_support_size", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name!r} must be an integer, got {getattr(self, name)!r}")
+        for name in ("coefficient_noise", "observation_noise"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name!r} must be a real number, got {value!r}")
         if min(self.n_tasks, self.n_features, self.months, self.shared_support_size) < 1:
             raise ValueError("all counts must be >= 1")
         if self.shared_support_size > self.n_features:
@@ -73,22 +81,18 @@ class SyntheticConfig:
     def monthly_count_bounds(self) -> tuple[tuple[int, int], ...]:
         """Per-task (low, high) bounds for the monthly sample count draw."""
         spec = self.samples_per_task_per_month
-        if isinstance(spec, int):
-            return ((spec, spec),) * self.n_tasks
-        spec = tuple(spec)
-        if len(spec) == 2 and all(isinstance(v, int) for v in spec):
-            return (tuple(spec),) * self.n_tasks  # type: ignore[return-value]
+        if _is_count(spec):
+            return (_count_bounds(spec),) * self.n_tasks
+        if not isinstance(spec, (tuple, list)) or not all(_is_count(e) for e in spec):
+            raise ValueError(
+                "'samples_per_task_per_month' must be an integer or a [low, high] pair of"
+                f" integers, or a list of those with one per task; got {spec!r}"
+            )
         if len(spec) != self.n_tasks:
             raise ValueError(
                 f"per-task sample spec has {len(spec)} entries for {self.n_tasks} tasks"
             )
-        out = []
-        for entry in spec:
-            if isinstance(entry, int):
-                out.append((entry, entry))
-            else:
-                out.append((int(entry[0]), int(entry[1])))
-        return tuple(out)
+        return tuple(_count_bounds(e) for e in spec)
 
     def to_dict(self) -> dict:
         spec = self.samples_per_task_per_month
@@ -100,8 +104,8 @@ class SyntheticConfig:
             "samples_per_task_per_month": spec,
             "months": self.months,
             "shared_support_size": self.shared_support_size,
-            "coefficient_noise": self.coefficient_noise,
-            "observation_noise": self.observation_noise,
+            "coefficient_noise": float(self.coefficient_noise),
+            "observation_noise": float(self.observation_noise),
             "seed": self.seed,
         }
 
@@ -111,15 +115,30 @@ class SyntheticConfig:
         if isinstance(spec, list):
             spec = tuple(tuple(e) if isinstance(e, list) else e for e in spec)
         return cls(
-            n_tasks=int(raw["n_tasks"]),
-            n_features=int(raw["n_features"]),
+            n_tasks=raw["n_tasks"],
+            n_features=raw["n_features"],
             samples_per_task_per_month=spec,
-            months=int(raw["months"]),
-            shared_support_size=int(raw["shared_support_size"]),
-            coefficient_noise=float(raw["coefficient_noise"]),
-            observation_noise=float(raw["observation_noise"]),
-            seed=int(raw["seed"]),
+            months=raw["months"],
+            shared_support_size=raw["shared_support_size"],
+            coefficient_noise=raw["coefficient_noise"],
+            observation_noise=raw["observation_noise"],
+            seed=raw["seed"],
         )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """A monthly count: an integer, or a (low, high) pair of integers."""
+    return _is_integer(value) or (
+        isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_integer, value))
+    )
+
+
+def _count_bounds(count) -> tuple[int, int]:
+    return (count, count) if _is_integer(count) else tuple(count)
 
 
 def feature_ranges(n_features: int) -> tuple[tuple[str, float, float], ...]:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from mtlhouse import backtest
@@ -10,6 +12,7 @@ from mtlhouse.backtest import (
     run_backtest,
 )
 from mtlhouse.design import build_task_data
+from mtlhouse.solver import RegularizerSpec, SolverParams
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import RegionDef, define_tasks
 
@@ -280,15 +283,25 @@ class TestGridSelection:
         run_backtest(dataset, RegionDef("SA3"), methods, plan)
         assert windows == [round_.train_window for round_ in plan.rounds]
 
+    @pytest.mark.parametrize(
+        "kind, grids, missing",
+        [
+            ("mtl_l21", {}, "theta1"),
+            ("mtl_graph", {"theta2": (1.0,)}, "theta1"),
+            ("mtl_graph", {"theta1": (0.1,)}, "theta2"),
+            ("lasso", {}, "penalty"),
+        ],
+    )
+    def test_method_spec_needs_its_grids(self, kind, grids, missing):
+        with pytest.raises(ValueError, match=f"{kind} needs a {missing} grid"):
+            MethodSpec(label="x", kind=kind, **grids)
+
     def test_method_spec_validation(self):
-        with pytest.raises(ValueError):
-            MethodSpec(label="x", kind="mtl_l21")  # no theta1 grid
-        with pytest.raises(ValueError):
-            MethodSpec(label="x", kind="mtl_graph", theta1=(0.1,))  # no theta2
-        with pytest.raises(ValueError):
-            MethodSpec(label="x", kind="lasso")  # no penalty
-        with pytest.raises(ValueError):
-            MethodSpec(label="x", kind="boosting")
+        for kind in ("boosting", "svr"):
+            with pytest.raises(ValueError, match="unknown method kind"):
+                MethodSpec(label="x", kind=kind)
+        with pytest.raises(ValueError, match="penalty values must be finite and >= 0"):
+            MethodSpec(label="x", kind="ridge", penalty=(-1.0,))
 
     @pytest.mark.parametrize(
         "kind, grids",
@@ -317,6 +330,49 @@ class TestGridSelection:
     def test_ridge_without_grid_uses_per_task_cv(self):
         spec = MethodSpec(label="r", kind="ridge")
         assert spec.grid_points() == ((None,),)
+
+    def test_each_kind_sends_its_grid_points_to_its_fit(self, monkeypatch):
+        calls = []
+
+        def fake_fit(data, reg, params):
+            calls.append(("fit", reg, params))
+            return SimpleNamespace(weights="joint")
+
+        def fake_fit_stl(data, spec, *penalty):
+            calls.append(("fit_stl", spec, penalty))
+            return "per-task"
+
+        monkeypatch.setattr(backtest, "fit", fake_fit)
+        monkeypatch.setattr(backtest, "fit_stl", fake_fit_stl)
+        params = SolverParams(max_iters=7)
+        specs = [
+            MethodSpec("a", "mtl_lasso", theta1=(1.0, 3.0), solver=params),
+            MethodSpec("b", "mtl_l21", theta1=(2.0,), solver=params),
+            MethodSpec("c", "mtl_graph", theta1=(0.5, 1.0), theta2=(2.0, 4.0), solver=params),
+            MethodSpec("d", "ols"),
+            MethodSpec("e", "ridge"),
+            MethodSpec("f", "ridge", penalty=(0.5, 2.0)),
+            MethodSpec("g", "lasso", penalty=(0.1,), solver=params),
+        ]
+        for spec in specs:
+            expected = "per-task" if spec.kind in ("ols", "ridge", "lasso") else "joint"
+            for point in spec.grid_points():
+                assert backtest._fit_point("data", spec, point) == expected
+        a, b, c, d, e, f, g = specs
+        assert calls == [
+            ("fit", RegularizerSpec("lasso", 1.0), params),
+            ("fit", RegularizerSpec("lasso", 3.0), params),
+            ("fit", RegularizerSpec("group_l21", 2.0), params),
+            ("fit", RegularizerSpec("graph", 0.5, 2.0), params),
+            ("fit", RegularizerSpec("graph", 0.5, 4.0), params),
+            ("fit", RegularizerSpec("graph", 1.0, 2.0), params),
+            ("fit", RegularizerSpec("graph", 1.0, 4.0), params),
+            ("fit_stl", d, ()),
+            ("fit_stl", e, (None,)),
+            ("fit_stl", f, (0.5,)),
+            ("fit_stl", f, (2.0,)),
+            ("fit_stl", g, (0.1,)),
+        ]
 
     def test_ridge_penalty_of_zero_points_to_ols(self):
         # ridge at 0 is ols, and its normal equations are singular on dummy columns

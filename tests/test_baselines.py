@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtlhouse.baselines
+from mtlhouse.backtest import MethodSpec
 from mtlhouse.baselines import (
     RIDGE_CV_GRID,
-    StlSpec,
     _solve_ridge,
     cv_ridge_penalty,
     fit_stl,
@@ -26,28 +26,38 @@ def well_conditioned(seed=14, n_tasks=4, rows=30, cols=5):
     return TaskData.from_arrays(xs, ys)
 
 
-class TestSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StlSpec("svr")
-        with pytest.raises(ValueError):
-            StlSpec("ridge", penalty=-1.0)
-        with pytest.raises(ValueError):
-            StlSpec("lasso")  # penalty required
+OLS = MethodSpec("ols", "ols")
+RIDGE = MethodSpec("ridge", "ridge")
+
+
+def lasso(penalty, solver=SolverParams()):
+    return MethodSpec("lasso", "lasso", penalty=(penalty,), solver=solver)
+
+
+class TestDirectCalls:
+    def test_bad_kind_or_penalty_rejected(self):
+        data = well_conditioned()
+        for spec, penalty in (
+            (MethodSpec("m", "mtl_lasso", theta1=(1.0,)), 1.0),
+            (RIDGE, -1.0),
+            (lasso(0.5), None),
+        ):
+            with pytest.raises(ValueError):
+                fit_stl(data, spec, penalty)
 
 
 class TestOlsRidge:
     def test_ridge_zero_penalty_equals_ols(self):
         data = well_conditioned()
-        ols = fit_stl(data, StlSpec("ols"))
-        ridge = fit_stl(data, StlSpec("ridge", penalty=0.0))
+        ols = fit_stl(data, OLS)
+        ridge = fit_stl(data, RIDGE, 0.0)
         assert np.max(np.abs(ols.values - ridge.values)) <= 1e-10
 
     def test_one_sample_ridge_matches_tiny_system_oracle(self):
         x = np.array([[2.0, -1.0, 1.0]])  # one record, intercept last
         y = np.array([13.2])
         data = TaskData.from_arrays([x], [y])
-        result = fit_stl(data, StlSpec("ridge", penalty=1.0))
+        result = fit_stl(data, RIDGE, 1.0)
         shrink = np.diag([1.0, 1.0, 0.0])
         expected = np.linalg.solve(x.T @ x + shrink, x.T @ y)
         assert np.max(np.abs(result.values[:, 0] - expected)) <= 1e-12
@@ -57,7 +67,7 @@ class TestOlsRidge:
         x = np.hstack([rng.normal(0, 1, (2, 4)), np.ones((2, 1))])
         y = np.array([13.0, 13.5])
         data = TaskData.from_arrays([x], [y])
-        result = fit_stl(data, StlSpec("ols"))
+        result = fit_stl(data, OLS)
         expected = np.linalg.pinv(x) @ y
         assert np.max(np.abs(result.values[:, 0] - expected)) <= 1e-10
         # the fallback interpolates the training rows
@@ -76,14 +86,14 @@ class TestOlsRidge:
             raise AssertionError("OLS must not run a separate rank check")
 
         monkeypatch.setattr(np.linalg, "matrix_rank", no_rank_check)
-        result = fit_stl(TaskData.from_arrays([x], [y]), StlSpec("ols"))
+        result = fit_stl(TaskData.from_arrays([x], [y]), OLS)
         assert np.array_equal(result.values[:, 0], expected)
 
     def test_ridge_norm_nonincreasing_in_penalty(self):
         data = well_conditioned(seed=6)
         norms = []
         for penalty in (0.0, 0.1, 1.0, 10.0, 100.0):
-            weights = fit_stl(data, StlSpec("ridge", penalty=penalty))
+            weights = fit_stl(data, RIDGE, penalty)
             norms.append(float(np.linalg.norm(weights.values[:-1])))
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -92,7 +102,7 @@ class TestLasso:
     def test_equals_multi_task_fit_with_single_task(self):
         data = well_conditioned()
         params = SolverParams(max_iters=20000, rel_tol=1e-12)
-        stl = fit_stl(data, StlSpec("lasso", penalty=0.8), params)
+        stl = fit_stl(data, lasso(0.8, params), 0.8)
         for p in range(data.n_tasks):
             single = TaskData.from_arrays(
                 [data.xs[p]], [data.ys[p]], [data.task_ids[p]]
@@ -110,7 +120,7 @@ class TestLasso:
 
         monkeypatch.setattr(mtlhouse.baselines, "fit", counting)
         data = well_conditioned(seed=8)
-        weights = fit_stl(data, StlSpec("lasso", penalty=0.5))
+        weights = fit_stl(data, lasso(0.5), 0.5)
         assert calls == [(data.task_ids, RegularizerSpec("lasso", 0.5))]
         assert weights.task_ids == data.task_ids
 
@@ -121,14 +131,14 @@ class TestIndependence:
         perturbed_ys = list(data.ys)
         perturbed_ys[2] = perturbed_ys[2] + 5.0
         perturbed = TaskData.from_arrays(data.xs, perturbed_ys, data.task_ids)
-        for spec in (
-            StlSpec("ols"),
-            StlSpec("ridge", penalty=0.5),
-            StlSpec("ridge"),  # CV path
-            StlSpec("lasso", penalty=0.5),
+        for spec, penalty in (
+            (OLS, None),
+            (RIDGE, 0.5),
+            (RIDGE, None),  # CV path
+            (lasso(0.5), 0.5),
         ):
-            base = fit_stl(data, spec)
-            other = fit_stl(perturbed, spec)
+            base = fit_stl(data, spec, penalty)
+            other = fit_stl(perturbed, spec, penalty)
             for p in (0, 1, 3):
                 assert np.array_equal(base.values[:, p], other.values[:, p])
             assert not np.array_equal(base.values[:, 2], other.values[:, 2])
@@ -235,5 +245,5 @@ class TestRidgeCv:
 
         monkeypatch.setattr(mtlhouse.baselines, "cv_ridge_penalty", counting)
         data = well_conditioned(seed=8)
-        fit_stl(data, StlSpec("ridge"))
+        fit_stl(data, RIDGE)
         assert len(calls) == data.n_tasks

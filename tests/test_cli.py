@@ -239,6 +239,13 @@ class TestReport:
         assert len(rows) == 4  # header + three definitions
         assert rows[0][0] == "definition"
 
+    def test_csv_reproduces_the_run_files(self, tmp_path):
+        results = self.run_multi(tmp_path)
+        assert main(["report", str(results), "--format", "csv"]) == 0
+        for name in ("summary.csv", "ranksum.csv", "wld.csv"):
+            rendered = (results / "rendered" / name).read_bytes()
+            assert rendered == (results / name).read_bytes(), name
+
     def test_json_round_trips(self, tmp_path):
         results = self.run_multi(tmp_path)
         assert main(["report", str(results), "--format", "json"]) == 0
@@ -358,8 +365,11 @@ class TestConfigValidation:
             ({"kind": "ridge", "penalty": [-1.0]}, "penalty values must be finite and >= 0"),
             ({"kind": "mtl_lasso", "theta1": [float("nan")]}, "theta1 values must be finite"),
             ({"kind": "svr"}, "unknown method kind"),
-            ({"kind": "mtl_l21", "theta1": ["big"]}, "could not convert"),
+            ({"kind": "mtl_l21", "theta1": ["big"]}, "theta1 values must be real numbers"),
+            ({"kind": "mtl_l21", "theta1": True}, "theta1 values must be real numbers, got True"),
+            ({"kind": "ridge", "penalty": ["0.5"]}, "penalty values must be real numbers"),
             ({"kind": "ols", "theta1": [1.0, 3.0]}, "ols takes no theta1 grid"),
+            ({"kind": "lasso"}, "lasso needs a penalty grid"),
         ],
     )
     def test_method_errors_name_the_label(self, method, message):
@@ -384,6 +394,37 @@ class TestConfigValidation:
             config_from_dict(config)
         config["methods"] = [{**method, "solver": {"max_iters": 2.5}}]
         with pytest.raises(ConfigError, match=r"'joint'.*max_iters"):
+            config_from_dict(config)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", 1.5),
+            ("n_tasks", True),
+            ("months", "6"),
+            ("coefficient_noise", "0.02"),
+            ("observation_noise", False),
+            ("samples_per_task_per_month", [[1.5, 3]] * 4),
+            ("samples_per_task_per_month", [[1, 2], True, 3, 4]),
+        ],
+    )
+    def test_synthetic_values_are_not_coerced(self, key, value):
+        config = {
+            "data": {"synthetic": synthetic_section(**{key: value})},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+        }
+        with pytest.raises(ConfigError, match=f"'synthetic' section: '{key}' must be"):
+            config_from_dict(config)
+
+    @pytest.mark.parametrize("value", [2.5, True, "10", 0])
+    def test_file_source_n_features_must_be_a_positive_integer(self, value):
+        config = {
+            "data": {"path": "houses.csv", "schema": "synthetic", "n_features": value},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+        }
+        with pytest.raises(ConfigError, match="'n_features' must be (an integer|>= 1)"):
             config_from_dict(config)
 
     def test_synthetic_section_names_missing_keys(self):

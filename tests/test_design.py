@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mtlhouse.backtest import _test_rows_by_task, make_rolling_plan
-from mtlhouse.baselines import StlSpec, fit_stl
+from mtlhouse.backtest import MethodSpec, _test_rows_by_task, make_rolling_plan
+from mtlhouse.baselines import fit_stl
 from mtlhouse.data import log_target
 from mtlhouse.design import (
     DesignLayout,
@@ -87,9 +87,11 @@ class TestLayout:
         ]
         for reg in joint:
             assert np.all(fit(data, reg, params).weights.values[j] == 0.0), reg.kind
-        for spec in (StlSpec("ridge", 1.0), StlSpec("ridge"), StlSpec("lasso", 1.0)):
-            assert np.all(fit_stl(data, spec, params).values[j] == 0.0), spec
-        ols = fit_stl(data, StlSpec("ols")).values[j]
+        ridge = MethodSpec("ridge", "ridge", solver=params)
+        lasso = MethodSpec("lasso", "lasso", penalty=(1.0,), solver=params)
+        for spec, penalty in ((ridge, 1.0), (ridge, None), (lasso, 1.0)):
+            assert np.all(fit_stl(data, spec, penalty).values[j] == 0.0), spec
+        ols = fit_stl(data, MethodSpec("ols", "ols")).values[j]
         assert np.max(np.abs(ols)) <= 1e-12
 
     def test_intersection_excludes_both_keys(self):

@@ -10,6 +10,7 @@ from mtlhouse.metrics import (
     MetricRecord,
     aggregate,
     mae,
+    mean_left_to_right,
     rmse,
     wilcoxon_rank_sum,
     win_loss_draw,
@@ -148,6 +149,16 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    def test_means_add_left_to_right(self):
+        # ten 0.1s add to 0.9999999999999999 left to right, and to 1.0 in the
+        # compensated float sum() of Python >= 3.12
+        left_to_right = 0.9999999999999999 / 10
+        in_one_round = aggregate([record(0, f"t{i}", 0.1) for i in range(10)])["m"]
+        assert in_one_round.round_rmse == (left_to_right,)
+        over_rounds = aggregate([record(r, "a", 0.1) for r in range(10)])["m"]
+        assert over_rounds.overall_rmse == left_to_right
+        assert mean_left_to_right([0.1] * 10) == left_to_right
 
 
 def enumeration_p_value(a, b):
