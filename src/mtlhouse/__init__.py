@@ -11,7 +11,6 @@ from .backtest import (
 from .baselines import cv_ridge_penalty, fit_stl
 from .data import (
     Dataset,
-    FeatureEntry,
     FeatureSchema,
     HouseRecord,
     load_dataset,

@@ -8,7 +8,6 @@ Task definitions use the compact grammar of :mod:`mtlhouse.tasks`
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -19,10 +18,27 @@ from .design import WeightMatrix
 from .solver import SolverParams
 from .synthetic import SyntheticConfig, generate_synthetic, synthetic_schema
 from .tasks import TaskDefinition, parse_definition
+from .values import is_integer, is_real
 
 
 class ConfigError(ValueError):
     """The experiment configuration file is invalid."""
+
+
+TOP_LEVEL_KEYS = ("data", "task_definitions", "methods", "k", "h", "benchmark", "out_dir", "seed")
+DATA_KEYS = ("path", "schema", "n_features", "synthetic")
+METHOD_KEYS = ("label", "kind", "solver") + GRIDS
+
+
+def _section(raw, where: str, accepted) -> dict:
+    """``raw``, which must be a mapping whose keys are among ``accepted``."""
+    accepted = list(accepted)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping with keys among {accepted}, got {raw!r}")
+    for key in raw:
+        if key not in accepted:
+            raise ConfigError(f"{where} has unknown key {key!r}; accepted keys are {accepted}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -111,17 +127,14 @@ class ExperimentConfig:
 
 
 def _method_from_dict(raw: dict) -> MethodSpec:
-    if "kind" not in raw:
+    if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"method entry {raw} is missing 'kind'")
     kind = raw["kind"]
     label = raw.get("label", kind)
-    solver_raw = raw.get("solver", {})
-    accepted = [f.name for f in fields(SolverParams)]
-    if not isinstance(solver_raw, dict) or not set(solver_raw) <= set(accepted):
-        raise ConfigError(
-            f"method {label!r}: 'solver' must be a mapping with keys among {accepted},"
-            f" got {solver_raw!r}"
-        )
+    _section(raw, f"method {label!r}", METHOD_KEYS)
+    solver_raw = _section(
+        raw.get("solver", {}), f"method {label!r}: 'solver'", [f.name for f in fields(SolverParams)]
+    )
     try:
         solver = SolverParams(**solver_raw)
     except ValueError as exc:
@@ -132,7 +145,7 @@ def _method_from_dict(raw: dict) -> MethodSpec:
         if not isinstance(values, (list, tuple)):
             values = (values,)
         for v in values:
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            if not is_real(v):
                 raise ValueError(f"{name} values must be real numbers, got {v!r}")
         return tuple(float(v) for v in values)
 
@@ -147,21 +160,20 @@ def _integer(raw: dict, name: str, default: Optional[int]) -> Optional[int]:
     value = raw.get(name)
     if value is None:
         return default
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if not is_integer(value):
         raise ConfigError(f"{name!r} must be an integer, got {value!r}")
     return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    _section(raw, "config", TOP_LEVEL_KEYS)
     if "data" not in raw:
         raise ConfigError("config is missing the 'data' section")
-    data = raw["data"]
+    data = _section(raw["data"], "'data' section", DATA_KEYS)
     synthetic = None
     if "synthetic" in data:
-        section = data["synthetic"]
         required = [f.name for f in fields(SyntheticConfig)]
-        if not isinstance(section, dict):
-            raise ConfigError(f"'synthetic' must be a mapping with keys {required}")
+        section = _section(data["synthetic"], "'synthetic' section", required)
         missing = [name for name in required if name not in section]
         if missing:
             raise ConfigError(f"'synthetic' section is missing keys {missing}")

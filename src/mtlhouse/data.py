@@ -1,8 +1,8 @@
 """Housing dataset model: feature schema, columnar dataset, CSV I/O, log-price target.
 
 A dataset is a month-sorted table of transactions held as column arrays.
-Features are grouped under four profiles (house, education, transportation,
-facility); the sale date and sale price are carried as dedicated meta fields.
+A schema names a file's numeric and key feature columns; every file also has
+a ``DATE`` (sale month) and a ``PRICE`` (sale price) column.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ logger = logging.getLogger(__name__)
 
 Value = Union[float, str]
 
-KINDS = ("numeric", "categorical", "key")
-PROFILES = ("house", "education", "transportation", "facility", "meta")
+# The sale month (YYYY-MM) and sale price columns every file has.
+META_COLUMNS = ("DATE", "PRICE")
 
 # Fraction of malformed rows tolerated before a load is considered broken.
 MAX_REJECT_FRACTION = 0.10
@@ -73,52 +73,26 @@ def log_target(price: float) -> float:
 
 
 @dataclass(frozen=True)
-class FeatureEntry:
-    name: str
-    kind: str  # numeric | categorical | key
-    profile: str  # house | education | transportation | facility | meta
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SchemaError(f"unknown feature kind {self.kind!r}")
-        if self.profile not in PROFILES:
-            raise SchemaError(f"unknown profile {self.profile!r}")
-
-
-@dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature inventory; exactly one PRICE and one DATE meta entry."""
+    """A file's feature columns: numeric values and category keys, in column order.
 
-    entries: tuple[FeatureEntry, ...]
+    Every file also has the fixed ``DATE`` and ``PRICE`` columns.
+    """
+
+    numeric: tuple[str, ...]
+    keys: tuple[str, ...]
 
     def __post_init__(self):
-        names = [e.name for e in self.entries]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise SchemaError("duplicate feature names in schema")
-        for required in ("PRICE", "DATE"):
-            matches = [e for e in self.entries if e.name == required]
-            if len(matches) != 1 or matches[0].profile != "meta":
-                raise SchemaError(f"schema needs exactly one meta entry named {required}")
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
+        return self.feature_names + META_COLUMNS
 
     @property
     def feature_names(self) -> tuple[str, ...]:
-        """All non-meta names, in schema order."""
-        return tuple(e.name for e in self.entries if e.profile != "meta")
-
-    def numeric_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries if e.kind == "numeric" and e.profile != "meta")
-
-    def categorical_names(self) -> tuple[str, ...]:
-        return tuple(
-            e.name for e in self.entries if e.kind == "categorical" and e.profile != "meta"
-        )
-
-    def key_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries if e.kind == "key" and e.profile != "meta")
+        return self.numeric + self.keys
 
     def has(self, name: str) -> bool:
         return name in self.names
@@ -144,11 +118,11 @@ class HouseRecord:
 class Dataset:
     """Transactions stored column by column, sorted by sale month.
 
-    ``numeric`` holds the numeric features in ``schema.numeric_names()`` order,
-    one row per transaction. Every categorical and key feature is an int32
-    code vector in ``codes`` indexing its sorted category labels in
-    ``inventories``. ``log_prices`` is :func:`log_target` of each price. The
-    arrays are read-only; ``records`` builds the row view on first access.
+    ``numeric`` holds the numeric features in ``schema.numeric`` order, one
+    row per transaction. Every key feature is an int32 code vector in
+    ``codes`` indexing its sorted category labels in ``inventories``.
+    ``log_prices`` is :func:`log_target` of each price. The arrays are
+    read-only; ``records`` builds the row view on first access.
     """
 
     schema: FeatureSchema
@@ -162,7 +136,7 @@ class Dataset:
 
     def __post_init__(self):
         n = len(self.months)
-        coded = self.schema.categorical_names() + self.schema.key_names()
+        coded = self.schema.keys
         columns = {
             "months": np.asarray(self.months, dtype=np.int64),
             "prices": np.asarray(self.prices, dtype=np.float64),
@@ -170,7 +144,7 @@ class Dataset:
         }
         if columns["months"].shape != (n,) or columns["prices"].shape != (n,):
             raise ValueError("months and prices must be vectors of one length")
-        if columns["numeric"].shape != (n, len(self.schema.numeric_names())):
+        if columns["numeric"].shape != (n, len(self.schema.numeric)):
             raise ValueError("numeric must hold one column per numeric feature")
         if np.any(np.diff(columns["months"]) < 0):
             raise ValueError("records must be sorted by sale_month")
@@ -212,12 +186,11 @@ class Dataset:
             missing = feature_names - set(r.values)
             if missing:
                 raise ValueError(f"record missing features: {sorted(missing)}")
-        numeric_names = schema.numeric_names()
         numeric = np.array(
-            [[float(r.values[name]) for name in numeric_names] for r in records], dtype=np.float64
-        ).reshape(len(records), len(numeric_names))
+            [[float(r.values[name]) for name in schema.numeric] for r in records], dtype=np.float64
+        ).reshape(len(records), len(schema.numeric))
         codes, inventories = {}, {}
-        for name in schema.categorical_names() + schema.key_names():
+        for name in schema.keys:
             labels = [str(r.values[name]) for r in records]
             inventories[name] = tuple(sorted(set(labels)))
             position = {label: code for code, label in enumerate(inventories[name])}
@@ -253,7 +226,7 @@ class Dataset:
 
     @cached_property
     def _numeric_column(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.schema.numeric_names())}
+        return {name: j for j, name in enumerate(self.schema.numeric)}
 
 
 class _RowValues(abc.Mapping):
@@ -293,53 +266,35 @@ def sort_codes(
 
 def melbourne_schema() -> FeatureSchema:
     """Full feature inventory for Melbourne-style transaction files."""
-    house = [
-        FeatureEntry("BEDROOMS", "numeric", "house"),
-        FeatureEntry("BATHROOMS", "numeric", "house"),
-        FeatureEntry("PARKING", "numeric", "house"),
-        FeatureEntry("LAND_SIZE", "numeric", "house"),
-        FeatureEntry("INCOME", "numeric", "house"),
-        FeatureEntry("SA4", "key", "house"),
-        FeatureEntry("SA3", "key", "house"),
-        FeatureEntry("SA2", "key", "house"),
-        FeatureEntry("SA1", "key", "house"),
-        FeatureEntry("POSTCODE", "key", "house"),
-    ]
-    education = [
-        FeatureEntry("PRIMARY_DISTRICT", "key", "education"),
-        FeatureEntry("SECONDARY_DISTRICT", "key", "education"),
-        FeatureEntry("PRIMARY_NEAREST", "key", "education"),
-        FeatureEntry("SECONDARY_NEAREST", "key", "education"),
-        FeatureEntry("PRIMARY_RANK", "numeric", "education"),
-        FeatureEntry("SECONDARY_RANK", "numeric", "education"),
-    ]
-    transportation = [
-        FeatureEntry("STATION_ID", "key", "transportation"),
-        FeatureEntry("DIST_STATION", "numeric", "transportation"),
-        FeatureEntry("TIME_STATION", "numeric", "transportation"),
-        FeatureEntry("DIST_CBD", "numeric", "transportation"),
-        FeatureEntry("TIME_CBD", "numeric", "transportation"),
-        FeatureEntry("DRIVE_DIST_CBD", "numeric", "transportation"),
-        FeatureEntry("DRIVE_TIME_CBD", "numeric", "transportation"),
-    ]
-    facility = [
-        FeatureEntry("SHOP_ID", "key", "facility"),
-        FeatureEntry("HOSPITAL_ID", "key", "facility"),
-        FeatureEntry("GP_ID", "key", "facility"),
-        FeatureEntry("MARKET_ID", "key", "facility"),
-        FeatureEntry("DIST_SHOP", "numeric", "facility"),
-        FeatureEntry("DIST_HOSPITAL", "numeric", "facility"),
-        FeatureEntry("DIST_GP", "numeric", "facility"),
-        FeatureEntry("DIST_MARKET", "numeric", "facility"),
-    ]
-    meta = [FeatureEntry("DATE", "categorical", "meta"), FeatureEntry("PRICE", "numeric", "meta")]
-    return FeatureSchema(tuple(house + education + transportation + facility + meta))
+    return FeatureSchema(
+        numeric=(
+            # house
+            "BEDROOMS", "BATHROOMS", "PARKING", "LAND_SIZE", "INCOME",
+            # education
+            "PRIMARY_RANK", "SECONDARY_RANK",
+            # transportation
+            "DIST_STATION", "TIME_STATION", "DIST_CBD", "TIME_CBD",
+            "DRIVE_DIST_CBD", "DRIVE_TIME_CBD",
+            # facility
+            "DIST_SHOP", "DIST_HOSPITAL", "DIST_GP", "DIST_MARKET",
+        ),
+        keys=(
+            # house: census regions and postcode
+            "SA4", "SA3", "SA2", "SA1", "POSTCODE",
+            # education
+            "PRIMARY_DISTRICT", "SECONDARY_DISTRICT", "PRIMARY_NEAREST", "SECONDARY_NEAREST",
+            # transportation
+            "STATION_ID",
+            # facility
+            "SHOP_ID", "HOSPITAL_ID", "GP_ID", "MARKET_ID",
+        ),
+    )
 
 
 def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     """Parse a comma-delimited transaction file against ``schema``.
 
-    The header must name each schema entry exactly once, among any other
+    The header must name each schema column exactly once, among any other
     columns. Rows are read in chunks of ``CHUNK_ROWS`` and converted a column
     at a time; a chunk that fails conversion is checked row by row, so
     malformed rows are collected and reported with their file line numbers.
@@ -387,11 +342,9 @@ class _ColumnReader:
     def __init__(self, schema: FeatureSchema, col: Mapping[str, int]):
         self.schema = schema
         self.col = col
-        self.numeric_names = schema.numeric_names()
-        self.coded_names = schema.categorical_names() + schema.key_names()
-        names = ("DATE", "PRICE") + self.numeric_names + self.coded_names
+        names = META_COLUMNS + schema.feature_names
         self.pick = operator.itemgetter(*(col[name] for name in names))
-        self.lookups: dict[str, dict[str, int]] = {name: {} for name in self.coded_names}
+        self.lookups: dict[str, dict[str, int]] = {name: {} for name in schema.keys}
         self.blocks: list[tuple] = [self._convert([])]  # so a file without rows joins too
 
     def add(self, chunk: list[list[str]], first_line: int, row_errors: list[str]) -> int:
@@ -418,22 +371,22 @@ class _ColumnReader:
     def _convert(self, rows: list[list[str]]) -> tuple:
         """Column arrays of ``rows``; raises if any row would be rejected."""
         n = len(rows)
-        width = 2 + len(self.numeric_names) + len(self.coded_names)
-        cells = list(zip(*map(self.pick, rows))) or [()] * width  # DATE, PRICE, numeric, coded
+        # DATE, PRICE, numeric, keys
+        cells = list(zip(*map(self.pick, rows))) or [()] * len(self.schema.names)
         # a file holds few distinct months: parse each date text once
         month_of = {text: month_index(text) for text in set(cells[0])}
         months = np.fromiter(map(month_of.__getitem__, cells[0]), np.int64, n)
         prices = np.fromiter(map(float, cells[1]), np.float64, n)
         if not np.all((prices > 0) & np.isfinite(prices)):
             raise ValueError("a price is not positive and finite")
-        k = len(self.numeric_names)
+        k = len(self.schema.numeric)
         numeric = np.empty((n, k))
         for j in range(k):
             numeric[:, j] = np.fromiter(map(float, cells[2 + j]), np.float64, n)
         if not np.all(np.isfinite(numeric)):
             raise ValueError("a numeric value is not finite")
         codes = []
-        for name, labels in zip(self.coded_names, cells[2 + k :]):
+        for name, labels in zip(self.schema.keys, cells[2 + k :]):
             lookup = self.lookups[name]
             for label in set(labels).difference(lookup):
                 lookup[label] = len(lookup)
@@ -441,25 +394,25 @@ class _ColumnReader:
         return months, prices, numeric, codes
 
     def _check_row(self, row: list[str]) -> None:
-        """Raise the error that rejects ``row``, checking its cells in schema order."""
+        """Raise the error that rejects ``row``: DATE, PRICE, the numeric cells in
+        schema order, then a row too short for a key cell."""
         month_index(row[self.col["DATE"]])
         price = float(row[self.col["PRICE"]])
         if not price > 0:
             raise ValueError(f"non-positive price {price}")
         if not math.isfinite(price):
             raise ValueError(f"non-finite price {price}")
-        numeric = set(self.numeric_names)
-        for name in self.schema.feature_names:
-            cell = row[self.col[name]]
-            if name in numeric and not math.isfinite(float(cell)):
+        for name in self.schema.numeric:
+            if not math.isfinite(float(row[self.col[name]])):
                 raise ValueError(f"non-finite value in column {name!r}")
+        self.pick(row)
 
     def dataset(self) -> Dataset:
         months, prices, numeric, code_blocks = zip(*self.blocks)
         months = np.concatenate(months)
         order = np.argsort(months, kind="stable")
         codes, inventories = {}, {}
-        for name, blocks in zip(self.coded_names, zip(*code_blocks)):
+        for name, blocks in zip(self.schema.keys, zip(*code_blocks)):
             codes[name], inventories[name] = sort_codes(
                 np.concatenate(blocks)[order], self.lookups[name]
             )
@@ -476,25 +429,18 @@ class _ColumnReader:
 def save_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
     """Write ``dataset`` back to the delimited format (exact float round-trip)."""
     path = Path(path)
-    names = dataset.schema.names
-    numeric_names = dataset.schema.numeric_names()
+    schema = dataset.schema
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
+        writer.writerow(schema.names)
         for start in range(0, len(dataset), CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
-            cells = []
-            for name in names:
-                if name == "DATE":
-                    cells.append(map(month_text, dataset.months[rows].tolist()))
-                elif name == "PRICE":
-                    cells.append(map(repr, dataset.prices[rows].tolist()))
-                elif name in dataset.codes:
-                    inventory = dataset.inventories[name]
-                    cells.append([inventory[c] for c in dataset.codes[name][rows].tolist()])
-                else:
-                    j = numeric_names.index(name)
-                    cells.append(map(repr, dataset.numeric[rows, j].tolist()))
+            cells = [map(repr, column) for column in dataset.numeric[rows].T.tolist()]
+            for name in schema.keys:
+                inventory = dataset.inventories[name]
+                cells.append([inventory[c] for c in dataset.codes[name][rows].tolist()])
+            cells.append(map(month_text, dataset.months[rows].tolist()))
+            cells.append(map(repr, dataset.prices[rows].tolist()))
             writer.writerows(zip(*cells))
 
 

@@ -1,7 +1,7 @@
 """Per-task design matrices: encoding, standardization, and the weight matrix.
 
 Every task shares one column layout: standardized numeric features, one-hot
-dummies for categorical/key columns not consumed by the active task
+dummies for key columns not consumed by the active task
 definition, and a trailing intercept column of ones. Dummy inventories come
 from the full dataset so the layout is identical across rolling windows.
 """
@@ -36,18 +36,14 @@ class DesignLayout:
     def from_dataset(cls, dataset: Dataset, definition: TaskDefinition) -> "DesignLayout":
         schema = dataset.schema
         excluded = set(used_key_columns(definition, schema))
-        numeric = schema.numeric_names()
-        dummy_sources = [
-            name
-            for name in schema.categorical_names() + schema.key_names()
-            if name not in excluded
+        dummies = [
+            (name, dataset.inventories[name]) for name in schema.keys if name not in excluded
         ]
-        dummies = [(name, dataset.inventories[name]) for name in dummy_sources]
-        columns = list(numeric)
+        columns = list(schema.numeric)
         for name, categories in dummies:
             columns.extend(f"{name}={c}" for c in categories)
         columns.append(INTERCEPT)
-        return cls(numeric=numeric, dummies=tuple(dummies), columns=tuple(columns))
+        return cls(numeric=schema.numeric, dummies=tuple(dummies), columns=tuple(columns))
 
     @property
     def n_columns(self) -> int:
@@ -55,7 +51,7 @@ class DesignLayout:
 
     def raw_rows(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
         """Encode dataset rows without standardization (numerics raw, dummies 0/1)."""
-        if self.numeric != dataset.schema.numeric_names() or any(
+        if self.numeric != dataset.schema.numeric or any(
             categories != dataset.inventories[name] for name, categories in self.dummies
         ):
             raise ValueError("the layout was not built from this dataset")

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .design import TaskData, WeightMatrix
+from .values import is_integer, is_real
 
 REGULARIZER_KINDS = ("lasso", "group_l21", "graph")
 
@@ -71,17 +71,9 @@ class SolverParams:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if (
-            not isinstance(self.max_iters, numbers.Integral)
-            or isinstance(self.max_iters, bool)
-            or self.max_iters < 1
-        ):
+        if not is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if (
-            not isinstance(self.rel_tol, numbers.Real)
-            or isinstance(self.rel_tol, bool)
-            or not (math.isfinite(self.rel_tol) and self.rel_tol > 0)
-        ):
+        if not (is_real(self.rel_tol) and math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be a finite positive number, got {self.rel_tol!r}")
 
 

@@ -11,14 +11,14 @@ tests.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .data import Dataset, FeatureEntry, FeatureSchema, month_index, sort_codes
+from .data import Dataset, FeatureSchema, month_index, sort_codes
 from .design import INTERCEPT, WeightMatrix
+from .values import is_integer, is_real
 
 # (name, low, high) inventory used to calibrate generated numeric features;
 # the first n_features entries are used, generic unit-range features beyond.
@@ -62,11 +62,11 @@ class SyntheticConfig:
 
     def __post_init__(self):
         for name in ("n_tasks", "n_features", "months", "shared_support_size", "seed"):
-            if not _is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name!r} must be an integer, got {getattr(self, name)!r}")
         for name in ("coefficient_noise", "observation_noise"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if not is_real(value):
                 raise ValueError(f"{name!r} must be a real number, got {value!r}")
         if min(self.n_tasks, self.n_features, self.months, self.shared_support_size) < 1:
             raise ValueError("all counts must be >= 1")
@@ -126,19 +126,15 @@ class SyntheticConfig:
         )
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_count(value) -> bool:
     """A monthly count: an integer, or a (low, high) pair of integers."""
-    return _is_integer(value) or (
-        isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_integer, value))
+    return is_integer(value) or (
+        isinstance(value, (tuple, list)) and len(value) == 2 and all(map(is_integer, value))
     )
 
 
 def _count_bounds(count) -> tuple[int, int]:
-    return (count, count) if _is_integer(count) else tuple(count)
+    return (count, count) if is_integer(count) else tuple(count)
 
 
 def feature_ranges(n_features: int) -> tuple[tuple[str, float, float], ...]:
@@ -157,12 +153,8 @@ def range_stats(n_features: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synthetic_schema(n_features: int) -> FeatureSchema:
-    entries = [FeatureEntry(name, "numeric", "house") for name, _, _ in feature_ranges(n_features)]
-    entries.append(FeatureEntry(COARSE_KEY, "key", "house"))
-    entries.append(FeatureEntry(TASK_KEY, "key", "house"))
-    entries.append(FeatureEntry("DATE", "categorical", "meta"))
-    entries.append(FeatureEntry("PRICE", "numeric", "meta"))
-    return FeatureSchema(tuple(entries))
+    numeric = tuple(name for name, _, _ in feature_ranges(n_features))
+    return FeatureSchema(numeric=numeric, keys=(COARSE_KEY, TASK_KEY))
 
 
 def task_code(p: int) -> str:
@@ -176,7 +168,7 @@ def coarse_code(p: int) -> str:
 def planted_design(dataset: Dataset, n_features: int) -> np.ndarray:
     """Rows in the planted basis: range-standardized numerics plus intercept."""
     names = [name for name, _, _ in feature_ranges(n_features)]
-    columns = [dataset.schema.numeric_names().index(name) for name in names]
+    columns = [dataset.schema.numeric.index(name) for name in names]
     means, stds = range_stats(n_features)
     rows = np.ones((len(dataset), n_features + 1))
     rows[:, :-1] = (dataset.numeric[:, columns] - means) / stds

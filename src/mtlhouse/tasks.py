@@ -9,6 +9,7 @@ dataset's key-column codes, with -1 for a row that no task takes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -68,8 +69,8 @@ class StationDef:
     measure: str = "distance"
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise DefinitionError(f"threshold must be positive, got {self.threshold}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise DefinitionError(f"threshold must be positive and finite, got {self.threshold}")
         if self.measure not in STATION_MEASURE_COLUMNS:
             raise DefinitionError(f"unknown station measure {self.measure!r}")
 
@@ -206,7 +207,7 @@ def _require_columns(dataset: Dataset, definition: TaskDefinition, columns) -> N
 
 
 def _numeric(dataset: Dataset, name: str) -> np.ndarray:
-    return dataset.numeric[:, dataset.schema.numeric_names().index(name)]
+    return dataset.numeric[:, dataset.schema.numeric.index(name)]
 
 
 def _row_keys(dataset: Dataset, definition: TaskDefinition) -> tuple[Sequence[str], np.ndarray]:
@@ -352,6 +353,12 @@ class ParseError(ValueError):
     def __init__(self, text: str, pos: int, message: str):
         super().__init__(f"{message} at position {pos} in {text!r}")
         self.pos = pos
+        self.message = message
+
+
+# What an intersection operand starts with; a facility operand's kind list
+# holds commas too, so the operands split at the comma before one of these.
+OPERAND_STARTS = ("region:", "school:", "station:", "facility:")
 
 
 def parse_definition(text: str) -> TaskDefinition:
@@ -364,21 +371,24 @@ def parse_definition(text: str) -> TaskDefinition:
         rest = stripped[len("intersect"):]
         if not rest.startswith("(") or not rest.endswith(")"):
             raise ParseError(text, offset + len("intersect"), "expected '(...)'")
-        inner = rest[1:-1]
+        start, stop = offset + len("intersect") + 1, offset + len(stripped) - 1
         depth = 0
-        split = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
+        commas = []
+        for i in range(start, stop):
+            if text[i] == "(":
                 depth += 1
-            elif ch == ")":
+            elif text[i] == ")":
                 depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-                break
-        if split < 0:
-            raise ParseError(text, offset + len(stripped) - 1, "expected two operands")
-        a = parse_definition(inner[:split])
-        b = parse_definition(inner[split + 1:])
+            elif text[i] == "," and depth == 0:
+                commas.append(i)
+        if not commas:
+            raise ParseError(text, stop, "expected two operands")
+        split = next(
+            (i for i in commas if text[i + 1 : stop].lstrip().startswith(OPERAND_STARTS)),
+            commas[0],
+        )
+        a = _parse_operand(text, start, split)
+        b = _parse_operand(text, split + 1, stop)
         try:
             return IntersectionDef(a=a, b=b)
         except DefinitionError as exc:
@@ -414,3 +424,11 @@ def parse_definition(text: str) -> TaskDefinition:
             raise
         raise ParseError(text, offset + len(kind) + 1, str(exc)) from None
     raise ParseError(text, offset, f"unknown definition kind {kind!r}")
+
+
+def _parse_operand(text: str, start: int, stop: int) -> TaskDefinition:
+    """Parse ``text[start:stop]``; an error quotes all of ``text``, at a position in it."""
+    try:
+        return parse_definition(text[start:stop])
+    except ParseError as exc:
+        raise ParseError(text, start + exc.pos, exc.message) from None

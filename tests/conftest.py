@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlhouse.data import Dataset, FeatureEntry, FeatureSchema, HouseRecord
+from mtlhouse.data import Dataset, FeatureSchema, HouseRecord
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures" / "synthetic_small"
@@ -15,13 +15,7 @@ def fixture_dir() -> Path:
 
 
 def make_schema(numeric=(), key=()) -> FeatureSchema:
-    entries = [FeatureEntry(name, "numeric", "house") for name in numeric]
-    entries += [FeatureEntry(name, "key", "house") for name in key]
-    entries += [
-        FeatureEntry("DATE", "categorical", "meta"),
-        FeatureEntry("PRICE", "numeric", "meta"),
-    ]
-    return FeatureSchema(tuple(entries))
+    return FeatureSchema(numeric=tuple(numeric), keys=tuple(key))
 
 
 def make_dataset(rows, numeric=(), key=()) -> Dataset:

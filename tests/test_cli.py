@@ -10,7 +10,7 @@ from mtlhouse.data import HouseRecord
 from mtlhouse.reports import load_json
 from mtlhouse.solver import SolverParams
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, REPO_ROOT
 
 
 def synthetic_section(**overrides):
@@ -435,6 +435,51 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError, match="samples_per_task_per_month.*seed"):
             config_from_dict(config)
+
+    @pytest.mark.parametrize(
+        "overrides, where, key, accepted",
+        [
+            ({"K": 5}, "config", "K", "'data', 'task_definitions', 'methods', 'k'"),
+            (
+                {"methods": [{"kind": "ridge", "penatly": [1.0]}]},
+                "method 'ridge'",
+                "penatly",
+                "'label', 'kind', 'solver', 'theta1', 'theta2', 'penalty'",
+            ),
+            (
+                {"data": {"synthetic": synthetic_section(), "n_feature": 3}},
+                "'data' section",
+                "n_feature",
+                "'path', 'schema', 'n_features', 'synthetic'",
+            ),
+            (
+                {"data": {"synthetic": synthetic_section(noise=0.1)}},
+                "'synthetic' section",
+                "noise",
+                "'n_tasks', 'n_features'",
+            ),
+        ],
+        ids=["top_level", "method", "data", "synthetic"],
+    )
+    def test_unknown_keys_rejected(self, overrides, where, key, accepted):
+        config = {
+            "data": {"synthetic": synthetic_section()},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+            **overrides,
+        }
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(config)
+        message = str(excinfo.value)
+        assert message.startswith(f"{where} has unknown key {key!r}; accepted keys are [")
+        assert accepted in message
+
+    def test_readme_config_loads(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        example = readme.split("A config file looks like:", 1)[1]
+        text = example.split("```json", 1)[1].split("```", 1)[0]
+        config = config_from_dict(json.loads(text))
+        assert config.methods and config.definition_texts
 
     def test_data_section_required(self):
         with pytest.raises(ConfigError, match="data"):

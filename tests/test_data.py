@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from mtlhouse import data as data_module
 from mtlhouse.data import (
     DataError,
     Dataset,
-    FeatureEntry,
     HouseRecord,
     FeatureSchema,
     SchemaError,
@@ -22,45 +22,54 @@ from mtlhouse.data import (
     records_equal,
     save_dataset,
 )
+from mtlhouse.design import DesignLayout
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic, synthetic_schema
+from mtlhouse.tasks import RegionDef
 
 from conftest import make_dataset, make_schema
 
 # ln(680540), the log of the median sale price, from a 50-digit reference
 LOG_MEDIAN_PRICE = 13.43064187965476
 
+MELBOURNE_NUMERIC = (
+    "BEDROOMS", "BATHROOMS", "PARKING", "LAND_SIZE", "INCOME",
+    "PRIMARY_RANK", "SECONDARY_RANK",
+    "DIST_STATION", "TIME_STATION", "DIST_CBD", "TIME_CBD", "DRIVE_DIST_CBD", "DRIVE_TIME_CBD",
+    "DIST_SHOP", "DIST_HOSPITAL", "DIST_GP", "DIST_MARKET",
+)
+MELBOURNE_KEYS = (
+    "SA4", "SA3", "SA2", "SA1", "POSTCODE",
+    "PRIMARY_DISTRICT", "SECONDARY_DISTRICT", "PRIMARY_NEAREST", "SECONDARY_NEAREST",
+    "STATION_ID",
+    "SHOP_ID", "HOSPITAL_ID", "GP_ID", "MARKET_ID",
+)
+
 
 class TestSchema:
     def test_melbourne_schema_is_valid(self):
         schema = melbourne_schema()
         assert "PRICE" in schema.names and "DATE" in schema.names
-        assert "LAND_SIZE" in schema.numeric_names()
-        assert "SA3" in schema.key_names()
+        assert "LAND_SIZE" in schema.numeric
+        assert "SA3" in schema.keys
         assert "PRICE" not in schema.feature_names
 
+    def test_melbourne_column_orders_are_pinned(self):
+        # the design layout takes its columns from these orders
+        schema = melbourne_schema()
+        assert schema.numeric == MELBOURNE_NUMERIC
+        assert schema.keys == MELBOURNE_KEYS
+        assert schema.names == MELBOURNE_NUMERIC + MELBOURNE_KEYS + ("DATE", "PRICE")
+
     def test_duplicate_names_rejected(self):
-        entries = (
-            FeatureEntry("A", "numeric", "house"),
-            FeatureEntry("A", "key", "house"),
-            FeatureEntry("DATE", "categorical", "meta"),
-            FeatureEntry("PRICE", "numeric", "meta"),
-        )
         with pytest.raises(SchemaError):
-            FeatureSchema(entries)
+            FeatureSchema(numeric=("A",), keys=("A",))
 
-    @pytest.mark.parametrize("missing", ["PRICE", "DATE"])
-    def test_missing_meta_entry_rejected(self, missing):
-        entries = tuple(
-            FeatureEntry(name, "numeric", "meta")
-            for name in ("PRICE", "DATE")
-            if name != missing
-        )
+    @pytest.mark.parametrize("name", ["PRICE", "DATE"])
+    def test_feature_named_like_a_meta_column_rejected(self, name):
         with pytest.raises(SchemaError):
-            FeatureSchema(entries)
-
-    def test_unknown_kind_rejected(self):
+            FeatureSchema(numeric=(name,), keys=())
         with pytest.raises(SchemaError):
-            FeatureEntry("A", "float", "house")
+            FeatureSchema(numeric=(), keys=(name,))
 
 
 class TestMonths:
@@ -252,6 +261,30 @@ class TestLoadDataset:
         assert "JUNK" not in dataset.records[0].values
 
 
+def test_melbourne_file_with_shuffled_header_loads(tmp_path):
+    header = list(MELBOURNE_NUMERIC + MELBOURNE_KEYS + ("DATE", "PRICE"))
+    rows = [
+        [float(j + i) for j in range(len(MELBOURNE_NUMERIC))]
+        + [f"{name}-{'ab'[i % 2]}" for name in MELBOURNE_KEYS]
+        + [f"2015-0{3 - i}", 100000.0 + i]
+        for i in range(3)
+    ]
+    order = list(range(len(header)))
+    random.Random(5).shuffle(order)
+    path = tmp_path / "melbourne.csv"
+    _write_csv(path, [header[c] for c in order], [[row[c] for c in order] for row in rows])
+    dataset = load_dataset(path, melbourne_schema())
+    assert [r.values["BEDROOMS"] for r in dataset.records] == [2.0, 1.0, 0.0]
+    assert DesignLayout.from_dataset(dataset, RegionDef("SA3")).columns == (
+        MELBOURNE_NUMERIC
+        + tuple(f"{name}={name}-{x}" for name in MELBOURNE_KEYS if name != "SA3" for x in "ab")
+        + ("(intercept)",)
+    )
+    copy = tmp_path / "copy.csv"
+    save_dataset(dataset, copy)
+    assert records_equal(dataset, load_dataset(copy, melbourne_schema()))
+
+
 class TestRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):
         dataset = make_dataset(
@@ -288,7 +321,7 @@ class TestBundledFixture:
         )
         assert len(dataset) == 500
         regenerated, _ = generate_synthetic(config)
-        for name in dataset.schema.numeric_names():
+        for name in dataset.schema.numeric:
             loaded = [r.values[name] for r in dataset.records]
             fresh = [r.values[name] for r in regenerated.records]
             assert min(loaded) == min(fresh)

@@ -142,8 +142,9 @@ class TestGeneration:
 
     def test_schema_shape(self):
         schema = synthetic_schema(5)
-        assert schema.key_names() == ("SA4", "SA3")
-        assert len(schema.numeric_names()) == 5
+        assert schema.keys == ("SA4", "SA3")
+        assert len(schema.numeric) == 5
+        assert schema.names[-4:] == ("SA4", "SA3", "DATE", "PRICE")
 
     def test_range_stats_match_uniform_moments(self):
         means, stds = range_stats(2)

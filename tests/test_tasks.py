@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtlhouse.data import Dataset
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import (
     FACILITY_COLUMNS,
     FACILITY_KINDS,
+    SCHOOL_KINDS,
     STATION_KEY,
     STATION_MEASURE_COLUMNS,
     DefinitionError,
@@ -475,6 +476,30 @@ DEFINITIONS = st.one_of(
 )
 
 
+# every definition the grammar can write: any kind, value and intersection order
+ANY_SINGLE_DEFINITION = st.one_of(
+    st.from_regex(r"[A-Z][A-Z0-9_]*", fullmatch=True).map(RegionDef),
+    st.builds(
+        lambda kind, lo, width: SchoolDef(kind, lo, lo + width),
+        st.sampled_from(SCHOOL_KINDS),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    st.builds(
+        StationDef,
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.sampled_from(sorted(STATION_MEASURE_COLUMNS)),
+    ),
+    st.permutations(FACILITY_KINDS)
+    .flatmap(lambda kinds: st.integers(1, 4).map(lambda n: kinds[:n]))
+    .map(lambda kinds: FacilityDef(len(kinds), tuple(kinds))),
+)
+ANY_DEFINITION = st.one_of(
+    ANY_SINGLE_DEFINITION,
+    st.builds(IntersectionDef, ANY_SINGLE_DEFINITION, ANY_SINGLE_DEFINITION),
+)
+
+
 class TestOraclePartition:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), definition=DEFINITIONS)
@@ -676,3 +701,29 @@ class TestDefinitionGrammar:
             parse_definition(text)
         assert "position" in str(excinfo.value)
         assert excinfo.value.pos >= 0
+
+    @pytest.mark.parametrize("text", ["station:nan", "station:1e400", "station:time:inf"])
+    def test_non_finite_thresholds_rejected(self, text):
+        with pytest.raises(ParseError, match="finite"):
+            parse_definition(text)
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [
+            ("intersect(region:SA3, bogus:1)", 22),
+            ("  intersect(station:0, region:SA3)", 20),
+            ("intersect(facility:2:shop,market, station:nan)", 42),
+        ],
+    )
+    def test_operand_errors_quote_the_whole_text(self, text, pos):
+        with pytest.raises(ParseError) as excinfo:
+            parse_definition(text)
+        assert excinfo.value.pos == pos
+        assert str(excinfo.value).endswith(f"at position {pos} in {text!r}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(definition=ANY_DEFINITION)
+    @example(IntersectionDef(FacilityDef(2, ("shop", "market")), RegionDef("SA3")))
+    @example(IntersectionDef(RegionDef("SA3"), FacilityDef(2, ("shop", "market"))))
+    def test_parse_inverts_format(self, definition):
+        assert parse_definition(format_definition(definition)) == definition
