@@ -57,6 +57,9 @@ METHODS: dict[str, tuple[Optional[str], tuple[str, ...], tuple[str, ...]]] = {
 }
 GRIDS = ("theta1", "theta2", "penalty")
 
+# The protocol predicts the month right after each training window.
+HORIZON = 1
+
 
 @dataclass(frozen=True)
 class Round:
@@ -68,13 +71,12 @@ class Round:
 class RollingPlan:
     rounds: tuple[Round, ...]
     k: int
-    h: int = 1
 
     def __post_init__(self):
         previous_test = None
         for r in self.rounds:
             lo, hi = r.train_window
-            if hi - lo + 1 != self.k or hi + self.h != r.test_month:
+            if hi - lo + 1 != self.k or hi + HORIZON != r.test_month:
                 raise ValueError(f"malformed round {r}")
             if previous_test is not None and r.test_month <= previous_test:
                 raise ValueError("test months must be strictly increasing")
@@ -88,22 +90,20 @@ class RollingPlan:
         return self.rounds[0].train_window[0], self.rounds[-1].train_window[1]
 
 
-def make_rolling_plan(dataset: Dataset, k: int = 3, h: int = 1) -> RollingPlan:
+def make_rolling_plan(dataset: Dataset, k: int) -> RollingPlan:
     """One round per month whose k preceding months lie inside the dataset."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if h != 1:
-        raise ValueError("only a one-month horizon is supported")
     first, last = dataset.month_range
-    if last - first + 1 < k + h:
+    if last - first + 1 < k + HORIZON:
         raise ValueError(
-            f"dataset spans {last - first + 1} months; need at least {k + h}"
+            f"dataset spans {last - first + 1} months; need at least {k + HORIZON}"
         )
     rounds = tuple(
         Round(train_window=(m - k, m - 1), test_month=m)
         for m in range(first + k, last + 1)
     )
-    return RollingPlan(rounds=rounds, k=k, h=h)
+    return RollingPlan(rounds=rounds, k=k)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,20 @@ Subcommands:
     run      --config cfg.json [--out DIR] [--seed N]
     report   RESULTS_DIR [--format csv|json|md] [--out DIR]
 
-``run`` backtests the task definitions serially, in config order. The
-MTLHOUSE_OUT environment variable, the only environment override, replaces
-the configured output directory; ``--out`` overrides both.
+``run`` backtests the task definitions serially, in config order. ``--out``
+replaces the config's ``out_dir``. ``--seed`` replaces the seed of the
+config's synthetic generator; with a file source it is an error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
-from .backtest import make_rolling_plan, run_backtest
-from .config import ConfigError, load_config
+from .backtest import HORIZON, make_rolling_plan, run_backtest
+from .config import ConfigError, ExperimentConfig, load_config
 from .data import save_dataset
 from .reports import (
     definition_result_dict,
@@ -31,52 +30,49 @@ from .reports import (
     write_weights_csv,
     write_wld_csv,
 )
+from .synthetic import SyntheticConfig
 
-ENV_OUT = "MTLHOUSE_OUT"
 
-
-def _resolve_out(flag: Optional[str], config_out: str) -> Path:
-    if flag:
-        return Path(flag)
-    env = os.environ.get(ENV_OUT)
-    if env:
-        return Path(env)
-    return Path(config_out)
+def _load(args) -> ExperimentConfig:
+    """The config named by ``--config``, with ``--seed`` as its generator seed."""
+    config = load_config(args.config)
+    if args.seed is None:
+        return config
+    if not isinstance(config.source, SyntheticConfig):
+        raise ConfigError("--seed replaces the synthetic generator seed; this config reads a file")
+    return replace(config, source=replace(config.source, seed=args.seed))
 
 
 def cmd_generate(args) -> int:
-    config = load_config(args.config).with_seed(args.seed)
-    if config.source.synthetic is None:
+    config = _load(args)
+    if not isinstance(config.source, SyntheticConfig):
         raise ConfigError("generate needs a synthetic data source")
-    out = _resolve_out(args.out, config.out_dir)
+    out = Path(args.out or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset, planted = config.resolve_dataset()
     save_dataset(dataset, out / "dataset.csv")
     write_weights_csv(out / "planted_weights.csv", planted)
-    synth = config.source.synthetic.to_dict()
-    if config.seed is not None:
-        synth["seed"] = config.seed
-    dump_json(out / "config.json", synth)
+    dump_json(out / "config.json", config.source.to_dict())
     print(f"wrote {len(dataset)} records spanning {dataset.n_months} months to {out}")
     return 0
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config).with_seed(args.seed)
-    out = _resolve_out(args.out, config.out_dir)
+    config = _load(args)
+    out = Path(args.out or config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     dataset, _ = config.resolve_dataset()
-    plan = make_rolling_plan(dataset, k=config.k, h=config.h)
+    plan = make_rolling_plan(dataset, config.k)
     definitions = config.definitions()
     benchmark = config.benchmark_label
     method_order = [m.label for m in config.methods]
 
     report: dict = {
         "config": config.raw,
-        "seed": config.effective_seed(),
+        "seed": config.source.seed if isinstance(config.source, SyntheticConfig) else None,
         "k": config.k,
-        "h": config.h,
+        "h": HORIZON,
         "benchmark": benchmark,
         "method_order": method_order,
         "definition_order": [],
@@ -133,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="write a synthetic dataset fixture")
     generate.add_argument("--config", required=True, help="experiment config JSON")
-    generate.add_argument("--out", help="output directory")
-    generate.add_argument("--seed", type=int, help="override the generator seed")
+    generate.add_argument("--out", help="output directory, replacing the config's out_dir")
+    generate.add_argument("--seed", type=int, help="replace the synthetic generator seed")
     generate.set_defaults(func=cmd_generate)
 
     run = sub.add_parser("run", help="run the rolling backtest described by a config")
     run.add_argument("--config", required=True, help="experiment config JSON")
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--seed", type=int, help="override the generator seed")
+    run.add_argument("--out", help="output directory, replacing the config's out_dir")
+    run.add_argument("--seed", type=int, help="replace the synthetic generator seed")
     run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="render stored results")

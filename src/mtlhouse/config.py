@@ -8,7 +8,7 @@ Task definitions use the compact grammar of :mod:`mtlhouse.tasks`
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,7 +25,7 @@ class ConfigError(ValueError):
     """The experiment configuration file is invalid."""
 
 
-TOP_LEVEL_KEYS = ("data", "task_definitions", "methods", "k", "h", "benchmark", "out_dir", "seed")
+TOP_LEVEL_KEYS = ("data", "task_definitions", "methods", "k", "benchmark", "out_dir")
 DATA_KEYS = ("path", "schema", "n_features", "synthetic")
 METHOD_KEYS = ("label", "kind", "solver") + GRIDS
 
@@ -41,27 +41,32 @@ def _section(raw, where: str, accepted) -> dict:
     return raw
 
 
+def _require_integer(name: str, value) -> None:
+    if not is_integer(value):
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
-class DataSource:
-    path: Optional[str] = None
+class FileSource:
+    """A data file read with the melbourne schema, or the synthetic one of n_features."""
+
+    path: str
     schema: str = "melbourne"  # melbourne | synthetic
     n_features: Optional[int] = None
-    synthetic: Optional[SyntheticConfig] = None
 
     def __post_init__(self):
-        if (self.path is None) == (self.synthetic is None):
-            raise ConfigError("data source needs exactly one of 'path' or 'synthetic'")
-        if self.path is not None:
-            if self.schema not in ("melbourne", "synthetic"):
-                raise ConfigError(f"unknown schema {self.schema!r}")
-            if self.schema == "synthetic" and self.n_features is None:
-                raise ConfigError("schema 'synthetic' needs n_features")
-            if self.n_features is not None and self.n_features < 1:
+        if self.schema not in ("melbourne", "synthetic"):
+            raise ConfigError(f"'schema' must be 'melbourne' or 'synthetic', got {self.schema!r}")
+        if (self.schema == "synthetic") != (self.n_features is not None):
+            raise ConfigError(
+                "'n_features' is required with schema 'synthetic' and allowed only there"
+            )
+        if self.n_features is not None:
+            _require_integer("n_features", self.n_features)
+            if self.n_features < 1:
                 raise ConfigError(f"'n_features' must be >= 1, got {self.n_features}")
 
-    def resolve_schema(self) -> FeatureSchema:
-        if self.synthetic is not None:
-            return synthetic_schema(self.synthetic.n_features)
+    def feature_schema(self) -> FeatureSchema:
         if self.schema == "synthetic":
             return synthetic_schema(self.n_features)
         return melbourne_schema()
@@ -69,14 +74,12 @@ class DataSource:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: DataSource
+    source: Union[FileSource, SyntheticConfig]
     definition_texts: tuple[str, ...]
     methods: tuple[MethodSpec, ...]
     k: int = 3
-    h: int = 1
     benchmark: Optional[str] = None
     out_dir: str = "results"
-    seed: Optional[int] = None
     raw: Optional[dict] = None  # the dict this config was loaded from
 
     def __post_init__(self):
@@ -84,10 +87,9 @@ class ExperimentConfig:
             raise ConfigError("need at least one task definition")
         if not self.methods:
             raise ConfigError("need at least one method")
+        _require_integer("k", self.k)
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.h != 1:
-            raise ConfigError("only a one-month horizon (h = 1) is supported")
         labels = [m.label for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate method labels in {labels}")
@@ -103,27 +105,11 @@ class ExperimentConfig:
     def definitions(self) -> tuple[TaskDefinition, ...]:
         return tuple(parse_definition(t) for t in self.definition_texts)
 
-    def with_seed(self, seed: Optional[int]) -> "ExperimentConfig":
-        if seed is None:
-            return self
-        return replace(self, seed=seed)
-
-    def effective_seed(self) -> Optional[int]:
-        if self.seed is not None:
-            return self.seed
-        if self.source.synthetic is not None:
-            return self.source.synthetic.seed
-        return None
-
     def resolve_dataset(self) -> tuple[Dataset, Optional[WeightMatrix]]:
         """Load the file source or generate the synthetic source."""
-        if self.source.synthetic is not None:
-            synth = self.source.synthetic
-            if self.seed is not None and self.seed != synth.seed:
-                synth = replace(synth, seed=self.seed)
-            return generate_synthetic(synth)
-        dataset = load_dataset(self.source.path, self.source.resolve_schema())
-        return dataset, None
+        if isinstance(self.source, SyntheticConfig):
+            return generate_synthetic(self.source)
+        return load_dataset(self.source.path, self.source.feature_schema()), None
 
 
 def _method_from_dict(raw: dict) -> MethodSpec:
@@ -155,49 +141,37 @@ def _method_from_dict(raw: dict) -> MethodSpec:
         raise ConfigError(f"method {label!r}: {exc}") from None
 
 
-def _integer(raw: dict, name: str, default: Optional[int]) -> Optional[int]:
-    """``raw[name]``, which must be an integer and not a bool; ``default`` if absent or null."""
-    value = raw.get(name)
-    if value is None:
-        return default
-    if not is_integer(value):
-        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
-    return value
+def _source_from_dict(data: dict) -> Union[FileSource, SyntheticConfig]:
+    """``{"synthetic": {...}}`` alone, or a file's ``path``, ``schema`` and ``n_features``."""
+    if "synthetic" not in data:
+        if "path" not in data:
+            raise ConfigError("'data' section needs 'path' or 'synthetic'")
+        return FileSource(**data)
+    for key in data:
+        if key != "synthetic":
+            raise ConfigError(f"'data' section: {key!r} is not allowed next to 'synthetic'")
+    required = [f.name for f in fields(SyntheticConfig)]
+    section = _section(data["synthetic"], "'synthetic' section", required)
+    missing = [name for name in required if name not in section]
+    if missing:
+        raise ConfigError(f"'synthetic' section is missing keys {missing}")
+    try:
+        return SyntheticConfig.from_dict(section)
+    except ValueError as exc:
+        raise ConfigError(f"'synthetic' section: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     _section(raw, "config", TOP_LEVEL_KEYS)
     if "data" not in raw:
         raise ConfigError("config is missing the 'data' section")
-    data = _section(raw["data"], "'data' section", DATA_KEYS)
-    synthetic = None
-    if "synthetic" in data:
-        required = [f.name for f in fields(SyntheticConfig)]
-        section = _section(data["synthetic"], "'synthetic' section", required)
-        missing = [name for name in required if name not in section]
-        if missing:
-            raise ConfigError(f"'synthetic' section is missing keys {missing}")
-        try:
-            synthetic = SyntheticConfig.from_dict(section)
-        except ValueError as exc:
-            raise ConfigError(f"'synthetic' section: {exc}") from None
-    source = DataSource(
-        path=data.get("path"),
-        schema=data.get("schema", "melbourne"),
-        n_features=_integer(data, "n_features", None),
-        synthetic=synthetic,
-    )
-    methods = tuple(_method_from_dict(m) for m in raw.get("methods", []))
+    settings = {key: raw[key] for key in ("k", "benchmark", "out_dir") if key in raw}
     return ExperimentConfig(
-        source=source,
+        source=_source_from_dict(_section(raw["data"], "'data' section", DATA_KEYS)),
         definition_texts=tuple(raw.get("task_definitions", ())),
-        methods=methods,
-        k=_integer(raw, "k", 3),
-        h=_integer(raw, "h", 1),
-        benchmark=raw.get("benchmark"),
-        out_dir=raw.get("out_dir", "results"),
-        seed=_integer(raw, "seed", None),
+        methods=tuple(_method_from_dict(m) for m in raw.get("methods", [])),
         raw=raw,
+        **settings,
     )
 
 

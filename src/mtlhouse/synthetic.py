@@ -74,8 +74,15 @@ class SyntheticConfig:
             raise ValueError("shared_support_size cannot exceed n_features")
         if self.coefficient_noise < 0 or self.observation_noise < 0:
             raise ValueError("noise parameters must be nonnegative")
+        spec = self.samples_per_task_per_month
         for lo, hi in self.monthly_count_bounds():
             if lo < 0 or hi < max(lo, 1):
+                if _is_count(spec) and not is_integer(spec):  # one pair for every task
+                    raise ValueError(
+                        f"'samples_per_task_per_month' {list(spec)}: a two-integer list is one"
+                        " [low, high] range for every task and needs 0 <= low <= high, high >= 1;"
+                        f" per-task counts for two tasks are written [[{lo}, {lo}], [{hi}, {hi}]]"
+                    )
                 raise ValueError(f"bad monthly sample bounds ({lo}, {hi})")
 
     def monthly_count_bounds(self) -> tuple[tuple[int, int], ...]:

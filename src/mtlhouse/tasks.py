@@ -45,6 +45,15 @@ class RegionDef:
 
     level: str
 
+    def __post_init__(self):
+        # the grammar writes the level as is, so it must read back unchanged
+        level = self.level
+        if not level or level != level.strip() or any(c in level for c in ":,()"):
+            raise DefinitionError(
+                f"region level {level!r} must be non-empty, must not start or end with"
+                " whitespace and must not contain ':', ',', '(' or ')'"
+            )
+
 
 @dataclass(frozen=True)
 class SchoolDef:
@@ -57,6 +66,8 @@ class SchoolDef:
     def __post_init__(self):
         if self.school_kind not in SCHOOL_KINDS:
             raise DefinitionError(f"unknown school kind {self.school_kind!r}")
+        if self.rank_lo < 0:
+            raise DefinitionError(f"rank_lo must be >= 0, got {self.rank_lo}")
         if self.rank_lo > self.rank_hi:
             raise DefinitionError(f"rank_lo {self.rank_lo} > rank_hi {self.rank_hi}")
 

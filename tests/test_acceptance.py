@@ -231,7 +231,7 @@ def protocol_dataset():
 def test_07_protocol_shape_and_no_leakage():
     started = time.perf_counter()
     dataset = protocol_dataset()
-    plan = make_rolling_plan(dataset, k=3, h=1)
+    plan = make_rolling_plan(dataset, k=3)
     methods = [
         MethodSpec(label="mtl_l21", kind="mtl_l21", theta1=(1.0,)),
         MethodSpec(label="ols", kind="ols"),
@@ -351,7 +351,6 @@ def test_10_end_to_end_determinism(tmp_path):
         ],
         "k": 3,
         "benchmark": "mtl_l21",
-        "seed": 303,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -38,7 +38,7 @@ class TestRollingPlan:
             seed=1,
         )
         dataset, _ = generate_synthetic(config)
-        plan = make_rolling_plan(dataset, k=3, h=1)
+        plan = make_rolling_plan(dataset, k=3)
         assert len(plan) == 36
 
     def test_minimal_span(self):
@@ -54,10 +54,6 @@ class TestRollingPlan:
     def test_short_span_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             make_rolling_plan(span_dataset(3), k=3)
-
-    def test_multi_month_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            make_rolling_plan(span_dataset(12), k=3, h=2)
 
     def test_plan_invariants_enforced(self):
         with pytest.raises(ValueError):

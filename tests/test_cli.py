@@ -6,7 +6,7 @@ import pytest
 
 from mtlhouse.cli import main
 from mtlhouse.config import ConfigError, config_from_dict, load_config
-from mtlhouse.data import HouseRecord
+from mtlhouse.data import HouseRecord, melbourne_schema
 from mtlhouse.reports import load_json
 from mtlhouse.solver import SolverParams
 
@@ -211,11 +211,56 @@ class TestRun:
         assert "station:4000" in report["errors"]
         assert report["definition_order"] == ["region:SA3"]
 
-    def test_out_env_override(self, tmp_path, monkeypatch):
+    def test_out_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
         monkeypatch.setenv("MTLHOUSE_OUT", str(tmp_path / "env_out"))
         assert main(["run", "--config", str(config)]) == 0
-        assert (tmp_path / "env_out" / "report.json").exists()
+        assert (tmp_path / "results" / "report.json").exists()
+        assert not (tmp_path / "env_out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_seed_flag_with_a_file_source_is_an_error(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path,
+            data={"path": str(FIXTURE_DIR / "dataset.csv"), "schema": "synthetic", "n_features": 10},
+        )
+        assert main([command, "--config", str(config), "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "data, flags, seed",
+        [
+            ({"synthetic": synthetic_section()}, [], 99),
+            ({"synthetic": synthetic_section()}, ["--seed", "7"], 7),
+            (
+                {"path": str(FIXTURE_DIR / "dataset.csv"), "schema": "synthetic", "n_features": 10},
+                [],
+                None,
+            ),
+        ],
+        ids=["synthetic", "seed_flag", "file"],
+    )
+    def test_report_top_level_layout(self, tmp_path, data, flags, seed):
+        config = write_config(tmp_path, data=data)
+        assert main(["run", "--config", str(config), *flags]) == 0
+        report = load_json(tmp_path / "results" / "report.json")
+        assert sorted(report) == [
+            "benchmark",
+            "config",
+            "definition_order",
+            "definitions",
+            "errors",
+            "h",
+            "k",
+            "method_order",
+            "partial",
+            "seed",
+        ]
+        assert report["h"] == 1
+        assert report["k"] == 3
+        assert report["seed"] == seed
+        assert report["config"] == json.loads(config.read_text())
 
 
 class TestReport:
@@ -348,7 +393,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict(config)
 
-    @pytest.mark.parametrize("key", ["k", "h", "seed"])
+    @pytest.mark.parametrize("key", ["k"])
     def test_non_integer_settings_name_the_key(self, key):
         config = {
             "data": {"synthetic": synthetic_section()},
@@ -416,6 +461,67 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError, match=f"'synthetic' section: '{key}' must be"):
             config_from_dict(config)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"h": 1}, "config has unknown key 'h'"),
+            ({"seed": 99}, "config has unknown key 'seed'"),
+            (
+                {"data": {"synthetic": synthetic_section(), "schema": "bogus"}},
+                "'schema' is not allowed next to 'synthetic'",
+            ),
+            (
+                {"data": {"synthetic": synthetic_section(), "n_features": 3}},
+                "'n_features' is not allowed next to 'synthetic'",
+            ),
+            (
+                {"data": {"path": "houses.csv", "schema": "melbourne", "n_features": 3}},
+                "'n_features' is required with schema 'synthetic' and allowed only there",
+            ),
+            (
+                {"data": {"path": "houses.csv", "n_features": 3}},
+                "'n_features' is required with schema 'synthetic' and allowed only there",
+            ),
+            (
+                {"data": {"path": "houses.csv", "schema": "synthetic"}},
+                "'n_features' is required with schema 'synthetic' and allowed only there",
+            ),
+            ({"data": {"path": "houses.csv", "schema": "bogus"}}, "'schema' must be"),
+            ({"data": {"schema": "melbourne"}}, "'data' section needs 'path' or 'synthetic'"),
+        ],
+        ids=[
+            "h",
+            "seed",
+            "schema_next_to_synthetic",
+            "n_features_next_to_synthetic",
+            "n_features_with_melbourne",
+            "n_features_with_default_schema",
+            "synthetic_schema_without_n_features",
+            "unknown_schema",
+            "no_source",
+        ],
+    )
+    def test_settings_that_change_nothing_are_rejected(self, overrides, message):
+        config = {
+            "data": {"synthetic": synthetic_section()},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+            **overrides,
+        }
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(config)
+
+    def test_file_source_defaults_to_the_melbourne_schema(self):
+        config = config_from_dict(
+            {
+                "data": {"path": "houses.csv"},
+                "task_definitions": ["region:SA3"],
+                "methods": [{"kind": "ols"}],
+            }
+        )
+        assert config.source.feature_schema() == melbourne_schema()
+        assert (config.k, config.out_dir, config.benchmark_label) == (3, "results", "ols")
 
     @pytest.mark.parametrize("value", [2.5, True, "10", 0])
     def test_file_source_n_features_must_be_a_positive_integer(self, value):

@@ -55,6 +55,19 @@ class TestConfig:
         per_task = small_config(samples_per_task_per_month=(1, (2, 4), 3, 9))
         assert per_task.monthly_count_bounds() == ((1, 1), (2, 4), (3, 3), (9, 9))
 
+    def test_two_integers_are_one_range_for_every_task(self):
+        ranged = small_config(n_tasks=2, samples_per_task_per_month=(3, 5))
+        assert ranged.monthly_count_bounds() == ((3, 5), (3, 5))
+        with pytest.raises(ValueError) as excinfo:
+            small_config(n_tasks=2, samples_per_task_per_month=(5, 3))
+        assert str(excinfo.value) == (
+            "'samples_per_task_per_month' [5, 3]: a two-integer list is one [low, high] range"
+            " for every task and needs 0 <= low <= high, high >= 1; per-task counts for two"
+            " tasks are written [[5, 5], [3, 3]]"
+        )
+        per_task = small_config(n_tasks=2, samples_per_task_per_month=((5, 5), (3, 3)))
+        assert per_task.monthly_count_bounds() == ((5, 5), (3, 3))
+
     def test_dict_round_trip(self):
         for config in (
             small_config(),

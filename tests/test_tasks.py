@@ -476,9 +476,14 @@ DEFINITIONS = st.one_of(
 )
 
 
+def writable_level(level: str) -> bool:
+    return bool(level) and level == level.strip() and not set(level) & set(":,()")
+
+
 # every definition the grammar can write: any kind, value and intersection order
 ANY_SINGLE_DEFINITION = st.one_of(
     st.from_regex(r"[A-Z][A-Z0-9_]*", fullmatch=True).map(RegionDef),
+    st.text(min_size=1).filter(writable_level).map(RegionDef),
     st.builds(
         lambda kind, lo, width: SchoolDef(kind, lo, lo + width),
         st.sampled_from(SCHOOL_KINDS),
@@ -497,6 +502,24 @@ ANY_SINGLE_DEFINITION = st.one_of(
 ANY_DEFINITION = st.one_of(
     ANY_SINGLE_DEFINITION,
     st.builds(IntersectionDef, ANY_SINGLE_DEFINITION, ANY_SINGLE_DEFINITION),
+)
+# (constructor, arguments) of values the grammar cannot write back unchanged:
+# region levels that are empty, padded, or hold a character of the grammar,
+# and negative school ranks
+WHITESPACE = st.sampled_from(" \t\n\u00a0")
+UNWRITABLE_DEFINITION = st.one_of(
+    st.one_of(
+        st.just(""),
+        st.builds(lambda a, c, b: a + c + b, st.text(), st.sampled_from(":,()"), st.text()),
+        st.builds(lambda w, a: w + a, WHITESPACE, st.text()),
+        st.builds(lambda a, w: a + w, st.text(), WHITESPACE),
+    ).map(lambda level: (RegionDef, (level,))),
+    st.builds(
+        lambda kind, lo, width: (SchoolDef, (kind, lo, lo + width)),
+        st.sampled_from(SCHOOL_KINDS),
+        st.integers(max_value=-1),
+        st.integers(0, 10**6),
+    ),
 )
 
 
@@ -722,8 +745,17 @@ class TestDefinitionGrammar:
         assert str(excinfo.value).endswith(f"at position {pos} in {text!r}")
 
     @settings(max_examples=300, deadline=None)
-    @given(definition=ANY_DEFINITION)
-    @example(IntersectionDef(FacilityDef(2, ("shop", "market")), RegionDef("SA3")))
-    @example(IntersectionDef(RegionDef("SA3"), FacilityDef(2, ("shop", "market"))))
-    def test_parse_inverts_format(self, definition):
+    @given(definition=ANY_DEFINITION, unwritable=UNWRITABLE_DEFINITION)
+    @example(
+        IntersectionDef(FacilityDef(2, ("shop", "market")), RegionDef("SA3")),
+        (SchoolDef, ("primary", -5, 3)),
+    )
+    @example(
+        IntersectionDef(RegionDef("SA3"), FacilityDef(2, ("shop", "market"))),
+        (RegionDef, ("SA3 ",)),
+    )
+    def test_parse_inverts_format(self, definition, unwritable):
         assert parse_definition(format_definition(definition)) == definition
+        make, args = unwritable
+        with pytest.raises(DefinitionError):
+            make(*args)
