@@ -14,7 +14,6 @@ from .data import (
     FeatureSchema,
     HouseRecord,
     load_dataset,
-    log_target,
     melbourne_schema,
     save_dataset,
 )
@@ -52,7 +51,6 @@ from .tasks import (
     StationDef,
     TaskSet,
     define_tasks,
-    filter_min_samples,
     format_definition,
     parse_definition,
     quartile_groups,

@@ -46,6 +46,11 @@ def _require_integer(name: str, value) -> None:
         raise ConfigError(f"{name!r} must be an integer, got {value!r}")
 
 
+def _require_string(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name!r} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FileSource:
     """A data file read with the melbourne schema, or the synthetic one of n_features."""
@@ -55,6 +60,7 @@ class FileSource:
     n_features: Optional[int] = None
 
     def __post_init__(self):
+        _require_string("path", self.path)
         if self.schema not in ("melbourne", "synthetic"):
             raise ConfigError(f"'schema' must be 'melbourne' or 'synthetic', got {self.schema!r}")
         if (self.schema == "synthetic") != (self.n_features is not None):
@@ -88,6 +94,7 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("need at least one method")
         _require_integer("k", self.k)
+        _require_string("out_dir", self.out_dir)
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         labels = [m.label for m in self.methods]
@@ -116,7 +123,9 @@ def _method_from_dict(raw: dict) -> MethodSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError(f"method entry {raw} is missing 'kind'")
     kind = raw["kind"]
+    _require_string("kind", kind)
     label = raw.get("label", kind)
+    _require_string("label", label)
     _section(raw, f"method {label!r}", METHOD_KEYS)
     solver_raw = _section(
         raw.get("solver", {}), f"method {label!r}: 'solver'", [f.name for f in fields(SolverParams)]
@@ -165,11 +174,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     _section(raw, "config", TOP_LEVEL_KEYS)
     if "data" not in raw:
         raise ConfigError("config is missing the 'data' section")
+    texts = raw.get("task_definitions", [])
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+        raise ConfigError(f"'task_definitions' must be a list of strings, got {texts!r}")
+    methods = raw.get("methods", [])
+    if not isinstance(methods, list):
+        raise ConfigError(f"'methods' must be a list of method entries, got {methods!r}")
     settings = {key: raw[key] for key in ("k", "benchmark", "out_dir") if key in raw}
     return ExperimentConfig(
         source=_source_from_dict(_section(raw["data"], "'data' section", DATA_KEYS)),
-        definition_texts=tuple(raw.get("task_definitions", ())),
-        methods=tuple(_method_from_dict(m) for m in raw.get("methods", [])),
+        definition_texts=tuple(texts),
+        methods=tuple(_method_from_dict(m) for m in methods),
         raw=raw,
         **settings,
     )

@@ -289,21 +289,6 @@ def define_tasks(dataset: Dataset, definition: TaskDefinition) -> TaskSet:
     return TaskSet(definition, tuple(task_ids), code_of[keys], dataset.months)
 
 
-def filter_min_samples(taskset: TaskSet, window: tuple[int, int], min_count: int) -> TaskSet:
-    """Drop tasks with fewer than ``min_count`` rows inside ``window``; their rows
-    become unassigned."""
-    if min_count < 0:
-        raise ValueError("min_count must be >= 0")
-    kept = taskset.rows_in(window)[1] >= min_count
-    code_of = np.append(np.where(kept, np.cumsum(kept) - 1, -1), -1)  # the last entry: code -1
-    return TaskSet(
-        definition=taskset.definition,
-        tasks=tuple(t for t, keep in zip(taskset.tasks, kept) if keep),
-        codes=code_of[taskset.codes],
-        months=taskset.months,
-    )
-
-
 def nearest_rank_quartiles(counts: list[int]) -> tuple[int, int, int]:
     """25/50/75th percentiles of ``counts`` by the nearest-rank method."""
     ordered = sorted(counts)

@@ -28,6 +28,18 @@ def synthetic_section(**overrides):
     return base
 
 
+# config overrides whose values have the wrong type, and the error that names the key
+WRONG_TYPES = [
+    ({"out_dir": 5}, "'out_dir' must be a string, got 5"),
+    ({"task_definitions": "region:SA3"}, "'task_definitions' must be a list of strings"),
+    ({"task_definitions": [3]}, "'task_definitions' must be a list of strings"),
+    ({"methods": {"kind": "ols"}}, "'methods' must be a list"),
+    ({"methods": [{"kind": ["ols"]}]}, r"'kind' must be a string, got \['ols'\]"),
+    ({"methods": [{"kind": "ols", "label": 5}]}, "'label' must be a string, got 5"),
+    ({"data": {"path": 5}}, "'path' must be a string, got 5"),
+]
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "data": {"synthetic": synthetic_section()},
@@ -152,10 +164,10 @@ class TestRun:
 
     @pytest.mark.parametrize("source", ["file", "synthetic"])
     def test_run_never_builds_the_row_view(self, tmp_path, monkeypatch, source):
-        def refuse(record):
+        def refuse(record, *args, **kwargs):
             raise AssertionError("a run built a HouseRecord")
 
-        monkeypatch.setattr(HouseRecord, "__post_init__", refuse)
+        monkeypatch.setattr(HouseRecord, "__init__", refuse)
         overrides = {}
         if source == "file":
             overrides["data"] = {
@@ -381,6 +393,7 @@ class TestConfigValidation:
             {"methods": [{"kind": "mtl_lasso", "theta1": [1.0], "theta2": [5.0]}]},
             {"methods": [{"kind": "mtl_lasso", "theta1": [1.0], "penalty": [2.0]}]},
             {"methods": [{"kind": "ridge", "theta1": [1.0]}]},
+            *(overrides for overrides, _ in WRONG_TYPES),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -391,6 +404,17 @@ class TestConfigValidation:
         }
         config.update(overrides)
         with pytest.raises(ConfigError):
+            config_from_dict(config)
+
+    @pytest.mark.parametrize("overrides, message", WRONG_TYPES)
+    def test_wrong_types_name_the_key(self, overrides, message):
+        config = {
+            "data": {"synthetic": synthetic_section()},
+            "task_definitions": ["region:SA3"],
+            "methods": [{"kind": "ols"}],
+            **overrides,
+        }
+        with pytest.raises(ConfigError, match=message):
             config_from_dict(config)
 
     @pytest.mark.parametrize("key", ["k"])

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import math
@@ -9,17 +10,16 @@ from hypothesis import given, strategies as st
 
 from mtlhouse import data as data_module
 from mtlhouse.data import (
+    META_COLUMNS,
     DataError,
     Dataset,
     HouseRecord,
     FeatureSchema,
     SchemaError,
     load_dataset,
-    log_target,
     melbourne_schema,
     month_index,
     month_text,
-    records_equal,
     save_dataset,
 )
 from mtlhouse.design import DesignLayout
@@ -84,34 +84,47 @@ class TestMonths:
             month_index(bad)
 
 
-class TestLogTarget:
+def log_prices(*prices):
+    return make_dataset([{"month": 0, "price": p} for p in prices]).log_prices
+
+
+class TestLogPrices:
     def test_log_identities(self):
-        assert log_target(1.0) == 0.0
-        assert log_target(math.e) == 1.0
+        assert log_prices(1.0, math.e).tolist() == [0.0, 1.0]
 
     def test_median_price_matches_reference(self):
-        assert log_target(680540) == pytest.approx(LOG_MEDIAN_PRICE, abs=1e-12)
-        assert round(log_target(680540), 2) == 13.43
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -680540])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(ValueError):
-            log_target(bad)
+        (log_median,) = log_prices(680540)
+        assert log_median == pytest.approx(LOG_MEDIAN_PRICE, abs=1e-12)
+        assert round(log_median, 2) == 13.43
 
     @given(
         a=st.floats(min_value=1e-6, max_value=1e9),
         b=st.floats(min_value=1e-6, max_value=1e9),
     )
     def test_multiplicative(self, a, b):
-        assert log_target(a * b) == pytest.approx(log_target(a) + log_target(b), abs=1e-12)
+        log_a, log_b, log_ab = log_prices(a, b, a * b)
+        assert log_ab == pytest.approx(log_a + log_b, abs=1e-12)
 
     @given(
         a=st.floats(min_value=1e-6, max_value=1e12),
         b=st.floats(min_value=1e-6, max_value=1e12),
     )
     def test_strictly_increasing(self, a, b):
+        log_a, log_b = log_prices(a, b)
         if a < b:
-            assert log_target(a) < log_target(b)
+            assert log_a < log_b
+
+
+def assert_same_columns(a, b):
+    """``a`` and ``b`` hold the same schema, rows, codes and inventories, bit for bit."""
+    assert a.schema == b.schema
+    for name in ("months", "prices", "numeric", "log_prices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.inventories == b.inventories
+    assert a.codes.keys() == b.codes.keys()
+    for name, code in a.codes.items():
+        assert code.dtype == b.codes[name].dtype and code.tobytes() == b.codes[name].tobytes()
 
 
 def _write_csv(path, header, rows):
@@ -245,7 +258,7 @@ class TestLoadDataset:
         assert list(whole.months) == sorted(whole.months)
         for chunk_rows in (1, 3, 7):
             chunked, messages = load(chunk_rows)
-            assert records_equal(chunked, whole)
+            assert_same_columns(chunked, whole)
             assert messages == whole_messages
             assert chunked.inventories == whole.inventories
 
@@ -282,7 +295,7 @@ def test_melbourne_file_with_shuffled_header_loads(tmp_path):
     )
     copy = tmp_path / "copy.csv"
     save_dataset(dataset, copy)
-    assert records_equal(dataset, load_dataset(copy, melbourne_schema()))
+    assert_same_columns(dataset, load_dataset(copy, melbourne_schema()))
 
 
 class TestRoundTrip:
@@ -298,7 +311,7 @@ class TestRoundTrip:
         path = tmp_path / "roundtrip.csv"
         save_dataset(dataset, path)
         reloaded = load_dataset(path, dataset.schema)
-        assert records_equal(dataset, reloaded)
+        assert_same_columns(dataset, reloaded)
 
     def test_bundled_fixture_round_trips(self, tmp_path, fixture_dir):
         config = SyntheticConfig.from_dict(
@@ -308,7 +321,37 @@ class TestRoundTrip:
         dataset = load_dataset(fixture_dir / "dataset.csv", schema)
         out = tmp_path / "copy.csv"
         save_dataset(dataset, out)
-        assert records_equal(dataset, load_dataset(out, schema))
+        assert_same_columns(dataset, load_dataset(out, schema))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 60])
+    def test_make_dataset_matches_the_loader(self, tmp_path, n_rows):
+        # the tests' datasets are the ones a run would load from the same rows
+        rng = random.Random(n_rows)
+        first = month_index("2015-01")
+        rows = [
+            {
+                "month": first + rng.randrange(6),
+                "SIZE": rng.uniform(-1e3, 1e3),
+                "ROOMS": float(rng.randrange(5)),
+                "REGION": rng.choice(["C", "A", "B", "10", "9"]),
+                "STATION": rng.choice(["s2", "s1"]),
+                "price": rng.lognormvariate(13, 1),
+            }
+            for _ in range(n_rows)
+        ]
+        numeric, key = ("SIZE", "ROOMS"), ("REGION", "STATION")
+        path = tmp_path / "rows.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(numeric + key + META_COLUMNS)
+            for row in rows:
+                writer.writerow(
+                    [repr(row[name]) for name in numeric]
+                    + [row[name] for name in key]
+                    + [month_text(row["month"]), repr(row["price"])]
+                )
+        loaded = load_dataset(path, make_schema(numeric=numeric, key=key))
+        assert_same_columns(make_dataset(rows, numeric=numeric, key=key), loaded)
 
 
 class TestBundledFixture:
@@ -335,49 +378,37 @@ class TestBundledFixture:
             fixture_dir / "dataset.csv", synthetic_schema(config.n_features)
         )
         regenerated, _ = generate_synthetic(config)
-        assert records_equal(dataset, regenerated)
+        assert_same_columns(dataset, regenerated)
 
 
 class TestDatasetInvariants:
-    def test_unsorted_records_rejected(self):
-        schema = make_dataset([], numeric=("SIZE",)).schema
-        from mtlhouse.data import HouseRecord
-
-        records = (
-            HouseRecord(sale_month=5, values={"SIZE": 1.0}, price=10.0),
-            HouseRecord(sale_month=4, values={"SIZE": 1.0}, price=10.0),
+    def columns(self, **overrides):
+        """The columns of a valid two-row dataset, with ``overrides`` in their place."""
+        good = make_dataset(
+            [{"month": 4, "SIZE": 1.0, "REGION": "A"}, {"month": 5, "SIZE": 2.0, "REGION": "B"}],
+            numeric=("SIZE",),
+            key=("REGION",),
         )
+        names = ("schema", "months", "prices", "numeric", "codes", "inventories")
+        return {**{name: getattr(good, name) for name in names}, **overrides}
+
+    def test_unsorted_records_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            Dataset.from_records(schema, records)
+            Dataset(**self.columns(months=np.array([5, 4])))
 
-    def test_missing_feature_rejected(self):
-        schema = make_dataset([], numeric=("SIZE", "OTHER")).schema
-        from mtlhouse.data import HouseRecord
+    def test_missing_key_code_rejected(self):
+        with pytest.raises(ValueError, match="need codes and an inventory"):
+            Dataset(**self.columns(codes={}))
 
-        records = (HouseRecord(sale_month=5, values={"SIZE": 1.0}, price=10.0),)
-        with pytest.raises(ValueError, match="OTHER"):
-            Dataset.from_records(schema, records)
-
-    def test_nonpositive_price_rejected(self):
-        from mtlhouse.data import HouseRecord
-
-        with pytest.raises(ValueError):
-            HouseRecord(sale_month=0, values={}, price=0.0)
+    @pytest.mark.parametrize("price", [0.0, -1.0, -680540.0])
+    def test_nonpositive_price_rejected(self, price):
+        with pytest.raises(ValueError, match="positive"):
+            Dataset(**self.columns(prices=np.array([10.0, price])))
 
     @pytest.mark.parametrize("price", [math.inf, math.nan])
     def test_non_finite_price_rejected(self, price):
         with pytest.raises(ValueError, match="finite"):
-            HouseRecord(sale_month=0, values={}, price=price)
-        good = make_dataset([{"month": 0, "SIZE": 1.0}], numeric=("SIZE",))
-        with pytest.raises(ValueError, match="finite"):
-            Dataset(
-                schema=good.schema,
-                months=good.months,
-                prices=np.array([price]),
-                numeric=good.numeric,
-                codes=good.codes,
-                inventories=good.inventories,
-            )
+            Dataset(**self.columns(prices=np.array([price, 10.0])))
 
     def test_stable_sort_and_row_view(self, tmp_path):
         path = tmp_path / "order.csv"

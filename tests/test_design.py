@@ -5,7 +5,6 @@ import pytest
 
 from mtlhouse.backtest import MethodSpec, _test_rows_by_task, make_rolling_plan
 from mtlhouse.baselines import fit_stl
-from mtlhouse.data import log_target
 from mtlhouse.design import (
     DesignLayout,
     Standardizer,
@@ -221,7 +220,7 @@ def oracle_task_data(dataset, taskset, window, layout):
     xs, ys, offset = [], [], 0
     for _, rows in kept:
         xs.append(encoded[offset : offset + len(rows)])
-        ys.append(np.array([log_target(dataset.records[i].price) for i in rows]))
+        ys.append(np.array([math.log(dataset.records[i].price) for i in rows]))
         offset += len(rows)
     return [t for t, _ in kept], xs, ys
 
@@ -276,7 +275,7 @@ class TestColumnarEncodingOracle:
                 if rows and task_id in data.task_ids:
                     records = [dataset.records[i] for i in rows]
                     x = data.standardizer.apply(oracle_raw_rows(layout, records))
-                    expected[task_id] = (x, np.array([log_target(r.price) for r in records]))
+                    expected[task_id] = (x, np.array([math.log(r.price) for r in records]))
             assert list(test_rows.task_ids) == list(expected)
             for (x, y), test_x, test_y in zip(expected.values(), test_rows.xs, test_rows.ys):
                 assert same_bits(test_x, x)

@@ -22,7 +22,6 @@ from mtlhouse.tasks import (
     StationDef,
     TaskSet,
     define_tasks,
-    filter_min_samples,
     format_definition,
     nearest_rank_quartiles,
     parse_definition,
@@ -390,19 +389,31 @@ class TestRowsIn:
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.lists(
-            st.tuples(st.integers(0, 8), st.sampled_from("ABCD")), min_size=1, max_size=40
+            st.tuples(st.integers(0, 8), st.sampled_from("ABCD"), st.booleans()),
+            min_size=1,
+            max_size=40,
         ),
         drawn=st.tuples(st.integers(-3, 11), st.integers(-3, 11)),
-        min_count=st.integers(0, 3),
     )
-    def test_matches_brute_force_scan(self, rows, drawn, min_count):
-        dataset = region_dataset([c for _, c in rows], months=[m for m, _ in rows])
-        taskset = define_tasks(dataset, RegionDef("REGION"))
-        # dropping the tasks with few rows in the drawn window leaves unassigned rows
-        taskset = filter_min_samples(taskset, drawn, min_count)
-        months = [r.sale_month for r in dataset.records]
+    @example(rows=[(0, "A", False), (1, "B", True), (1, "A", True)], drawn=(1, 1))
+    def test_matches_brute_force_scan(self, rows, drawn):
+        # a school definition leaves the rows outside its rank range unassigned
+        rows = sorted(rows, key=lambda row: row[0])
+        dataset = make_dataset(
+            [
+                {"month": m, "PRIMARY_DISTRICT": c, "PRIMARY_RANK": 1.0 if taken else 99.0}
+                for m, c, taken in rows
+            ],
+            numeric=("PRIMARY_RANK",),
+            key=("PRIMARY_DISTRICT",),
+        )
+        try:
+            taskset = define_tasks(dataset, SchoolDef("primary", 1, 40))
+        except EmptyTaskSetError:
+            return
+        months = [m for m, _, _ in rows]
         codes = taskset.codes.tolist()
-        first, last = dataset.month_range
+        first, last = months[0], months[-1]
         windows = [
             drawn,
             (first, first),  # single month
@@ -563,50 +574,6 @@ class TestOraclePartition:
         taskset = define_tasks(dataset, definition)
         assert taskset.tasks == tuple(expected)
         assert members_by_task(taskset) == expected
-
-
-class TestFilterMinSamples:
-    def counted_dataset(self, counts, months=(0, 1)):
-        rows = []
-        for i, count in enumerate(counts):
-            for j in range(count):
-                rows.append({"month": months[j % len(months)], "REGION": f"R{i:02d}"})
-        return make_dataset(rows, key=("REGION",))
-
-    def test_zero_min_count_is_noop(self):
-        dataset = self.counted_dataset([3, 5])
-        taskset = define_tasks(dataset, RegionDef("REGION"))
-        filtered = filter_min_samples(taskset, (0, 1), 0)
-        assert filtered.tasks == taskset.tasks
-        assert filtered.codes.tobytes() == taskset.codes.tobytes()
-
-    def test_simple_threshold(self):
-        dataset = self.counted_dataset([5, 10])
-        taskset = define_tasks(dataset, RegionDef("REGION"))
-        filtered = filter_min_samples(taskset, (0, 1), 6)
-        assert list(filtered.tasks) == ["R01"]
-        assert len(unassigned(filtered)) == 5
-
-    def test_quartile_threshold_matches_sort_oracle(self):
-        counts = [7, 2, 9, 14, 3, 11, 5, 8, 1, 6, 13, 4, 10, 12, 15, 16, 17, 18, 19, 20]
-        dataset = self.counted_dataset(counts)
-        taskset = define_tasks(dataset, RegionDef("REGION"))
-        window = (0, 1)
-        # independent sort-and-index quartile oracle
-        ordered = sorted(counts)
-        q1 = ordered[math.ceil(len(ordered) / 4) - 1]
-        filtered = filter_min_samples(taskset, window, q1)
-        expected = sorted(
-            f"R{i:02d}" for i, c in enumerate(counts) if c >= q1
-        )
-        assert list(filtered.tasks) == expected
-
-    def test_window_restricts_counting(self):
-        dataset = self.counted_dataset([4, 4], months=(0, 5))
-        taskset = define_tasks(dataset, RegionDef("REGION"))
-        # each task has 2 records in month 0, below the min of 3: all dropped
-        filtered = filter_min_samples(taskset, (0, 0), 3)
-        assert filtered.tasks == ()
 
 
 class TestQuartileGroups:
