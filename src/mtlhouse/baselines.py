@@ -4,9 +4,13 @@ Each task is fitted independently on its own rows; no information crosses
 tasks. OLS is the minimum-norm least-squares fit, so rank-deficient tasks
 (too few rows, or a dummy column equal to the intercept) still get weights
 and rolling comparisons can score data-starved tasks. Ridge uses exact normal
-equations with a free intercept. Per-task lasso is the joint lasso: its loss
-and l1 penalty separate by task, and the solver runs each task's column on
-its own, so one solver call fits every task.
+equations with a free intercept. OLS, ridge and ridge CV run on each task's
+support columns (``TaskData.supports``): a column that is zero in every row
+of the task gets weight 0 from min-norm least squares and from ridge alike,
+so it is left out of the fit and given that 0 directly, and a task pays for
+the columns it uses, not for the full design width. Per-task lasso is the
+joint lasso: its loss and l1 penalty separate by task, and the solver runs
+each task's column on its own, so one solver call fits every task.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ RIDGE_CV_FOLDS = 5
 def fit_stl(data: TaskData, spec: MethodSpec, penalty: Optional[float] = None) -> WeightMatrix:
     """Fit every task independently with ``spec.kind`` (ols, ridge or lasso) and
     assemble the D x P weight matrix. ols ignores the penalty; ridge without one
-    picks it per task by cross-validation; lasso runs ``spec.solver``."""
+    picks it per task by cross-validation; lasso runs ``spec.solver``. ols and
+    ridge fit each task on its support columns and weight every other column 0."""
     if penalty is not None and penalty < 0:
         raise ValueError("penalty must be nonnegative")
     if spec.kind == "lasso":
@@ -39,15 +44,16 @@ def fit_stl(data: TaskData, spec: MethodSpec, penalty: Optional[float] = None) -
         return fit(data, RegularizerSpec(kind="lasso", theta1=penalty), spec.solver).weights
     if spec.kind not in ("ols", "ridge"):
         raise ValueError(f"{spec.kind!r} is not a per-task baseline kind")
-    columns = []
-    for x, y in zip(data.xs, data.ys):
+    values = np.zeros((data.n_columns, data.n_tasks))
+    for p, (x, y, support) in enumerate(zip(data.xs, data.ys, data.supports)):
+        x = x[:, support]
         if spec.kind == "ols":
-            columns.append(np.linalg.lstsq(x, y, rcond=None)[0])
+            w = np.linalg.lstsq(x, y, rcond=None)[0]
         elif penalty is None:
-            columns.append(_solve_ridge(x, y, cv_ridge_penalty(x, y)))
+            w = _solve_ridge(x, y, cv_ridge_penalty(x, y))
         else:
-            columns.append(_solve_ridge(x, y, penalty))
-    values = np.column_stack(columns)
+            w = _solve_ridge(x, y, penalty)
+        values[support, p] = w
     return WeightMatrix(values=values, task_ids=data.task_ids, columns=data.columns)
 
 

@@ -140,6 +140,18 @@ class TaskData:
         out.flags.writeable = False  # shared by every fit of this data
         return out
 
+    @functools.cached_property
+    def supports(self) -> tuple[np.ndarray, ...]:
+        """Each task's support: the columns with a nonzero (or NaN) entry in
+        its rows, plus the trailing intercept, which is always kept. A column
+        outside a task's support is zero in every one of its rows."""
+        used = np.logical_or.reduceat(self.x != 0.0, self.starts, axis=0)
+        used[:, -1] = True
+        out = tuple(np.flatnonzero(row) for row in used)
+        for support in out:
+            support.flags.writeable = False  # shared by every fit of this data
+        return out
+
     @property
     def n_tasks(self) -> int:
         return len(self.task_ids)

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mtlhouse.baselines
 from mtlhouse.backtest import MethodSpec
@@ -24,6 +26,35 @@ def well_conditioned(seed=14, n_tasks=4, rows=30, cols=5):
         xs.append(x)
         ys.append(x @ w + rng.normal(0, 0.1, rows))
     return TaskData.from_arrays(xs, ys)
+
+
+def sparse_task(rng, m, n_categories=6):
+    """One task's rows in a layout wider than the task uses: three numeric
+    columns, one of them zero throughout; one-hot dummies of which the task
+    touches only a few categories; and the intercept, which the dummies sum to."""
+    numeric = rng.normal(0, 1, (m, 3))
+    numeric[:, rng.integers(3)] = 0.0
+    own = rng.choice(n_categories, size=rng.integers(1, 4), replace=False)
+    dummies = np.zeros((m, n_categories))
+    dummies[np.arange(m), rng.choice(own, size=m)] = 1.0
+    x = np.hstack([numeric, dummies, np.ones((m, 1))])
+    y = x @ rng.normal(0, 1, x.shape[1]) + rng.normal(0, 0.5, m)
+    return x, y
+
+
+def fold_sses(x, y, grid=RIDGE_CV_GRID):
+    """Held-out SSE of each penalty over cv_ridge_penalty's contiguous folds."""
+    m = x.shape[0]
+    sses = []
+    for penalty in grid:
+        sse = 0.0
+        for fold in np.array_split(np.arange(m), min(5, m)):
+            mask = np.ones(m, dtype=bool)
+            mask[fold] = False
+            residual = x[fold] @ _solve_ridge(x[mask], y[mask], penalty) - y[fold]
+            sse += float(residual @ residual)
+        sses.append(sse)
+    return sses
 
 
 OLS = MethodSpec("ols", "ols")
@@ -236,14 +267,61 @@ class TestRidgeCv:
         assert len(calls) == 1
 
     def test_fit_stl_calls_module_function_once_per_task(self, monkeypatch):
-        calls = []
+        # once per task, on the task's support columns only
+        rng = np.random.default_rng(17)
+        xs, ys = zip(*(sparse_task(rng, m) for m in (1, 3, 12, 30)))
+        data = TaskData.from_arrays(xs, ys)
+        widths = [int(np.count_nonzero(np.any(x != 0.0, axis=0))) for x in xs]
+        assert max(widths) < data.n_columns
+        shapes = []
         original = mtlhouse.baselines.cv_ridge_penalty
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def recording(x, y):
+            shapes.append(x.shape)
+            return original(x, y)
 
-        monkeypatch.setattr(mtlhouse.baselines, "cv_ridge_penalty", counting)
-        data = well_conditioned(seed=8)
+        monkeypatch.setattr(mtlhouse.baselines, "cv_ridge_penalty", recording)
         fit_stl(data, RIDGE)
-        assert len(calls) == data.n_tasks
+        assert shapes == [(x.shape[0], w) for x, w in zip(xs, widths)]
+
+
+class TestSupportFits:
+    """OLS, ridge and ridge CV fitted on each task's support columns match the
+    full-width fits, which give an all-zero column a zero weight."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        penalty=st.sampled_from((0.01, 0.3, 1.0, 25.0)),
+    )
+    def test_match_full_width_fits(self, seed, sizes, penalty):
+        rng = np.random.default_rng(seed)
+        xs, ys = zip(*(sparse_task(rng, m) for m in sizes))
+        # every task's m >= 2 has one clear best penalty: ties may be split
+        # either way by rounding, in the full-width fit as in the support fit
+        for x, y in zip(xs, ys):
+            if x.shape[0] >= 2:
+                best, runner_up = sorted(fold_sses(x, y))[:2]
+                assume(runner_up - best > 1e-8 * best)
+        data = TaskData.from_arrays(xs, ys)
+        chosen = []
+
+        def recording(x, y):
+            chosen.append(cv_ridge_penalty(x, y))
+            return chosen[-1]
+
+        with mock.patch.object(mtlhouse.baselines, "cv_ridge_penalty", recording):
+            ridge_cv = fit_stl(data, RIDGE).values
+        ols = fit_stl(data, OLS).values
+        ridge = fit_stl(data, RIDGE, penalty).values
+        for p, (x, y) in enumerate(zip(xs, ys)):
+            unused = ~np.any(x != 0.0, axis=0)
+            assert np.all(ols[unused, p] == 0.0)
+            assert np.all(ridge[unused, p] == 0.0)
+            assert np.all(ridge_cv[unused, p] == 0.0)
+            full_ols = np.linalg.lstsq(x, y, rcond=None)[0]
+            assert np.max(np.abs(ols[:, p] - full_ols)) <= 1e-10
+            full_ridge = _solve_ridge(x, y, penalty)
+            assert np.max(np.abs(ridge[:, p] - full_ridge)) <= 1e-10
+            assert chosen[p] == cv_ridge_penalty(x, y)

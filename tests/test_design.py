@@ -91,7 +91,7 @@ class TestLayout:
         for spec, penalty in ((ridge, 1.0), (ridge, None), (lasso, 1.0)):
             assert np.all(fit_stl(data, spec, penalty).values[j] == 0.0), spec
         ols = fit_stl(data, MethodSpec("ols", "ols")).values[j]
-        assert np.max(np.abs(ols)) <= 1e-12
+        assert np.all(ols == 0.0)
 
     def test_intersection_excludes_both_keys(self):
         rows = [
@@ -180,6 +180,25 @@ class TestBuildTaskData:
         dataset, taskset = synthetic_case()
         with pytest.raises(ValueError, match="empty window"):
             build_task_data(dataset, taskset, (5, 3))
+
+    def test_support_is_numerics_own_categories_and_intercept(self):
+        rows = [
+            {"month": 0, "CONST": 7.0, "VAR": float(i), "REGION": "AB"[i % 2], "OTHER": other}
+            for i, other in enumerate("XZYZXZ")
+        ]
+        dataset = make_dataset(rows, numeric=("CONST", "VAR"), key=("REGION", "OTHER"))
+        taskset = define_tasks(dataset, RegionDef("REGION"))
+        data = build_task_data(dataset, taskset, (0, 0))
+        assert data.layout.columns == (
+            "CONST", "VAR", "OTHER=X", "OTHER=Y", "OTHER=Z", "(intercept)"
+        )
+        # CONST has zero variance, so it is standardized to zeros in every row
+        supports = [[data.layout.columns[j] for j in s] for s in data.supports]
+        assert supports == [
+            ["VAR", "OTHER=X", "OTHER=Y", "(intercept)"],
+            ["VAR", "OTHER=Z", "(intercept)"],
+        ]
+
 
 
 def oracle_raw_rows(layout, records):
@@ -363,6 +382,18 @@ class TestTaskDataValidation:
             TaskData.from_arrays(
                 [np.ones((2, 3)), np.ones((3, 3))], [np.ones(3), np.ones(2)]
             )
+
+    def test_supports_are_each_blocks_nonzero_columns_and_the_intercept(self):
+        xs = [
+            np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]),
+            np.array([[0.0, math.nan, 0.0, 1.0]]),
+            np.array([[0.0, -3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]),
+        ]
+        data = TaskData.from_arrays(xs, [np.ones(2), np.ones(1), np.ones(2)])
+        # the intercept is kept even where it is zero, and NaN counts as nonzero
+        assert [s.tolist() for s in data.supports] == [[0, 2, 3], [1, 3], [1, 3]]
+        assert data.supports is data.supports
+        assert not any(s.flags.writeable for s in data.supports)
 
     def test_blocks_are_views_of_the_stacked_rows_in_task_order(self):
         xs = [np.full((2, 3), 1.0), np.full((1, 3), 2.0), np.full((3, 3), 3.0)]
