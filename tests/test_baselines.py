@@ -1,17 +1,10 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mtlhouse.baselines
 from mtlhouse.backtest import MethodSpec
-from mtlhouse.baselines import (
-    RIDGE_CV_GRID,
-    _solve_ridge,
-    cv_ridge_penalty,
-    fit_stl,
-)
+from mtlhouse.baselines import RIDGE_CV_GRID, cv_ridge_penalty, fit_stl
 from mtlhouse.design import TaskData
 from mtlhouse.solver import RegularizerSpec, SolverParams, fit
 
@@ -42,6 +35,19 @@ def sparse_task(rng, m, n_categories=6):
     return x, y
 
 
+def solve_ridge(x, y, penalty):
+    """One task's ridge weights from its normal equations; the intercept is free."""
+    shrink = np.eye(x.shape[1])
+    shrink[-1, -1] = 0.0
+    return np.linalg.solve(x.T @ x + penalty * shrink, x.T @ y)
+
+
+def dense_task(rng, m, d):
+    """m rows of d - 1 normal columns and the intercept, with a noisy linear target."""
+    x = np.hstack([rng.normal(0, 1, (m, d - 1)), np.ones((m, 1))])
+    return x, x @ rng.normal(0, 1, d) + rng.normal(0, 0.5, m)
+
+
 def fold_sses(x, y, grid=RIDGE_CV_GRID):
     """Held-out SSE of each penalty over cv_ridge_penalty's contiguous folds."""
     m = x.shape[0]
@@ -51,10 +57,22 @@ def fold_sses(x, y, grid=RIDGE_CV_GRID):
         for fold in np.array_split(np.arange(m), min(5, m)):
             mask = np.ones(m, dtype=bool)
             mask[fold] = False
-            residual = x[fold] @ _solve_ridge(x[mask], y[mask], penalty) - y[fold]
+            residual = x[fold] @ solve_ridge(x[mask], y[mask], penalty) - y[fold]
             sse += float(residual @ residual)
         sses.append(sse)
     return sses
+
+
+def cv_oracle(x, y, grid=RIDGE_CV_GRID):
+    """The penalty one ridge solve per (penalty, fold) picks: the first strict
+    minimum of :func:`fold_sses`; a task of one row takes the grid middle."""
+    if x.shape[0] < 2:
+        return grid[len(grid) // 2]
+    best, best_sse = grid[0], np.inf
+    for penalty, sse in zip(grid, fold_sses(x, y, grid)):
+        if sse < best_sse:
+            best, best_sse = penalty, sse
+    return best
 
 
 OLS = MethodSpec("ols", "ols")
@@ -178,21 +196,21 @@ class TestIndependence:
 class TestRidgeCv:
     def test_deterministic(self):
         data = well_conditioned(seed=10)
-        a = cv_ridge_penalty(data.xs[0], data.ys[0])
-        b = cv_ridge_penalty(data.xs[0], data.ys[0])
+        [a] = cv_ridge_penalty([data.xs[0]], [data.ys[0]])
+        [b] = cv_ridge_penalty([data.xs[0]], [data.ys[0]])
         assert a == b
         assert a in RIDGE_CV_GRID
 
     def test_tiny_task_falls_back_to_grid_middle(self):
         x = np.array([[1.0, 1.0]])
         y = np.array([13.0])
-        assert cv_ridge_penalty(x, y) == RIDGE_CV_GRID[len(RIDGE_CV_GRID) // 2]
+        assert cv_ridge_penalty([x], [y])[0] == RIDGE_CV_GRID[len(RIDGE_CV_GRID) // 2]
 
     def test_matches_fold_sse_oracle(self):
         rng = np.random.default_rng(11)
         x = np.hstack([rng.normal(0, 1, (11, 4)), np.ones((11, 1))])
         y = rng.normal(13, 0.5, 11)
-        chosen = cv_ridge_penalty(x, y)
+        [chosen] = cv_ridge_penalty([x], [y])
         # independent re-enumeration of the contiguous 5-fold selection
         folds = np.array_split(np.arange(11), 5)
         best, best_sse = None, np.inf
@@ -230,28 +248,82 @@ class TestRidgeCv:
             for fold in folds:
                 mask = np.ones(m, dtype=bool)
                 mask[fold] = False
-                w = _solve_ridge(x[mask], y[mask], penalty)
+                w = solve_ridge(x[mask], y[mask], penalty)
                 residual = x[fold] @ w - y[fold]
                 sse += float(residual @ residual)
             if sse < best_sse:
                 best, best_sse = penalty, sse
-        assert cv_ridge_penalty(x, y, grid) == best
+        assert cv_ridge_penalty([x], [y], grid)[0] == best
 
     def test_tie_picks_first_grid_point(self):
         # an unpenalized intercept-only model is the same fit for every penalty
         x = np.ones((12, 1))
         y = np.random.default_rng(3).normal(13, 0.5, 12)
-        assert cv_ridge_penalty(x, y) == RIDGE_CV_GRID[0]
-        assert cv_ridge_penalty(x, y, grid=(1.0, 0.1, 10.0)) == 1.0
+        assert cv_ridge_penalty([x], [y])[0] == RIDGE_CV_GRID[0]
+        assert cv_ridge_penalty([x], [y], grid=(1.0, 0.1, 10.0))[0] == 1.0
 
     def test_nan_sse_is_never_chosen(self):
         data = well_conditioned(seed=5)
         y = data.ys[0].copy()
         y[7] = np.nan
-        assert cv_ridge_penalty(data.xs[0], y) == RIDGE_CV_GRID[0]
-        assert cv_ridge_penalty(data.xs[0], y, grid=(1.0, 0.1, 10.0)) == 1.0
+        assert cv_ridge_penalty([data.xs[0]], [y])[0] == RIDGE_CV_GRID[0]
+        assert cv_ridge_penalty([data.xs[0]], [y], grid=(1.0, 0.1, 10.0))[0] == 1.0
 
-    def test_one_stacked_solve_per_call(self, monkeypatch):
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        d=st.integers(1, 8),
+        custom_grid=st.booleans(),
+    )
+    def test_stacked_pick_is_each_tasks_own(self, seed, sizes, d, custom_grid):
+        # tasks of one width and mixed row counts, fewer rows than folds
+        # included, pick as they would alone and as the per-penalty loop does
+        rng = np.random.default_rng(seed)
+        xs, ys = zip(*(dense_task(rng, m, d) for m in sizes))
+        grid = (3.0, 0.02, 0.5, 40.0) if custom_grid else RIDGE_CV_GRID
+        stacked = cv_ridge_penalty(xs, ys, grid)
+        assert stacked.shape == (len(sizes),)
+        for x, y, chosen in zip(xs, ys, stacked):
+            assert chosen == cv_ridge_penalty([x], [y], grid)[0]
+            assert chosen == cv_oracle(x, y, grid)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(2, 40), min_size=2, max_size=6),
+        data=st.data(),
+    )
+    def test_nan_target_leaves_other_tasks_picks(self, seed, sizes, data):
+        rng = np.random.default_rng(seed)
+        xs, ys = zip(*(dense_task(rng, m, 4) for m in sizes))
+        poisoned = data.draw(st.integers(0, len(sizes) - 1))
+        row = data.draw(st.integers(0, sizes[poisoned] - 1))
+        nan_ys = [y.copy() for y in ys]
+        nan_ys[poisoned][row] = np.nan
+        clean = cv_ridge_penalty(xs, ys)
+        dirty = cv_ridge_penalty(xs, nan_ys)
+        others = [t for t in range(len(sizes)) if t != poisoned]
+        assert np.array_equal(clean[others], dirty[others])
+
+    def test_nan_penalty_is_never_chosen(self):
+        # a NaN penalty gives a NaN SSE for that penalty alone
+        data = well_conditioned(seed=5)
+        nan_grid = (1.0, float("nan"), 0.1, 10.0)
+        picks = cv_ridge_penalty(data.xs, data.ys, nan_grid)
+        assert picks.tolist() == cv_ridge_penalty(data.xs, data.ys, (1.0, 0.1, 10.0)).tolist()
+
+    def test_one_row_folds_tie_as_the_per_penalty_loop_does(self):
+        # A task of two rows trains on one row: every penalty fits that row
+        # exactly, so the picks differ only by rounding noise, which must be
+        # the per-penalty loop's, alone and where a long task pads the folds.
+        rng = np.random.default_rng(21)
+        xs, ys = zip(*(dense_task(rng, m, 8) for m in [2] * 300 + [40]))
+        expected = [cv_oracle(x, y) for x, y in zip(xs, ys)]
+        assert cv_ridge_penalty(xs, ys).tolist() == expected
+        assert [cv_ridge_penalty([x], [y])[0] for x, y in zip(xs, ys)] == expected
+
+    def test_one_stacked_solve_per_fold(self, monkeypatch):
         calls = []
         solve = np.linalg.solve
 
@@ -261,28 +333,60 @@ class TestRidgeCv:
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         data = well_conditioned(seed=6)
-        cv_ridge_penalty(data.xs[0], data.ys[0])
-        assert calls == [(5, len(RIDGE_CV_GRID), 5, 5)]
-        cv_ridge_penalty(data.xs[0][:1], data.ys[0][:1])
-        assert len(calls) == 1
+        # every task of the call, one-row ones aside, in one (task, penalty) stack
+        xs = list(data.xs) + [data.xs[0][:1], data.xs[1][:3]]
+        ys = list(data.ys) + [data.ys[0][:1], data.ys[1][:3]]
+        cv_ridge_penalty(xs, ys)
+        assert calls == [(len(xs) - 1, len(RIDGE_CV_GRID), 5, 5)] * 5
+        cv_ridge_penalty(xs[-2:-1], ys[-2:-1])
+        assert len(calls) == 5
 
-    def test_fit_stl_calls_module_function_once_per_task(self, monkeypatch):
-        # once per task, on the task's support columns only
+    def test_fit_stl_calls_module_function_once_per_support_width(self, monkeypatch):
+        # once per support width, with that width's tasks on their support columns
         rng = np.random.default_rng(17)
-        xs, ys = zip(*(sparse_task(rng, m) for m in (1, 3, 12, 30)))
+        xs, ys = zip(*(sparse_task(rng, m) for m in (1, 3, 12, 30, 7, 20, 2, 9)))
         data = TaskData.from_arrays(xs, ys)
         widths = [int(np.count_nonzero(np.any(x != 0.0, axis=0))) for x in xs]
         assert max(widths) < data.n_columns
-        shapes = []
+        assert len(set(widths)) < len(widths)
+        calls = []
         original = mtlhouse.baselines.cv_ridge_penalty
 
-        def recording(x, y):
-            shapes.append(x.shape)
-            return original(x, y)
+        def recording(xs, ys):
+            calls.append([x.shape for x in xs])
+            return original(xs, ys)
 
         monkeypatch.setattr(mtlhouse.baselines, "cv_ridge_penalty", recording)
         fit_stl(data, RIDGE)
-        assert shapes == [(x.shape[0], w) for x, w in zip(xs, widths)]
+        assert calls == [
+            [(x.shape[0], w) for x, w in zip(xs, widths) if w == width]
+            for width in sorted(set(widths))
+        ]
+        calls.clear()
+        fit_stl(data, RIDGE, 0.5)
+        assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+        penalty=st.sampled_from((0.01, 0.3, 1.0, 25.0)),
+    )
+    def test_fit_stl_ridge_is_the_per_task_solve(self, seed, sizes, penalty):
+        # mixed support widths: each task's weights are its own normal
+        # equations on its support, solved alone, with its own CV pick
+        rng = np.random.default_rng(seed)
+        xs, ys = zip(*(sparse_task(rng, m) for m in sizes))
+        data = TaskData.from_arrays(xs, ys)
+        ridge_cv = fit_stl(data, RIDGE).values
+        ridge = fit_stl(data, RIDGE, penalty).values
+        for p, (x, y, support) in enumerate(zip(xs, ys, data.supports)):
+            x = x[:, support]
+            [chosen] = cv_ridge_penalty([x], [y])
+            for values, lam in ((ridge_cv, chosen), (ridge, penalty)):
+                expected = np.zeros(data.n_columns)
+                expected[support] = solve_ridge(x, y, lam)
+                assert np.array_equal(values[:, p], expected)
 
 
 class TestSupportFits:
@@ -305,14 +409,7 @@ class TestSupportFits:
                 best, runner_up = sorted(fold_sses(x, y))[:2]
                 assume(runner_up - best > 1e-8 * best)
         data = TaskData.from_arrays(xs, ys)
-        chosen = []
-
-        def recording(x, y):
-            chosen.append(cv_ridge_penalty(x, y))
-            return chosen[-1]
-
-        with mock.patch.object(mtlhouse.baselines, "cv_ridge_penalty", recording):
-            ridge_cv = fit_stl(data, RIDGE).values
+        ridge_cv = fit_stl(data, RIDGE).values
         ols = fit_stl(data, OLS).values
         ridge = fit_stl(data, RIDGE, penalty).values
         for p, (x, y) in enumerate(zip(xs, ys)):
@@ -322,6 +419,8 @@ class TestSupportFits:
             assert np.all(ridge_cv[unused, p] == 0.0)
             full_ols = np.linalg.lstsq(x, y, rcond=None)[0]
             assert np.max(np.abs(ols[:, p] - full_ols)) <= 1e-10
-            full_ridge = _solve_ridge(x, y, penalty)
+            full_ridge = solve_ridge(x, y, penalty)
             assert np.max(np.abs(ridge[:, p] - full_ridge)) <= 1e-10
-            assert chosen[p] == cv_ridge_penalty(x, y)
+            support = data.supports[p]
+            [chosen] = cv_ridge_penalty([x[:, support]], [y])
+            assert chosen == cv_ridge_penalty([x], [y])[0]
