@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import fit_stl
 from .data import Dataset
-from .design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows
+from .design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows, month_span
 from .metrics import (
     MethodSummary,
     MetricRecord,
@@ -230,10 +230,20 @@ def run_backtest(
     return records, _build_report(records, taskset, plan, labels, benchmark, skipped)
 
 
-def _assert_no_leakage(data: TaskData, scored_month: int) -> None:
-    if data.window[1] >= scored_month:
+def _assert_no_leakage(
+    train: TaskData, scored_month: int, scored: Optional[TaskData] = None
+) -> None:
+    """Fail unless the training rows, and the window they were asked for, end
+    before ``scored_month`` and every ``scored`` row lies in that month."""
+    if train.window[1] >= scored_month or train.row_months[1] >= scored_month:
         raise AssertionError(
-            f"leakage: training window {data.window} reaches scored month {scored_month}"
+            f"leakage: training rows span months {train.row_months} (window "
+            f"{train.window}), reaching scored month {scored_month}"
+        )
+    if scored is not None and scored.row_months != (scored_month, scored_month):
+        raise AssertionError(
+            f"leakage: scored rows span months {scored.row_months}, "
+            f"not only scored month {scored_month}"
         )
 
 
@@ -259,6 +269,7 @@ def _test_rows_by_task(
         layout=data.layout,
         standardizer=data.standardizer,
         window=(test_month, test_month),
+        row_months=month_span(dataset, rows),
     )
 
 
@@ -266,8 +277,9 @@ def _round_data(dataset, taskset, layout, window, scored_month):
     """Training data on ``window`` and the scored month's rows of its tasks (None if
     there are none). Raises ValueError when no task has training rows."""
     train = build_task_data(dataset, taskset, window, layout)
-    _assert_no_leakage(train, scored_month)
-    return train, _test_rows_by_task(dataset, taskset, train, scored_month)
+    test = _test_rows_by_task(dataset, taskset, train, scored_month)
+    _assert_no_leakage(train, scored_month, test)
+    return train, test
 
 
 def _held_out(dataset, taskset, layout, round_: Round):

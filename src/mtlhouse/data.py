@@ -2,21 +2,25 @@
 
 A dataset is a month-sorted table of transactions held as column arrays.
 A schema names a file's numeric and key feature columns; every file also has
-a ``DATE`` (sale month) and a ``PRICE`` (sale price) column.
+a ``DATE`` (sale month) and a ``PRICE`` (sale price) column. A clean file is
+parsed in one ``np.loadtxt`` pass; a file with a rejected row is read again row
+by row, which reports each reject with its line number.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import math
 import operator
+import warnings
 from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -254,27 +258,96 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     """Parse a comma-delimited transaction file against ``schema``.
 
     The header must name each schema column exactly once, among any other
-    columns. Rows are read in chunks of ``CHUNK_ROWS`` and converted a column
-    at a time; a chunk that fails conversion is checked row by row, so
-    malformed rows are collected and reported with their file line numbers.
-    Loading fails hard when more than ``MAX_REJECT_FRACTION`` of the data rows
-    are rejected. Accepted rows are stably sorted by sale month.
+    columns. A clean file is parsed in one ``np.loadtxt`` pass. A file with a
+    row that pass does not take (a reject, or a value only Python's ``float``
+    reads, such as ``1_000``) is read again from the top, row by row: rows are
+    read in chunks of ``CHUNK_ROWS`` and
+    converted a column at a time; a chunk that fails conversion is checked row
+    by row, so malformed rows are collected and reported with their file line
+    numbers. Loading fails hard when more than ``MAX_REJECT_FRACTION`` of the
+    data rows are rejected. Accepted rows are stably sorted by sale month.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for name in schema.names:
-            if name not in header:
-                raise SchemaError(f"{path}: missing required column {name!r}")
-            if header.count(name) > 1:
-                raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
-        columns = _ColumnReader(schema, {name: header.index(name) for name in schema.names})
+        col = _schema_columns(path, csv.reader(fh), schema)
+        dataset = _load_clean(fh, schema, col)
+    return dataset if dataset is not None else _load_rows(path, schema)
 
+
+def _schema_columns(path: Path, reader, schema: FeatureSchema) -> dict[str, int]:
+    """Read and check the header row; return each schema column's file index."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    for name in schema.names:
+        if name not in header:
+            raise SchemaError(f"{path}: missing required column {name!r}")
+        if header.count(name) > 1:
+            raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
+    return {name: header.index(name) for name in schema.names}
+
+
+class _Codes(dict):
+    """Label -> provisional code; a new label takes the next code."""
+
+    def __missing__(self, label: str) -> int:
+        code = self[label] = len(self)
+        return code
+
+
+class _Months(dict):
+    """DATE text -> month index; a file holds few distinct months, so each text is parsed once."""
+
+    def __missing__(self, text: str) -> int:
+        month = self[text] = month_index(text)
+        return month
+
+
+def _load_clean(fh, schema: FeatureSchema, col: Mapping[str, int]) -> Optional[Dataset]:
+    """The Dataset of the data rows left in ``fh``, parsed in one ``np.loadtxt``
+    call; None if any row would be rejected or ``loadtxt`` cannot parse it."""
+    names = sorted(schema.names, key=col.__getitem__)  # usecols fill fields in this order
+    lookups = {name: _Codes() for name in schema.keys}
+    # numpy keys converters by file column, not by position in usecols
+    converters = {col[name]: lookup.__getitem__ for name, lookup in lookups.items()}
+    converters[col["DATE"]] = _Months().__getitem__
+    dtype = [
+        (name, np.int64 if name == "DATE" else np.int32 if name in lookups else np.float64)
+        for name in names
+    ]
+    try:
+        with warnings.catch_warnings():
+            # a file with a header and no rows loads to an empty Dataset
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                fh,
+                dtype=dtype,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                ndmin=1,
+                usecols=[col[name] for name in names],
+                converters=converters,
+            )
+    except (ValueError, OverflowError):
+        return None
+    prices = table["PRICE"]
+    numeric = np.empty((len(table), len(schema.numeric)))
+    for j, name in enumerate(schema.numeric):
+        numeric[:, j] = table[name]
+    if not (np.all((prices > 0) & np.isfinite(prices)) and np.all(np.isfinite(numeric))):
+        return None
+    codes = [table[name] for name in schema.keys]
+    return _sorted_dataset(schema, table["DATE"], prices, numeric, codes, lookups)
+
+
+def _load_rows(path: Path, schema: FeatureSchema) -> Dataset:
+    """Read ``path`` row by row, in chunks, rejecting and reporting malformed rows."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        columns = _ColumnReader(schema, _schema_columns(path, reader, schema))
         row_errors: list[str] = []
         n_rows = 0
         line_no = 2  # of the chunk's first row; counts rows as the csv module reads them
@@ -295,6 +368,31 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     return columns.dataset()
 
 
+def _sorted_dataset(
+    schema: FeatureSchema,
+    months: np.ndarray,
+    prices: np.ndarray,
+    numeric: np.ndarray,
+    codes: Sequence[np.ndarray],
+    lookups: Mapping[str, Mapping[str, int]],
+) -> Dataset:
+    """The Dataset of parsed rows: stably sorted by month, with each key's
+    provisional ``codes`` (in ``schema.keys`` order, given by ``lookups``)
+    recoded into its sorted labels."""
+    order = np.argsort(months, kind="stable")
+    sorted_codes, inventories = {}, {}
+    for name, code in zip(schema.keys, codes):
+        sorted_codes[name], inventories[name] = sort_codes(code[order], lookups[name])
+    return Dataset(
+        schema=schema,
+        months=months[order],
+        prices=prices[order],
+        numeric=numeric[order],
+        codes=sorted_codes,
+        inventories=inventories,
+    )
+
+
 class _ColumnReader:
     """Converts chunks of CSV rows into column blocks, then joins them into a Dataset."""
 
@@ -303,7 +401,8 @@ class _ColumnReader:
         self.col = col
         names = META_COLUMNS + schema.feature_names
         self.pick = operator.itemgetter(*(col[name] for name in names))
-        self.lookups: dict[str, dict[str, int]] = {name: {} for name in schema.keys}
+        self.lookups = {name: _Codes() for name in schema.keys}
+        self.month_of = _Months()
         self.blocks: list[tuple] = [self._convert([])]  # so a file without rows joins too
 
     def add(self, chunk: list[list[str]], first_line: int, row_errors: list[str]) -> int:
@@ -332,9 +431,7 @@ class _ColumnReader:
         n = len(rows)
         # DATE, PRICE, numeric, keys
         cells = list(zip(*map(self.pick, rows))) or [()] * len(self.schema.names)
-        # a file holds few distinct months: parse each date text once
-        month_of = {text: month_index(text) for text in set(cells[0])}
-        months = np.fromiter(map(month_of.__getitem__, cells[0]), np.int64, n)
+        months = np.fromiter(map(self.month_of.__getitem__, cells[0]), np.int64, n)
         prices = np.fromiter(map(float, cells[1]), np.float64, n)
         if not np.all((prices > 0) & np.isfinite(prices)):
             raise ValueError("a price is not positive and finite")
@@ -346,10 +443,7 @@ class _ColumnReader:
             raise ValueError("a numeric value is not finite")
         codes = []
         for name, labels in zip(self.schema.keys, cells[2 + k :]):
-            lookup = self.lookups[name]
-            for label in set(labels).difference(lookup):
-                lookup[label] = len(lookup)
-            codes.append(np.fromiter(map(lookup.__getitem__, labels), np.int32, n))
+            codes.append(np.fromiter(map(self.lookups[name].__getitem__, labels), np.int32, n))
         return months, prices, numeric, codes
 
     def _check_row(self, row: list[str]) -> None:
@@ -368,36 +462,43 @@ class _ColumnReader:
 
     def dataset(self) -> Dataset:
         months, prices, numeric, code_blocks = zip(*self.blocks)
-        months = np.concatenate(months)
-        order = np.argsort(months, kind="stable")
-        codes, inventories = {}, {}
-        for name, blocks in zip(self.schema.keys, zip(*code_blocks)):
-            codes[name], inventories[name] = sort_codes(
-                np.concatenate(blocks)[order], self.lookups[name]
-            )
-        return Dataset(
-            schema=self.schema,
-            months=months[order],
-            prices=np.concatenate(prices)[order],
-            numeric=np.concatenate(numeric)[order],
-            codes=codes,
-            inventories=inventories,
+        codes = [np.concatenate(blocks) for blocks in zip(*code_blocks)]
+        return _sorted_dataset(
+            self.schema,
+            np.concatenate(months),
+            np.concatenate(prices),
+            np.concatenate(numeric),
+            codes,
+            self.lookups,
         )
 
 
 def save_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
-    """Write ``dataset`` back to the delimited format (exact float round-trip)."""
+    """Write ``dataset`` back to the delimited format (exact float round-trip).
+
+    The bytes are those of ``csv.writer``: each key's labels are quoted once,
+    and each chunk of ``CHUNK_ROWS`` rows is joined and written in one call.
+    """
     path = Path(path)
     schema = dataset.schema
+    fields = {
+        name: [_csv_field(label) for label in dataset.inventories[name]] for name in schema.keys
+    }
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.names)
+        csv.writer(fh).writerow(schema.names)
         for start in range(0, len(dataset), CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)
             cells = [map(repr, column) for column in dataset.numeric[rows].T.tolist()]
             for name in schema.keys:
-                inventory = dataset.inventories[name]
-                cells.append([inventory[c] for c in dataset.codes[name][rows].tolist()])
+                cells.append(map(fields[name].__getitem__, dataset.codes[name][rows].tolist()))
             cells.append(map(month_text, dataset.months[rows].tolist()))
             cells.append(map(repr, dataset.prices[rows].tolist()))
-            writer.writerows(zip(*cells))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _csv_field(label: str) -> str:
+    """``label`` as ``csv.writer`` writes it among other fields of a row."""
+    # a lone empty field is written quoted, so write the label with an empty one after it
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((label, ""))
+    return buffer.getvalue().removesuffix(",\r\n")

@@ -93,7 +93,9 @@ class TaskData:
     """A round's rows: x is N x D with a trailing ones column, y the N log targets.
 
     Task p's rows are the contiguous block of ``sizes[p]`` rows at ``starts[p]``,
-    in ``task_ids`` order; ``xs``/``ys`` are views of those blocks.
+    in ``task_ids`` order; ``xs``/``ys`` are views of those blocks. ``window`` is
+    the month window the rows were asked for; ``row_months`` the first and last
+    month of the rows actually gathered.
     """
 
     task_ids: tuple[str, ...]
@@ -103,6 +105,7 @@ class TaskData:
     layout: Optional[DesignLayout] = None
     standardizer: Optional[Standardizer] = None
     window: Optional[tuple[int, int]] = None
+    row_months: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         sizes = np.asarray(self.sizes, dtype=np.intp)
@@ -261,7 +264,14 @@ def build_task_data(
         layout=layout,
         standardizer=standardizer,
         window=window,
+        row_months=month_span(dataset, rows),
     )
+
+
+def month_span(dataset: Dataset, rows: np.ndarray) -> tuple[int, int]:
+    """The first and last sale month of the (non-empty) ``rows``."""
+    months = dataset.months[rows]
+    return int(months.min()), int(months.max())
 
 
 def design_rows(

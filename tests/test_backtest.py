@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,7 @@ from mtlhouse.backtest import (
 from mtlhouse.design import build_task_data
 from mtlhouse.solver import RegularizerSpec, SolverParams
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
-from mtlhouse.tasks import RegionDef, define_tasks
+from mtlhouse.tasks import RegionDef, TaskSet, define_tasks
 
 from conftest import make_dataset
 
@@ -204,6 +205,26 @@ class TestRunBacktest:
         methods = [MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0))]
         with pytest.raises(AssertionError, match="leakage"):
             run_backtest(dataset, RegionDef("SA3"), methods, make_rolling_plan(dataset, k=3))
+
+    @pytest.mark.parametrize("widen_months", [3, 2, 1], ids=["training", "inner", "scored"])
+    def test_rows_past_the_window_trip_leakage_guard(self, monkeypatch, widen_months):
+        # the windows are asked for as planned, but the rows come from one month more
+        real = TaskSet.rows_in
+
+        def widened(taskset, window):
+            lo, hi = window
+            return real(taskset, (lo, hi + 1) if hi - lo + 1 == widen_months else window)
+
+        monkeypatch.setattr(TaskSet, "rows_in", widened)
+        dataset = small_market()
+        methods = [MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0))]
+        with pytest.raises(AssertionError, match="leakage") as excinfo:
+            run_backtest(dataset, RegionDef("SA3"), methods, make_rolling_plan(dataset, k=3))
+        if widen_months == 1:
+            assert "scored rows span" in str(excinfo.value)
+        else:
+            lo, hi = map(int, re.search(r"window \((\d+), (\d+)\)", str(excinfo.value)).groups())
+            assert hi - lo + 1 == widen_months
 
     def test_unknown_benchmark_rejected(self):
         dataset = span_dataset(5)

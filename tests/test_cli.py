@@ -1,5 +1,6 @@
 import csv
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,17 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 0
         report = load_json(tmp_path / "results" / "report.json")
         assert report["definitions"]["region:SA3"]["n_records"] > 0
+        # the fixture is the generator's dataset, so a run from either writes the same tables
+        script = runpy.run_path(str(REPO_ROOT / "scripts" / "make_fixture.py"))
+        config = write_config(
+            tmp_path,
+            data={"synthetic": script["GENERATOR_SETTINGS"]},
+            out_dir=str(tmp_path / "generated"),
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        for name in ("records.csv", "summary.csv", "ranksum.csv", "wld.csv"):
+            from_file = (tmp_path / "results" / name).read_bytes()
+            assert from_file == (tmp_path / "generated" / name).read_bytes(), name
 
     @pytest.mark.parametrize("source", ["file", "synthetic"])
     def test_run_never_builds_the_row_view(self, tmp_path, monkeypatch, source):
