@@ -260,11 +260,11 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     The header must name each schema column exactly once, among any other
     columns. A clean file is parsed in one ``np.loadtxt`` pass. A file with a
     row that pass does not take (a reject, or a value only Python's ``float``
-    reads, such as ``1_000``) is read again from the top, row by row: rows are
-    read in chunks of ``CHUNK_ROWS`` and
-    converted a column at a time; a chunk that fails conversion is checked row
-    by row, so malformed rows are collected and reported with their file line
-    numbers. Loading fails hard when more than ``MAX_REJECT_FRACTION`` of the
+    reads, such as ``1_000``) is read again from the top, so it costs both
+    passes: rows are read in chunks of ``CHUNK_ROWS`` and converted a column
+    at a time; a chunk that fails conversion is checked row by row, so
+    malformed rows are collected and reported with their file line numbers.
+    Loading fails hard when more than ``MAX_REJECT_FRACTION`` of the
     data rows are rejected. Accepted rows are stably sorted by sale month.
     """
     path = Path(path)
@@ -308,14 +308,13 @@ class _Months(dict):
 def _load_clean(fh, schema: FeatureSchema, col: Mapping[str, int]) -> Optional[Dataset]:
     """The Dataset of the data rows left in ``fh``, parsed in one ``np.loadtxt``
     call; None if any row would be rejected or ``loadtxt`` cannot parse it."""
-    names = sorted(schema.names, key=col.__getitem__)  # usecols fill fields in this order
     lookups = {name: _Codes() for name in schema.keys}
     # numpy keys converters by file column, not by position in usecols
     converters = {col[name]: lookup.__getitem__ for name, lookup in lookups.items()}
     converters[col["DATE"]] = _Months().__getitem__
     dtype = [
         (name, np.int64 if name == "DATE" else np.int32 if name in lookups else np.float64)
-        for name in names
+        for name in schema.names
     ]
     try:
         with warnings.catch_warnings():
@@ -328,7 +327,7 @@ def _load_clean(fh, schema: FeatureSchema, col: Mapping[str, int]) -> Optional[D
                 quotechar='"',
                 comments=None,
                 ndmin=1,
-                usecols=[col[name] for name in names],
+                usecols=[col[name] for name in schema.names],  # fill the dtype's fields in turn
                 converters=converters,
             )
     except (ValueError, OverflowError):
