@@ -149,11 +149,25 @@ class MethodSpec:
         return tuple(itertools.product(*(getattr(self, name) or (None,) for name in takes)))
 
 
-def _fit_point(data: TaskData, spec: MethodSpec, point: tuple) -> WeightMatrix:
+def _fit_point(data: TaskData, spec: MethodSpec, point: tuple, fits: dict) -> WeightMatrix:
+    """The weights of ``spec`` at grid point ``point`` on ``data``.
+
+    ``fits`` holds the weights already fitted on ``data``, keyed by the
+    problem they solve: its kind, the point's values bit for bit, and the
+    solver parameters; a problem already in it is not solved again. The
+    per-task lasso at penalty λ is the solver's lasso at theta1 = λ (the same
+    call), so an ``mtl_lasso`` and a ``lasso`` method that agree on the point
+    share one fit.
+    """
     reg_kind = METHODS[spec.kind][0]
-    if reg_kind is None:
-        return fit_stl(data, spec, *point)
-    return fit(data, RegularizerSpec(reg_kind, *point), spec.solver).weights
+    values = tuple(v if v is None else float(v).hex() for v in point)  # 0.0 is not -0.0
+    key = (reg_kind or spec.kind, values, spec.solver)
+    if key not in fits:
+        if reg_kind is None:
+            fits[key] = fit_stl(data, spec, *point)
+        else:
+            fits[key] = fit(data, RegularizerSpec(reg_kind, *point), spec.solver).weights
+    return fits[key]
 
 
 @dataclass(frozen=True)
@@ -178,8 +192,9 @@ def run_backtest(
 
     Per round: build training data on the window, fit every method, predict
     the test month, and record per-task RMSE/MAE for tasks that have both
-    training and test samples. Rounds with no usable training data are
-    skipped with a notice.
+    training and test samples. Each distinct problem is fitted once per
+    round and on each of its data sets (see :func:`_fit_point`). Rounds with
+    no usable training data are skipped with a notice.
     """
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
@@ -209,9 +224,10 @@ def run_backtest(
             continue
 
         held_out = _held_out(dataset, taskset, layout, round_) if needs_held_out else None
+        fits, inner_fits = {}, {}  # this round's fits on its window and on its inner window
         for spec in methods:
-            point = _select_grid_point(spec, held_out)
-            weights = _fit_point(data, spec, point)
+            point = _select_grid_point(spec, held_out, inner_fits)
+            weights = _fit_point(data, spec, point, fits)
             for task_id, x, actual in zip(test.task_ids, test.xs, test.ys):
                 predicted = x @ weights.column(task_id)
                 records.append(
@@ -294,15 +310,16 @@ def _held_out(dataset, taskset, layout, round_: Round):
     return (inner, validation) if validation is not None else None
 
 
-def _select_grid_point(spec: MethodSpec, held_out):
-    """Pick the point with the least held-out RMSE; the first point if nothing is held out."""
+def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict):
+    """Pick the point with the least held-out RMSE; the first point if nothing is
+    held out. ``inner_fits`` holds the round's fits on the inner window."""
     points = spec.grid_points()
     if len(points) == 1 or held_out is None:
         return points[0]
     inner, validation = held_out
     best_point, best_score = points[0], np.inf
     for point in points:
-        weights = _fit_point(inner, spec, point)
+        weights = _fit_point(inner, spec, point, inner_fits)
         errors = np.concatenate(
             [
                 (y - x @ weights.column(task_id)) ** 2

@@ -4,7 +4,8 @@ A dataset is a month-sorted table of transactions held as column arrays.
 A schema names a file's numeric and key feature columns; every file also has
 a ``DATE`` (sale month) and a ``PRICE`` (sale price) column. A clean file is
 parsed in one ``np.loadtxt`` pass; a file with a rejected row is read again row
-by row, which reports each reject with its line number.
+by row, which reports each reject with its line number. Files are read and
+written as UTF-8 whatever the locale; a byte that is not UTF-8 rejects its row.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ MAX_REJECT_FRACTION = 0.10
 
 # Rows converted per column-at-a-time step when loading or saving a file.
 CHUNK_ROWS = 4096
+
+# The month indices a Dataset's int64 months can hold.
+_MONTH_MIN, _MONTH_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class SchemaError(ValueError):
@@ -266,9 +270,13 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     malformed rows are collected and reported with their file line numbers.
     Loading fails hard when more than ``MAX_REJECT_FRACTION`` of the
     data rows are rejected. Accepted rows are stably sorted by sale month.
+
+    The file is read as UTF-8. A byte that is not UTF-8 is read as a lone
+    surrogate (``errors="surrogateescape"``), so it rejects its row like any
+    other malformed cell instead of failing the whole load.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with _open_csv(path) as fh:
         col = _schema_columns(path, csv.reader(fh), schema)
         dataset = _load_clean(fh, schema, col)
     return dataset if dataset is not None else _load_rows(path, schema)
@@ -289,11 +297,26 @@ def _schema_columns(path: Path, reader, schema: FeatureSchema) -> dict[str, int]
     return {name: header.index(name) for name in schema.names}
 
 
+def _open_csv(path: Path):
+    """``path`` opened for reading as UTF-8, undecodable bytes kept as lone surrogates."""
+    return path.open(newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _check_label(label: str) -> str:
+    """``label``, if it holds no lone surrogate: an undecodable byte of the file."""
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"label {label!r} holds a byte that is not UTF-8") from None
+    return label
+
+
 class _Codes(dict):
-    """Label -> provisional code; a new label takes the next code."""
+    """Label -> provisional code; a new label takes the next code. A label
+    holding an undecodable byte raises ValueError, which rejects its row."""
 
     def __missing__(self, label: str) -> int:
-        code = self[label] = len(self)
+        code = self[_check_label(label)] = len(self)
         return code
 
 
@@ -307,7 +330,8 @@ class _Months(dict):
 
 def _load_clean(fh, schema: FeatureSchema, col: Mapping[str, int]) -> Optional[Dataset]:
     """The Dataset of the data rows left in ``fh``, parsed in one ``np.loadtxt``
-    call; None if any row would be rejected or ``loadtxt`` cannot parse it."""
+    call; None if any row would be rejected or ``loadtxt`` cannot parse it (a
+    label with an undecodable byte is such a row)."""
     lookups = {name: _Codes() for name in schema.keys}
     # numpy keys converters by file column, not by position in usecols
     converters = {col[name]: lookup.__getitem__ for name, lookup in lookups.items()}
@@ -344,7 +368,7 @@ def _load_clean(fh, schema: FeatureSchema, col: Mapping[str, int]) -> Optional[D
 
 def _load_rows(path: Path, schema: FeatureSchema) -> Dataset:
     """Read ``path`` row by row, in chunks, rejecting and reporting malformed rows."""
-    with path.open(newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         columns = _ColumnReader(schema, _schema_columns(path, reader, schema))
         row_errors: list[str] = []
@@ -410,7 +434,7 @@ class _ColumnReader:
         rows = [row for row in chunk if row]
         try:
             block = self._convert(rows)
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, OverflowError):
             good = []
             for line_no, row in enumerate(chunk, start=first_line):
                 if not row:
@@ -447,8 +471,12 @@ class _ColumnReader:
 
     def _check_row(self, row: list[str]) -> None:
         """Raise the error that rejects ``row``: DATE, PRICE, the numeric cells in
-        schema order, then a row too short for a key cell."""
-        month_index(row[self.col["DATE"]])
+        schema order, then a row too short for a key cell, then a key label
+        with an undecodable byte."""
+        date = row[self.col["DATE"]]
+        month = month_index(date)
+        if not _MONTH_MIN <= month <= _MONTH_MAX:  # past the int64 that _convert stores
+            raise ValueError(f"month out of range in {date!r}")
         price = float(row[self.col["PRICE"]])
         if not price > 0:
             raise ValueError(f"non-positive price {price}")
@@ -458,6 +486,8 @@ class _ColumnReader:
             if not math.isfinite(float(row[self.col[name]])):
                 raise ValueError(f"non-finite value in column {name!r}")
         self.pick(row)
+        for name in self.schema.keys:
+            _check_label(row[self.col[name]])
 
     def dataset(self) -> Dataset:
         months, prices, numeric, code_blocks = zip(*self.blocks)
@@ -475,15 +505,16 @@ class _ColumnReader:
 def save_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
     """Write ``dataset`` back to the delimited format (exact float round-trip).
 
-    The bytes are those of ``csv.writer``: each key's labels are quoted once,
-    and each chunk of ``CHUNK_ROWS`` rows is joined and written in one call.
+    The bytes are those of ``csv.writer`` in UTF-8: each key's labels are
+    quoted once, and each chunk of ``CHUNK_ROWS`` rows is joined and written in
+    one call.
     """
     path = Path(path)
     schema = dataset.schema
     fields = {
         name: [_csv_field(label) for label in dataset.inventories[name]] for name in schema.keys
     }
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(schema.names)
         for start in range(0, len(dataset), CHUNK_ROWS):
             rows = slice(start, start + CHUNK_ROWS)

@@ -167,7 +167,8 @@ def _graph_quadratic(V: np.ndarray, laplacian: np.ndarray) -> float:
     cancel catastrophically and the restart and stopping tests are not swamped
     by noise.
     """
-    centred = V - V.mean(axis=1, keepdims=True)
+    # the row means as V.mean(axis=1) computes them, without that call's overhead
+    centred = V - np.add.reduce(V, axis=1, keepdims=True) / V.shape[1]
     return 2.0 * float(np.einsum("dp,dp->", centred @ laplacian, centred))
 
 
@@ -236,6 +237,18 @@ def prox_l1(
     passes the last row through."""
     if np.min(threshold) < 0:
         raise ValueError("threshold must be nonnegative")
+    return _shrink_l1(V, threshold, skip_intercept_row)
+
+
+def prox_l21(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -> np.ndarray:
+    """Row shrinkage by max(0, 1 - threshold/||row||); zero rows stay zero."""
+    if not threshold >= 0:
+        raise ValueError("threshold must be nonnegative")
+    return _shrink_l21(V, threshold, skip_intercept_row)
+
+
+def _shrink_l1(V, threshold, skip_intercept_row=True):
+    """:func:`prox_l1` without the threshold check."""
     # V minus its clip to [-threshold, threshold]: sign(V) * max(|V| - threshold, 0)
     out = V - np.minimum(np.maximum(V, -threshold), threshold)
     if skip_intercept_row:
@@ -243,14 +256,15 @@ def prox_l1(
     return out
 
 
-def prox_l21(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -> np.ndarray:
-    """Row shrinkage by max(0, 1 - threshold/||row||); zero rows stay zero."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    norms = _row_norms(V)
-    scale = np.zeros_like(norms)
-    positive = norms > 0
-    scale[positive] = np.maximum(0.0, 1.0 - threshold / norms[positive])
+def _shrink_l21(V, threshold, skip_intercept_row=True):
+    """:func:`prox_l21` without the threshold check.
+
+    A zero row's factor 1 - threshold/0 is -inf (or NaN at threshold 0), and
+    a NaN row's is NaN; ``fmax`` takes 0 over either, so those rows get the
+    factor 0 that masking them out would give.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.fmax(1.0 - threshold / _row_norms(V), 0.0)
     out = V * scale[:, None]
     if skip_intercept_row:
         out[-1] = V[-1]
@@ -258,11 +272,13 @@ def prox_l21(V: np.ndarray, threshold: float, skip_intercept_row: bool = True) -
 
 
 def _prox(reg: RegularizerSpec, V: np.ndarray, step: Union[float, np.ndarray]) -> np.ndarray:
+    """The penalty's prox at ``step``. :func:`fit` has made sure once that every
+    threshold is nonnegative (step > 0 and theta >= 0), so no step checks it."""
     if reg.kind == "lasso":
-        return prox_l1(V, step * reg.theta1)
+        return _shrink_l1(V, step * reg.theta1)
     if reg.kind == "group_l21":
-        return prox_l21(V, step * reg.theta1)
-    return prox_l21(V, step * reg.theta2)
+        return _shrink_l21(V, step * reg.theta1)
+    return _shrink_l21(V, step * reg.theta2)
 
 
 class _Smooth:
@@ -286,7 +302,7 @@ class _Smooth:
     def _residual(self, W: np.ndarray) -> np.ndarray:
         # each row's own dot product with its task's column; the summation
         # order depends on the row alone, not on how many rows are stacked
-        predictions = np.einsum("nd,nd->n", self.data.x, W.T[self.task_of_row])
+        predictions = np.einsum("nd,nd->n", self.data.x, W.T.take(self.task_of_row, axis=0))
         return predictions - self.data.y
 
     def value(self, W: np.ndarray) -> float:
@@ -333,14 +349,14 @@ class _Smooth:
 
 def _objective_values(
     smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray
-) -> Union[np.float64, np.ndarray]:
+) -> Union[float, np.ndarray]:
     """Full objective of each block: one per task's column for lasso, shape (P,);
-    one in all for the joint kinds, an ``np.float64`` of shape ()."""
+    one in all for the joint kinds, a Python float."""
     if reg.kind == "lasso":
         # accumulate adds each column's entries in row order whatever the column count
         penalties = reg.theta1 * np.add.accumulate(np.abs(W[:-1]), axis=0)[-1]
         return smooth.task_losses(residual) + penalties
-    return np.float64(smooth.value_from_residual(W, residual) + nonsmooth_penalty(W, reg))
+    return smooth.value_from_residual(W, residual) + nonsmooth_penalty(W, reg)
 
 
 def _all_finite(v: Union[float, np.ndarray]) -> bool:
@@ -369,10 +385,16 @@ def fit(
     if not _all_finite(current):
         # the first step would evaluate this point; inf - inf in its residual would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
-    L = smooth.task_lipschitz() if reg.kind == "lasso" else smooth.lipschitz()
-    step = 1.0 / np.where(L == 0.0, 1.0, L)  # L = 0: the block's smooth part is constant
+    if reg.kind == "lasso":
+        L = smooth.task_lipschitz()
+        step = 1.0 / np.where(L == 0.0, 1.0, L)  # L = 0: the block's smooth part is constant
+    else:
+        L = smooth.lipschitz()
+        step = 1.0 / (L if L != 0.0 else 1.0)
     if not np.all(step > 0.0):  # NaN or overflowed L
         raise DivergenceError("step size underflow at iteration 1")
+    # step > 0 here, and theta >= 0 (a NaN theta has made `current` non-finite
+    # above), so every prox threshold of this fit is nonnegative
     W, trace, stopped_at, converged = _fista(smooth, reg, W, r, current, step, params)
     return FitResult(
         weights=WeightMatrix(values=W, task_ids=data.task_ids, columns=data.columns),
@@ -388,23 +410,37 @@ def _fista(smooth, reg, W, r, current, step, params):
 
     A block is one task's column for the lasso kind and all columns for the
     joint kinds. Each block has its own step, momentum, restart and stop, and
-    a block that has stopped keeps its iterate while the others go on. Block
-    state has one entry per block (shape (P,)) or is a scalar (shape ()), so
-    it broadcasts over W's columns either way; ``on_rows`` repeats a per-task
-    entry over that task's residual rows. The trace holds the sum of the
-    blocks' objectives.
-    """
-    W_prev, r_prev = W, r
-    momentum = _momentum(params.max_iters)
-    since = np.zeros(current.shape, dtype=np.intp)  # steps since the block's last (re)start
-    active = np.ones(current.shape, dtype=bool)
-    all_active = True
-    stopped_at = np.full(current.shape, params.max_iters)
-    trace = [float(current.sum())]
-    blocks = current.size
+    a block that has stopped keeps its iterate while the others go on. The
+    trace holds the sum of the blocks' objectives.
 
-    def on_rows(v: np.ndarray) -> np.ndarray:
-        return v[smooth.task_of_row] if blocks > 1 else v  # one block broadcasts
+    Block state (``current``, ``values``, ``since``, ``alpha``, ``step``, the
+    restart and stop masks) has one entry per block. The lasso kind's state
+    is arrays of shape (P,), which broadcast over W's columns; ``on_rows``
+    repeats a per-task entry over that task's residual rows. The one joint
+    block keeps its state in Python scalars, which spares every sweep numpy's
+    per-call overhead on 0-d arrays. The helpers that pick, test and combine
+    block state (``where``, ``any_``, ``maximum``, ``on_rows``, ``total``) are
+    chosen once per fit to match; the floating-point operations and their
+    order are the same either way.
+    """
+    if isinstance(current, float):  # one block
+        momentum = _momentum(params.max_iters).tolist()
+        since, active, stopped_at = 0, True, params.max_iters
+        where, any_, maximum, on_rows, total = _pick, bool, max, _same, float
+    else:
+        momentum = _momentum(params.max_iters)
+        since = np.zeros(current.shape, dtype=np.intp)  # steps since the block's last (re)start
+        active = np.ones(current.shape, dtype=bool)
+        stopped_at = np.full(current.shape, params.max_iters)
+        where, any_, maximum, total = np.where, np.ndarray.any, np.maximum, _sum
+        task_of_row = smooth.task_of_row
+
+        def on_rows(v: np.ndarray) -> np.ndarray:
+            return v.take(task_of_row)
+
+    W_prev, r_prev = W, r
+    all_active = True
+    trace = [total(current)]
 
     for iteration in range(1, params.max_iters + 1):
         alpha = momentum[since]
@@ -415,39 +451,51 @@ def _fista(smooth, reg, W, r, current, step, params):
         restart = values > current
         if not all_active:
             restart &= active
-        if restart.any():
+        if any_(restart):
             # momentum overshot: restart and take a plain descent step, or keep
             # the previous iterate if that rises too (numerically stationary)
-            since[restart] = 0
+            since = where(restart, 0, since)
             plain, r_plain, plain_values = _prox_step(smooth, reg, W, r, step, iteration)
             stuck = plain_values > current
-            candidate = np.where(restart, np.where(stuck, W, plain), candidate)
-            r_candidate = np.where(
-                on_rows(restart), np.where(on_rows(stuck), r, r_plain), r_candidate
+            candidate = where(restart, where(stuck, W, plain), candidate)
+            r_candidate = where(
+                on_rows(restart), where(on_rows(stuck), r, r_plain), r_candidate
             )
-            values = np.where(restart, np.where(stuck, current, plain_values), values)
-        if not all_active:  # stopped blocks keep their iterate
+            values = where(restart, where(stuck, current, plain_values), values)
+        if not all_active:  # stopped blocks keep their iterate (several blocks only)
             candidate = np.where(active, candidate, W)
             r_candidate = np.where(on_rows(active), r_candidate, r)
             values = np.where(active, values, current)
 
         W_prev, W = W, candidate
         r_prev, r = r, r_candidate
-        trace.append(float(values.sum()))
+        trace.append(total(values))
         since += 1
 
-        stopped = abs(current - values) <= params.rel_tol * np.maximum(abs(current), 1e-12)
+        stopped = abs(current - values) <= params.rel_tol * maximum(abs(current), 1e-12)
         if not all_active:
             stopped &= active
         current = values
-        if stopped.any():
-            stopped_at[stopped] = iteration
-            active &= ~stopped
+        if any_(stopped):
+            stopped_at = where(stopped, iteration, stopped_at)
+            active = where(stopped, False, active)
             all_active = False
-            if not active.any():
+            if not any_(active):
                 break
 
-    return W, trace, stopped_at, not active.any()
+    return W, trace, stopped_at, not any_(active)
+
+
+def _pick(condition: bool, a, b):
+    return a if condition else b
+
+
+def _same(v):
+    return v
+
+
+def _sum(v: np.ndarray) -> float:
+    return float(v.sum())
 
 
 @functools.lru_cache(maxsize=4)
@@ -475,12 +523,11 @@ def _prox_step(smooth, reg, point, r_point, step, iteration):
     its full objective value (one per column for lasso).
     """
     g_point = smooth.gradient_from_residual(point, r_point)
-    # a non-finite residual entry makes its task's intercept gradient non-finite
-    if not np.isfinite(g_point).all():
-        raise DivergenceError(f"objective became non-finite at iteration {iteration}")
     candidate = _prox(reg, point - step * g_point, step)
     r_candidate = smooth._residual(candidate)
     value = _objective_values(smooth, reg, candidate, r_candidate)
+    # a non-finite gradient entry makes its block's candidate, residual and so
+    # objective non-finite, so this test also stands for a test of the gradient
     if not _all_finite(value):
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
     return candidate, r_candidate, value

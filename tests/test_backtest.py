@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mtlhouse import backtest
+from mtlhouse import backtest, baselines
 from mtlhouse.backtest import (
     MethodSpec,
     RollingPlan,
@@ -13,6 +13,7 @@ from mtlhouse.backtest import (
     run_backtest,
 )
 from mtlhouse.design import build_task_data
+from mtlhouse.reports import write_records_csv
 from mtlhouse.solver import RegularizerSpec, SolverParams
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import RegionDef, TaskSet, define_tasks
@@ -374,7 +375,7 @@ class TestGridSelection:
         for spec in specs:
             expected = "per-task" if spec.kind in ("ols", "ridge", "lasso") else "joint"
             for point in spec.grid_points():
-                assert backtest._fit_point("data", spec, point) == expected
+                assert backtest._fit_point("data", spec, point, {}) == expected
         a, b, c, d, e, f, g = specs
         assert calls == [
             ("fit", RegularizerSpec("lasso", 1.0), params),
@@ -397,6 +398,77 @@ class TestGridSelection:
             MethodSpec(label="r", kind="ridge", penalty=(1.0, 0.0))
         # stl lasso at 0 is still allowed
         assert MethodSpec(label="l", kind="lasso", penalty=(0.0,)).penalty == (0.0,)
+
+
+class TestRoundSharesFits:
+    """A round solves each distinct problem once: the per-task lasso at penalty
+    λ is the joint lasso at theta1 = λ on the same data."""
+
+    def run(self, monkeypatch, methods):
+        """The data window and theta1 of every lasso solve, and the records."""
+        solves = []
+        for module in (backtest, baselines):
+
+            def counted(data, reg, params, real=module.fit):
+                if reg.kind == "lasso":
+                    solves.append((data.window, reg.theta1))
+                return real(data, reg, params)
+
+            monkeypatch.setattr(module, "fit", counted)
+        dataset = small_market(months=7)
+        plan = make_rolling_plan(dataset, k=3)
+        records, _ = run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        return solves, records
+
+    @staticmethod
+    def csv_rows(tmp_path, records, method):
+        path = tmp_path / f"{method}.csv"
+        write_records_csv(path, [("SA3", r) for r in records if r.method == method])
+        return [line.split(",", 2)[2] for line in path.read_text().splitlines()[1:]]
+
+    @pytest.mark.parametrize("lasso_first", [False, True], ids=["mtl_first", "lasso_first"])
+    def test_equal_points_share_one_solve(self, monkeypatch, tmp_path, lasso_first):
+        methods = [
+            MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(1.0,)),
+            MethodSpec(label="lasso", kind="lasso", penalty=(1.0,)),
+        ]
+        if lasso_first:
+            methods.reverse()
+        solves, records = self.run(monkeypatch, methods)
+        rounds = {r.round_index for r in records}
+        assert len(rounds) == 4
+        assert len(solves) == len(set(solves)) == len(rounds)  # one full-window solve per round
+        assert all(hi - lo + 1 == 3 for (lo, hi), _ in solves)
+        shared = self.csv_rows(tmp_path, records, "lasso")
+        assert shared and shared == self.csv_rows(tmp_path, records, "mtl_lasso")
+
+    def test_different_points_solve_apart(self, monkeypatch, tmp_path):
+        methods = [
+            MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(3.0,)),
+            MethodSpec(label="lasso", kind="lasso", penalty=(1.0,)),
+        ]
+        solves, records = self.run(monkeypatch, methods)
+        rounds = {r.round_index for r in records}
+        assert sorted(theta for _, theta in solves) == [1.0] * len(rounds) + [3.0] * len(rounds)
+        assert self.csv_rows(tmp_path, records, "lasso") != self.csv_rows(
+            tmp_path, records, "mtl_lasso"
+        )
+
+    def test_grid_selection_shares_inner_window_solves(self, monkeypatch):
+        # both grids are (1.0, 3.0): two inner-window solves and one full-window
+        # solve per round, however many methods ask for them
+        methods = [
+            MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(1.0, 3.0)),
+            MethodSpec(label="lasso", kind="lasso", penalty=(1.0, 3.0)),
+        ]
+        solves, records = self.run(monkeypatch, methods)
+        rounds = {r.round_index for r in records}
+        assert len(solves) == len(set(solves)) == 3 * len(rounds)
+        by_method = {
+            label: [(r.round_index, r.task_id, r.rmse, r.mae) for r in records if r.method == label]
+            for label in ("mtl_lasso", "lasso")
+        }
+        assert by_method["lasso"] == by_method["mtl_lasso"]
 
 
 class TestQuartileReport:

@@ -3,7 +3,11 @@ import io
 import json
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from mtlhouse.design import DesignLayout
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic, synthetic_schema
 from mtlhouse.tasks import RegionDef
 
-from conftest import make_dataset, make_schema
+from conftest import REPO_ROOT, make_dataset, make_schema
 
 # ln(680540), the log of the median sale price, from a 50-digit reference
 LOG_MEDIAN_PRICE = 13.43064187965476
@@ -278,6 +282,86 @@ class TestLoadDataset:
         dataset = load_dataset(path, self.small_schema())
         assert len(dataset) == 1
         assert "JUNK" not in dataset.records[0].values
+
+
+class TestRejectsDoNotFailTheLoad:
+    """A row with a year past int64 or a byte that is not UTF-8 is rejected
+    with its line number; it does not fail the whole load. Files are UTF-8
+    whatever the locale."""
+
+    schema = make_schema(numeric=("SIZE",), key=("REGION",))
+
+    @pytest.mark.parametrize(
+        "line, rejected",
+        [
+            (
+                b"1.0,A,99999999999999999999-01,5.0",
+                "line 22: month out of range in '99999999999999999999-01'",
+            ),
+            (
+                b"1.0,\xff\xfe,2015-01,5.0",
+                "line 22: label '\\udcff\\udcfe' holds a byte that is not UTF-8",
+            ),
+        ],
+        ids=["year_past_int64", "undecodable_label"],
+    )
+    def test_rejected_after_twenty_good_rows(self, tmp_path, caplog, line, rejected):
+        path = tmp_path / "bad.csv"
+        good = [f"{500.0 + i},A,2015-0{1 + i % 3},{100000.0 + i}".encode() for i in range(20)]
+        path.write_bytes(b"\n".join([b"SIZE,REGION,DATE,PRICE", *good, line]) + b"\n")
+        with caplog.at_level(logging.DEBUG, logger="mtlhouse.data"):
+            loaded = load_dataset(path, self.schema)
+        assert [m for m in caplog.messages if m.startswith("rejected row")] == [
+            f"rejected row: {rejected}"
+        ]
+        assert len(loaded) == 20 and loaded.inventories == {"REGION": ("A",)}
+        assert_same_columns(loaded, load_row_by_row(path, self.schema))
+
+    def test_utf8_label_loads_in_one_pass(self, tmp_path):
+        path = tmp_path / "utf8.csv"
+        rows = ["SIZE,REGION,DATE,PRICE", "1.0,\u00c9lan,2015-01,5.0", "2.0,A,2015-02,6.0"]
+        path.write_bytes("\n".join(rows).encode("utf-8") + b"\n")
+        loaded = load_in_one_pass(path, self.schema)
+        assert loaded.inventories == {"REGION": ("A", "\u00c9lan")}
+
+    def test_non_ascii_label_round_trips_under_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode or locale coercion reads and writes
+        # ASCII by default; the loader and writer use UTF-8 regardless
+        script = textwrap.dedent(
+            """
+            import locale, sys
+            import numpy as np
+            from mtlhouse.data import Dataset, FeatureSchema, load_dataset, save_dataset
+
+            print(locale.getpreferredencoding(False))
+            schema = FeatureSchema(numeric=(), keys=("REGION",))
+            dataset = Dataset(
+                schema=schema,
+                months=[1, 2],
+                prices=[1.0, 2.0],
+                numeric=np.zeros((2, 0)),
+                codes={"REGION": [0, 1]},
+                inventories={"REGION": ("A", "\\u00c9lan")},
+            )
+            save_dataset(dataset, sys.argv[1])
+            loaded = load_dataset(sys.argv[1], schema)
+            assert loaded.inventories == dataset.inventories, loaded.inventories
+            """
+        )
+        env = {
+            **os.environ,
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+        }
+        path = tmp_path / "labels.csv"
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 0, child.stderr
+        assert "utf" not in child.stdout.lower()  # the child's default encoding is not UTF-8
+        assert "\u00c9lan".encode("utf-8") in path.read_bytes()
 
 
 def load_row_by_row(path, schema):

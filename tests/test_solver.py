@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mtlhouse.solver import (
     _graph_quadratic,
     _momentum,
     _prox,
+    _prox_step,
     _row_norms,
     _Smooth,
     build_task_graph,
@@ -290,6 +292,45 @@ class TestProxL21:
         V = np.zeros((5, 2))
         assert np.array_equal(prox_l21(V, 3.0, skip_intercept_row=False), V)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 5.0, 1e300])
+    @pytest.mark.parametrize("skip_intercept_row", [False, True])
+    def test_zero_nan_and_inf_rows_match_the_masked_form(self, threshold, skip_intercept_row):
+        # the shrink factor is taken in one pass over all rows; zero and NaN
+        # rows must still get the 0 that masking them out before the division
+        # gave, bit for bit and without a RuntimeWarning
+        def masked(V):
+            norms = _row_norms(V)
+            scale = np.zeros_like(norms)
+            positive = norms > 0
+            scale[positive] = np.maximum(0.0, 1.0 - threshold / norms[positive])
+            out = V * scale[:, None]
+            if skip_intercept_row:
+                out[-1] = V[-1]
+            return out
+
+        nan, inf = math.nan, math.inf
+        V = np.array(
+            [
+                [0.0, 0.0, 0.0],
+                [-0.0, 0.0, -0.0],
+                [nan, 1.0, 2.0],
+                [nan, nan, nan],
+                [inf, 1.0, -2.0],
+                [3.0, 4.0, 0.0],
+                [5e-324, 0.0, 0.0],
+                [1e150, -1e150, 1.0],
+                [0.0, 0.0, 0.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_l21(V, threshold, skip_intercept_row)
+        assert out.tobytes() == masked(V).tobytes()
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            prox_l21(np.ones((2, 2)), math.nan)
+
     def test_matches_rowwise_closed_form_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
@@ -500,6 +541,36 @@ class TestFit:
         )
         with pytest.raises(DivergenceError, match="iteration 1"):
             fit(data, RegularizerSpec("lasso", 0.1))
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
+    def test_divergence_after_iteration_one_names_that_iteration(
+        self, kind, theta2, entry, monkeypatch
+    ):
+        # the gradient first turns non-finite in iteration 4, in one entry:
+        # the candidate's objective check must catch it in that iteration
+        now = {"iteration": 0}
+
+        def tracking_prox_step(smooth, reg, point, r_point, step, iteration):
+            now["iteration"] = iteration
+            return _prox_step(smooth, reg, point, r_point, step, iteration)
+
+        gradient = _Smooth.gradient_from_residual
+
+        def overflowing_gradient(self, W, r):
+            g = gradient(self, W, r)
+            if now["iteration"] >= 4:
+                g[1, 2] = entry
+            return g
+
+        monkeypatch.setattr("mtlhouse.solver._prox_step", tracking_prox_step)
+        monkeypatch.setattr(_Smooth, "gradient_from_residual", overflowing_gradient)
+        data = random_task_data(np.random.default_rng(77), n_tasks=4, n_columns=5)
+        reg = RegularizerSpec(kind, 0.6, theta2)
+        # inf - inf in the graph term's row centring is NaN; that warning is not the point
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"non-finite at iteration 4$"):
+                fit(data, reg)
 
     @pytest.mark.parametrize(
         "entry,message",
