@@ -2,10 +2,11 @@
 
 A dataset is a month-sorted table of transactions held as column arrays.
 A schema names a file's numeric and key feature columns; every file also has
-a ``DATE`` (sale month) and a ``PRICE`` (sale price) column. A clean file is
-parsed in one ``np.loadtxt`` pass; a file with a rejected row is read again row
-by row, which reports each reject with its line number. Files are read and
-written as UTF-8 whatever the locale; a byte that is not UTF-8 rejects its row.
+a ``DATE`` (sale month) and a ``PRICE`` (sale price) column. A file is read by
+one chunked reader: ``np.loadtxt`` parses each chunk of rows, and only a chunk
+it refuses is read again row by row, which reports each reject with its line
+number. Files are read and written as UTF-8 whatever the locale; a byte that is
+not UTF-8 rejects its row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import itertools
 import logging
 import math
-import operator
 import warnings
 from collections import abc
 from dataclasses import dataclass, field
@@ -35,7 +35,7 @@ META_COLUMNS = ("DATE", "PRICE")
 # Fraction of malformed rows tolerated before a load is considered broken.
 MAX_REJECT_FRACTION = 0.10
 
-# Rows converted per column-at-a-time step when loading or saving a file.
+# Rows parsed per chunk when loading a file, and written per call when saving one.
 CHUNK_ROWS = 4096
 
 # The month indices a Dataset's int64 months can hold.
@@ -262,14 +262,14 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     """Parse a comma-delimited transaction file against ``schema``.
 
     The header must name each schema column exactly once, among any other
-    columns. A clean file is parsed in one ``np.loadtxt`` pass. A file with a
-    row that pass does not take (a reject, or a value only Python's ``float``
-    reads, such as ``1_000``) is read again from the top, so it costs both
-    passes: rows are read in chunks of ``CHUNK_ROWS`` and converted a column
-    at a time; a chunk that fails conversion is checked row by row, so
-    malformed rows are collected and reported with their file line numbers.
-    Loading fails hard when more than ``MAX_REJECT_FRACTION`` of the
-    data rows are rejected. Accepted rows are stably sorted by sale month.
+    columns. The data rows are read in chunks of ``CHUNK_ROWS``, each parsed
+    by ``np.loadtxt``. A chunk that ``loadtxt`` refuses (a malformed row, or a
+    value only Python's ``float`` reads, such as ``1_000``), or that holds a
+    price or numeric value that is not positive and finite, is read again row
+    by row with the ``csv`` module. That pass rejects each malformed row and
+    reports it with its physical line number in the file. Loading fails hard
+    when more than ``MAX_REJECT_FRACTION`` of the data rows are rejected.
+    Accepted rows are stably sorted by sale month.
 
     The file is read as UTF-8. A byte that is not UTF-8 is read as a lone
     surrogate (``errors="surrogateescape"``), so it rejects its row like any
@@ -277,9 +277,22 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     """
     path = Path(path)
     with _open_csv(path) as fh:
-        col = _schema_columns(path, csv.reader(fh), schema)
-        dataset = _load_clean(fh, schema, col)
-    return dataset if dataset is not None else _load_rows(path, schema)
+        header = csv.reader(fh)
+        reader = _ChunkReader(schema, _schema_columns(path, header, schema), fh, header.line_num)
+        reader.read()
+
+    n_rows, row_errors = reader.n_rows, reader.row_errors
+    if n_rows and len(row_errors) > MAX_REJECT_FRACTION * n_rows:
+        raise DataError(
+            f"{path}: {len(row_errors)} of {n_rows} rows rejected "
+            f"(first: {row_errors[0]})",
+            row_errors,
+        )
+    if row_errors:
+        logger.warning("%s: rejected %d of %d rows", path, len(row_errors), n_rows)
+        for msg in row_errors:
+            logger.debug("rejected row: %s", msg)
+    return reader.dataset()
 
 
 def _schema_columns(path: Path, reader, schema: FeatureSchema) -> dict[str, int]:
@@ -328,177 +341,156 @@ class _Months(dict):
         return month
 
 
-def _load_clean(fh, schema: FeatureSchema, col: Mapping[str, int]) -> Optional[Dataset]:
-    """The Dataset of the data rows left in ``fh``, parsed in one ``np.loadtxt``
-    call; None if any row would be rejected or ``loadtxt`` cannot parse it (a
-    label with an undecodable byte is such a row)."""
-    lookups = {name: _Codes() for name in schema.keys}
-    # numpy keys converters by file column, not by position in usecols
-    converters = {col[name]: lookup.__getitem__ for name, lookup in lookups.items()}
-    converters[col["DATE"]] = _Months().__getitem__
-    dtype = [
-        (name, np.int64 if name == "DATE" else np.int32 if name in lookups else np.float64)
-        for name in schema.names
-    ]
-    try:
-        with warnings.catch_warnings():
-            # a file with a header and no rows loads to an empty Dataset
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(
-                fh,
-                dtype=dtype,
-                delimiter=",",
-                quotechar='"',
-                comments=None,
-                ndmin=1,
-                usecols=[col[name] for name in schema.names],  # fill the dtype's fields in turn
-                converters=converters,
-            )
-    except (ValueError, OverflowError):
-        return None
-    prices = table["PRICE"]
-    numeric = np.empty((len(table), len(schema.numeric)))
-    for j, name in enumerate(schema.numeric):
-        numeric[:, j] = table[name]
-    if not (np.all((prices > 0) & np.isfinite(prices)) and np.all(np.isfinite(numeric))):
-        return None
-    codes = [table[name] for name in schema.keys]
-    return _sorted_dataset(schema, table["DATE"], prices, numeric, codes, lookups)
+class _ChunkReader:
+    """Reads a file's data rows, ``CHUNK_ROWS`` at a time, into structured
+    tables, then joins them into a Dataset.
 
+    ``np.loadtxt`` reads each chunk from a line source that records the lines
+    it yields. numpy pulls lines only as it needs them, so a chunk ends where
+    numpy's tokenizer ends a row, and a quoted line break stays in its field.
+    A chunk numpy refuses is read again by ``csv.reader`` from its lines.
+    """
 
-def _load_rows(path: Path, schema: FeatureSchema) -> Dataset:
-    """Read ``path`` row by row, in chunks, rejecting and reporting malformed rows."""
-    with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        columns = _ColumnReader(schema, _schema_columns(path, reader, schema))
-        row_errors: list[str] = []
-        n_rows = 0
-        line_no = 2  # of the chunk's first row; counts rows as the csv module reads them
-        while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-            n_rows += columns.add(chunk, line_no, row_errors)
-            line_no += len(chunk)
-
-    if n_rows and len(row_errors) > MAX_REJECT_FRACTION * n_rows:
-        raise DataError(
-            f"{path}: {len(row_errors)} of {n_rows} rows rejected "
-            f"(first: {row_errors[0]})",
-            row_errors,
-        )
-    if row_errors:
-        logger.warning("%s: rejected %d of %d rows", path, len(row_errors), n_rows)
-        for msg in row_errors:
-            logger.debug("rejected row: %s", msg)
-    return columns.dataset()
-
-
-def _sorted_dataset(
-    schema: FeatureSchema,
-    months: np.ndarray,
-    prices: np.ndarray,
-    numeric: np.ndarray,
-    codes: Sequence[np.ndarray],
-    lookups: Mapping[str, Mapping[str, int]],
-) -> Dataset:
-    """The Dataset of parsed rows: stably sorted by month, with each key's
-    provisional ``codes`` (in ``schema.keys`` order, given by ``lookups``)
-    recoded into its sorted labels."""
-    order = np.argsort(months, kind="stable")
-    sorted_codes, inventories = {}, {}
-    for name, code in zip(schema.keys, codes):
-        sorted_codes[name], inventories[name] = sort_codes(code[order], lookups[name])
-    return Dataset(
-        schema=schema,
-        months=months[order],
-        prices=prices[order],
-        numeric=numeric[order],
-        codes=sorted_codes,
-        inventories=inventories,
-    )
-
-
-class _ColumnReader:
-    """Converts chunks of CSV rows into column blocks, then joins them into a Dataset."""
-
-    def __init__(self, schema: FeatureSchema, col: Mapping[str, int]):
+    def __init__(self, schema: FeatureSchema, col: Mapping[str, int], fh, lines_before: int):
         self.schema = schema
         self.col = col
-        names = META_COLUMNS + schema.feature_names
-        self.pick = operator.itemgetter(*(col[name] for name in names))
         self.lookups = {name: _Codes() for name in schema.keys}
         self.month_of = _Months()
-        self.blocks: list[tuple] = [self._convert([])]  # so a file without rows joins too
+        self.dtype = np.dtype(
+            [
+                (name, np.int64 if name == "DATE" else np.int32 if name in self.lookups else np.float64)
+                for name in schema.names
+            ]
+        )
+        # numpy keys converters by file column, not by position in usecols
+        converters = {col[name]: lookup.__getitem__ for name, lookup in self.lookups.items()}
+        converters[col["DATE"]] = self.month_of.__getitem__
+        self.loadtxt_args = dict(
+            dtype=self.dtype,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=1,
+            usecols=[col[name] for name in schema.names],  # fill the dtype's fields in turn
+            converters=converters,
+            max_rows=CHUNK_ROWS,
+        )
+        self.lines: list[str] = []  # the lines the current chunk has read
+        self.source = self._recorded(fh)
+        self.line_no = lines_before  # the file's lines before the current chunk
+        self.tables: list[np.ndarray] = []
+        self.row_errors: list[str] = []
+        self.n_rows = 0
 
-    def add(self, chunk: list[list[str]], first_line: int, row_errors: list[str]) -> int:
-        """Convert the non-blank rows of ``chunk``, whose first row is on ``first_line``;
-        record each rejected row in ``row_errors`` and return the number of rows."""
-        rows = [row for row in chunk if row]
+    def _recorded(self, fh):
+        for line in fh:
+            self.lines.append(line)
+            yield line
+
+    def read(self) -> None:
+        """Read every chunk left in the file; the last one reads no line."""
+        while True:
+            sizes = [len(lookup) for lookup in self.lookups.values()]
+            table = self._table()
+            if table is None:
+                # forget the labels the refused chunk coded: dict order is code order
+                for lookup, size in zip(self.lookups.values(), sizes):
+                    while len(lookup) > size:
+                        lookup.popitem()
+                table = self._rows()
+            else:
+                self.n_rows += len(table)
+            self.tables.append(table)
+            if not self.lines:
+                return
+            self.line_no += len(self.lines)
+            self.lines.clear()
+
+    def _table(self) -> Optional[np.ndarray]:
+        """The chunk as ``np.loadtxt`` parses it; None if it refuses a row, or a
+        price or numeric value is not positive and finite."""
         try:
-            block = self._convert(rows)
-        except (ValueError, IndexError, OverflowError):
-            good = []
-            for line_no, row in enumerate(chunk, start=first_line):
-                if not row:
-                    continue
-                try:
-                    self._check_row(row)
-                except (ValueError, IndexError) as exc:
-                    row_errors.append(f"line {line_no}: {exc}")
-                else:
-                    good.append(row)
-            block = self._convert(good)
-        self.blocks.append(block)
-        return len(rows)
-
-    def _convert(self, rows: list[list[str]]) -> tuple:
-        """Column arrays of ``rows``; raises if any row would be rejected."""
-        n = len(rows)
-        # DATE, PRICE, numeric, keys
-        cells = list(zip(*map(self.pick, rows))) or [()] * len(self.schema.names)
-        months = np.fromiter(map(self.month_of.__getitem__, cells[0]), np.int64, n)
-        prices = np.fromiter(map(float, cells[1]), np.float64, n)
+            with warnings.catch_warnings():
+                # blank lines are skipped; a file with no rows loads to an empty Dataset
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(self.source, **self.loadtxt_args)
+        except (ValueError, OverflowError):
+            return None
+        prices = table["PRICE"]
         if not np.all((prices > 0) & np.isfinite(prices)):
-            raise ValueError("a price is not positive and finite")
-        k = len(self.schema.numeric)
-        numeric = np.empty((n, k))
-        for j in range(k):
-            numeric[:, j] = np.fromiter(map(float, cells[2 + j]), np.float64, n)
-        if not np.all(np.isfinite(numeric)):
-            raise ValueError("a numeric value is not finite")
-        codes = []
-        for name, labels in zip(self.schema.keys, cells[2 + k :]):
-            codes.append(np.fromiter(map(self.lookups[name].__getitem__, labels), np.int32, n))
-        return months, prices, numeric, codes
+            return None
+        if not all(np.all(np.isfinite(table[name])) for name in self.schema.numeric):
+            return None
+        return table
 
-    def _check_row(self, row: list[str]) -> None:
-        """Raise the error that rejects ``row``: DATE, PRICE, the numeric cells in
-        schema order, then a row too short for a key cell, then a key label
-        with an undecodable byte."""
-        date = row[self.col["DATE"]]
-        month = month_index(date)
-        if not _MONTH_MIN <= month <= _MONTH_MAX:  # past the int64 that _convert stores
+    def _rows(self) -> np.ndarray:
+        """The chunk read again by ``csv.reader``: its recorded lines, then the
+        rest of the row the last of them is in. Each malformed row is rejected
+        with its line number."""
+        recorded = self.lines[:]
+        reader = csv.reader(itertools.chain(recorded, self.source))
+        rows = []
+        first = 1  # the chunk's line the next row starts on
+        for row in reader:
+            if row:
+                self.n_rows += 1
+                try:
+                    month, price, values, labels = self._parse_row(row)
+                except (ValueError, IndexError) as exc:
+                    self.row_errors.append(f"line {self.line_no + first}: {exc}")
+                else:
+                    codes = [lookup[label] for lookup, label in zip(self.lookups.values(), labels)]
+                    rows.append((*values, *codes, month, price))  # the dtype's field order
+            if reader.line_num >= len(recorded):
+                break
+            first = reader.line_num + 1
+        return np.array(rows, self.dtype)
+
+    def _parse_row(self, row: list[str]) -> tuple:
+        """``row``'s month, price, numeric values and key labels. Raises the error
+        that rejects it: DATE, PRICE, the numeric cells in schema order, then a
+        row too short for a key cell, then a key label with an undecodable byte."""
+        col = self.col
+        date = row[col["DATE"]]
+        month = self.month_of[date]
+        if not _MONTH_MIN <= month <= _MONTH_MAX:  # past the int64 the months are stored in
             raise ValueError(f"month out of range in {date!r}")
-        price = float(row[self.col["PRICE"]])
+        price = float(row[col["PRICE"]])
         if not price > 0:
             raise ValueError(f"non-positive price {price}")
         if not math.isfinite(price):
             raise ValueError(f"non-finite price {price}")
+        values = []
         for name in self.schema.numeric:
-            if not math.isfinite(float(row[self.col[name]])):
+            value = float(row[col[name]])
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite value in column {name!r}")
-        self.pick(row)
-        for name in self.schema.keys:
-            _check_label(row[self.col[name]])
+            values.append(value)
+        labels = [row[col[name]] for name in self.schema.keys]
+        for label in labels:
+            _check_label(label)
+        return month, price, values, labels
 
     def dataset(self) -> Dataset:
-        months, prices, numeric, code_blocks = zip(*self.blocks)
-        codes = [np.concatenate(blocks) for blocks in zip(*code_blocks)]
-        return _sorted_dataset(
-            self.schema,
-            np.concatenate(months),
-            np.concatenate(prices),
-            np.concatenate(numeric),
-            codes,
-            self.lookups,
+        """The Dataset of the accepted rows, stably sorted by month, with each
+        key's provisional codes recoded into its sorted labels."""
+        table = np.concatenate(self.tables)
+        self.tables.clear()
+        table = table[np.argsort(table["DATE"], kind="stable")]
+        numeric = np.empty((len(table), len(self.schema.numeric)))
+        for j, name in enumerate(self.schema.numeric):
+            numeric[:, j] = table[name]
+        codes, inventories = {}, {}
+        for name in self.schema.keys:
+            codes[name], inventories[name] = sort_codes(table[name], self.lookups[name])
+        return Dataset(
+            schema=self.schema,
+            months=table["DATE"].copy(),
+            prices=table["PRICE"].copy(),
+            numeric=numeric,
+            codes=codes,
+            inventories=inventories,
         )
 
 

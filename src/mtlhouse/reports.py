@@ -3,6 +3,7 @@
 The run report is a single JSON document (sorted keys, stable float repr) so
 identical experiments produce byte-identical outputs. CSV and markdown views
 are derived from it; the markdown summary bolds the best method per row.
+Every file is written and read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -62,15 +63,15 @@ def definition_result_dict(
 
 
 def dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def load_json(path: Path) -> dict:
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -243,7 +244,7 @@ def render(results_dir: Path, fmt: str, out_dir: Optional[Path] = None) -> list[
         text = "\n".join(
             [summary_markdown(report), ranksum_markdown(report), wld_markdown(report)]
         )
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     else:
         raise ValueError(f"unknown format {fmt!r}")

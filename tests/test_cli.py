@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +237,44 @@ class TestRun:
         assert report["partial"] is True
         assert "station:4000" in report["errors"]
         assert report["definition_order"] == ["region:SA3"]
+
+    def test_non_ascii_labels_under_an_ascii_locale(self, tmp_path):
+        # the C locale without UTF-8 mode or locale coercion reads and writes
+        # ASCII by default; configs, run files and reports are UTF-8 regardless
+        data = tmp_path / "data.csv"
+        fixture = (FIXTURE_DIR / "dataset.csv").read_bytes()
+        data.write_bytes(fixture.replace(b"R000", "R\u00c9000".encode("utf-8")))
+        config = write_config(
+            tmp_path,
+            data={"path": str(data), "schema": "synthetic", "n_features": 10},
+            methods=[
+                {"label": "ols", "kind": "ols"},
+                {"label": "ridge-\u00e9", "kind": "ridge", "penalty": [1.0]},
+            ],
+        )
+        config.write_text(json.dumps(json.loads(config.read_text()), ensure_ascii=False), "utf-8")
+        env = {
+            **os.environ,
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+        }
+        results = tmp_path / "results"
+        commands = [["run", "--config", str(config)]]
+        commands += [["report", str(results), "--format", fmt] for fmt in ("md", "csv", "json")]
+        for argv in commands:
+            child = subprocess.run(
+                [sys.executable, "-m", "mtlhouse.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert child.returncode == 0, (argv, child.stderr)
+        assert "R\u00c9000".encode("utf-8") in (results / "records.csv").read_bytes()
+        assert "ridge-\u00e9".encode("utf-8") in (results / "rendered" / "report.md").read_bytes()
+        for name in ("summary.csv", "ranksum.csv", "wld.csv", "report.json"):
+            assert (results / "rendered" / name).read_bytes() == (results / name).read_bytes()
 
     def test_out_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)

@@ -365,20 +365,27 @@ class TestRejectsDoNotFailTheLoad:
 
 
 def load_row_by_row(path, schema):
-    """``path``'s Dataset from the row reader: the one-pass parse declines."""
+    """``path``'s Dataset with every chunk read row by row: numpy parses each
+    chunk, and the loader then refuses it."""
+    table = data_module._ChunkReader._table
+
+    def refuse(reader):
+        table(reader)
+        return None
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data_module, "_load_clean", lambda *args: None)
+        patch.setattr(data_module._ChunkReader, "_table", refuse)
         return load_dataset(path, schema)
 
 
 def load_in_one_pass(path, schema):
-    """``path``'s Dataset, failing if the load falls back to the row reader."""
+    """``path``'s Dataset, failing if any chunk falls back to the row-by-row read."""
 
-    def refuse(*args):
-        raise AssertionError("a clean file fell back to the row reader")
+    def refuse(reader):
+        raise AssertionError("a clean chunk was read again row by row")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(data_module, "_load_rows", refuse)
+        patch.setattr(data_module._ChunkReader, "_rows", refuse)
         return load_dataset(path, schema)
 
 
@@ -413,20 +420,22 @@ def row_cells(row):
 
 
 class TestOnePassLoad:
-    """A clean file is parsed in one pass, to the row reader's Dataset."""
+    """numpy alone parses every chunk of a clean file, to the row-by-row read's Dataset."""
 
     schema = make_schema(numeric=NUMERIC, key=KEYS)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         rows=ROWS,
         header=st.permutations(NUMERIC + KEYS + META_COLUMNS + ("JUNK", "NOTE")),
         terminator=st.sampled_from(["\n", "\r\n"]),
         blank_after=st.sets(st.integers(0, 12)),
         quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+        # small chunks end next to blank lines and labels holding \n or \r
+        chunk_rows=st.sampled_from([1, 2, 3, 4, 5, data_module.CHUNK_ROWS]),
     )
     def test_matches_the_row_reader(
-        self, tmp_path_factory, rows, header, terminator, blank_after, quoting
+        self, tmp_path_factory, rows, header, terminator, blank_after, quoting, chunk_rows
     ):
         def line(cells):
             # csv.writer quotes a field holding \r or \n only if its line
@@ -443,8 +452,10 @@ class TestOnePassLoad:
                 lines.append(terminator)
         path = tmp_path_factory.mktemp("one_pass") / "rows.csv"
         path.write_bytes("".join(lines).encode())
-        loaded = load_in_one_pass(path, self.schema)
-        assert_same_columns(loaded, load_row_by_row(path, self.schema))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "CHUNK_ROWS", chunk_rows)
+            loaded = load_in_one_pass(path, self.schema)
+            assert_same_columns(loaded, load_row_by_row(path, self.schema))
         assert_same_columns(loaded, make_dataset(rows, numeric=NUMERIC, key=KEYS))
 
     def test_converters_follow_file_columns(self, tmp_path):
@@ -496,6 +507,106 @@ class TestOnePassLoad:
         if not rejected:
             assert 1000.0 in loaded.numeric[:, 0].tolist()
         assert_same_columns(loaded, load_row_by_row(path, self.schema))
+
+
+class TestChunkedRead:
+    """numpy parses each chunk; the csv module reads again only a chunk numpy refuses."""
+
+    schema = make_schema(numeric=("SIZE",), key=("REGION", "STATION"))
+    header = "SIZE,REGION,STATION,DATE,PRICE\n"
+
+    @pytest.mark.parametrize("price", ["abc", "nan", "0.0"])
+    def test_a_refused_chunk_leaves_no_label(self, tmp_path, price):
+        # the only "Z" is on a rejected row, after rows numpy converted in the
+        # same chunk: numpy codes it, and the refused chunk must forget it
+        path = tmp_path / "rows.csv"
+        good = [f"{100.0 + i},{'AB'[i % 2]},s{i % 3},2015-01,{1000.0 + i}\n" for i in range(20)]
+        path.write_text(self.header + "".join(good) + f"1.0,A,Z,2015-02,{price}\n")
+        loaded = load_dataset(path, self.schema)
+        assert len(loaded) == 20
+        assert loaded.inventories == {"REGION": ("A", "B"), "STATION": ("s0", "s1", "s2")}
+        columns = DesignLayout.from_dataset(loaded, RegionDef("REGION")).columns
+        assert columns == ("SIZE", "STATION=s0", "STATION=s1", "STATION=s2", "(intercept)")
+
+    def test_a_row_rejected_at_its_last_key_codes_no_label(self, tmp_path):
+        # "Q" is coded before the undecodable STATION label rejects its row
+        path = tmp_path / "rows.csv"
+        good = [f"{100.0 + i},{'AB'[i % 2]},s{i % 3},2015-01,{1000.0 + i}\n" for i in range(20)]
+        path.write_bytes((self.header + "".join(good)).encode() + b"1.0,Q,\xff,2015-01,5.0\n")
+        for loaded in (load_dataset(path, self.schema), load_row_by_row(path, self.schema)):
+            assert len(loaded) == 20
+            assert loaded.inventories == {"REGION": ("A", "B"), "STATION": ("s0", "s1", "s2")}
+
+    # a chunk holds its leading blank lines and CHUNK_ROWS rows, and no line more
+    LINES = [
+        '1.0,A,"x\n', 'y",2015-01,5.0\n',  # one row on two lines
+        "\n",
+        '2.0,B,"p\r', 'q",2015-01,6.0\r\n',  # a lone \r breaks a line too
+        "\n",
+        "3.0,A,s,2015-02,7.0\n",
+    ]
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize(
+        "chunk_rows, chunks",
+        [
+            (1, [(LINES[:2], 1), (LINES[2:5], 1), (LINES[5:], 1), ([], 0)]),
+            (2, [(LINES[:5], 2), (LINES[5:], 1), ([], 0)]),
+        ],
+    )
+    def test_numpy_reads_no_line_past_its_chunk(self, monkeypatch, chunk_rows, chunks):
+        monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk_rows)
+        fh = io.StringIO(self.header + "".join(self.LINES), newline="")
+        header = csv.reader(fh)
+        col = data_module._schema_columns("rows.csv", header, self.schema)
+        reader = data_module._ChunkReader(self.schema, col, fh, header.line_num)
+        for lines, n_rows in chunks:
+            table = reader._table()
+            assert reader.lines == lines and len(table) == n_rows
+            reader.lines.clear()
+
+    @pytest.mark.parametrize("price", ["abc", "nan"])
+    def test_a_late_reject_reads_one_chunk_row_by_row(self, tmp_path, monkeypatch, caplog, price):
+        monkeypatch.setattr(data_module, "CHUNK_ROWS", 8)
+        parse_row = data_module._ChunkReader._parse_row
+        parsed = []
+
+        def count(reader, row):
+            parsed.append(row)
+            return parse_row(reader, row)
+
+        monkeypatch.setattr(data_module._ChunkReader, "_parse_row", count)
+        rows = [f"{100.0 + i},A,s,2015-0{1 + i % 3},{1000.0 + i}\n" for i in range(60)]
+        rows[50] = f"1.0,A,s,2015-01,{price}\n"
+        path = tmp_path / "late.csv"
+        path.write_text(self.header + "".join(rows))
+        with caplog.at_level(logging.DEBUG, logger="mtlhouse.data"):
+            loaded = load_dataset(path, self.schema)
+        assert len(loaded) == 59 and 0 < len(parsed) <= 8
+        rejected = [m for m in caplog.messages if m.startswith("rejected row")]
+        assert len(rejected) == 1 and rejected[0].startswith("rejected row: line 52: ")
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 4096])
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    def test_a_reject_cites_its_physical_line(self, tmp_path, monkeypatch, chunk_rows, newline):
+        monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk_rows)
+        lines = [
+            self.header,
+            f'1.0,A,"x{newline}y",2015-01,5.0\n',  # lines 2 and 3
+            "abc,A,s,2015-01,6.0\n",  # line 4
+            f'bad,A,"p{newline}q",2015-01,7.0\n',  # lines 5 and 6: cited by its first
+            *(f"{i}.0,B,s,2015-02,8.0\n" for i in range(20)),
+        ]
+        path = tmp_path / "quoted.csv"
+        path.write_bytes("".join(lines).encode())
+        with pytest.raises(DataError) as excinfo:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(data_module, "MAX_REJECT_FRACTION", 0.0)
+                load_dataset(path, self.schema)
+        assert excinfo.value.row_errors == [
+            "line 4: could not convert string to float: 'abc'",
+            "line 5: could not convert string to float: 'bad'",
+        ]
 
 
 def test_melbourne_file_with_shuffled_header_loads(tmp_path):
