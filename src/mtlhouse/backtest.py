@@ -3,7 +3,8 @@
 Each round trains every method on the k months preceding one test month and
 scores per-task predictions for that month. A round's training data, and the
 held-out data that multi-point grids are resolved on, are built once and
-shared by every method. Reports aggregate the per-round task means, run
+shared by every method; a grid point's held-out score is ``rmse`` over the
+pooled validation rows. Reports aggregate the per-round task means, run
 rank-sum significance tests against a benchmark method, and tabulate
 Win-Loss-Draw records inside quartile groups of task sample counts.
 """
@@ -94,6 +95,8 @@ def make_rolling_plan(dataset: Dataset, k: int) -> RollingPlan:
     """One round per month whose k preceding months lie inside the dataset."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not len(dataset):
+        raise ValueError("dataset has no rows")
     first, last = dataset.month_range
     if last - first + 1 < k + HORIZON:
         raise ValueError(
@@ -320,13 +323,10 @@ def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict):
     best_point, best_score = points[0], np.inf
     for point in points:
         weights = _fit_point(inner, spec, point, inner_fits)
-        errors = np.concatenate(
-            [
-                (y - x @ weights.column(task_id)) ** 2
-                for task_id, x, y in zip(validation.task_ids, validation.xs, validation.ys)
-            ]
-        )
-        score = float(np.sqrt(np.mean(errors)))
+        predictions = [
+            x @ weights.column(task_id) for task_id, x in zip(validation.task_ids, validation.xs)
+        ]
+        score = rmse(validation.y, np.concatenate(predictions))
         if score < best_score:
             best_point, best_score = point, score
     return best_point

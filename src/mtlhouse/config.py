@@ -193,7 +193,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(raw)

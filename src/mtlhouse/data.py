@@ -6,7 +6,7 @@ a ``DATE`` (sale month) and a ``PRICE`` (sale price) column. A file is read by
 one chunked reader: ``np.loadtxt`` parses each chunk of rows, and only a chunk
 it refuses is read again row by row, which reports each reject with its line
 number. Files are read and written as UTF-8 whatever the locale; a byte that is
-not UTF-8 rejects its row.
+not UTF-8 rejects its row, and a leading byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ MAX_REJECT_FRACTION = 0.10
 # Rows parsed per chunk when loading a file, and written per call when saving one.
 CHUNK_ROWS = 4096
 
-# The month indices a Dataset's int64 months can hold.
-_MONTH_MIN, _MONTH_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
 
 class SchemaError(ValueError):
     """The file or schema violates a structural requirement."""
@@ -55,12 +52,15 @@ class DataError(ValueError):
 
 
 def month_index(date_text: str) -> int:
-    """Convert an ISO ``YYYY-MM`` string to an absolute month count."""
+    """Convert an ISO ``YYYY-MM`` string to an absolute month count.
+
+    The year has exactly four ASCII digits, so a month count is at most 119,999.
+    """
     parts = date_text.strip().split("-")
-    if len(parts) != 2:
+    if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
         raise ValueError(f"expected YYYY-MM, got {date_text!r}")
     year, month = int(parts[0]), int(parts[1])
-    if not 1 <= month <= 12:
+    if len(parts[0]) != 4 or not 1 <= month <= 12:
         raise ValueError(f"month out of range in {date_text!r}")
     return year * 12 + (month - 1)
 
@@ -271,9 +271,10 @@ def load_dataset(path: Union[str, Path], schema: FeatureSchema) -> Dataset:
     when more than ``MAX_REJECT_FRACTION`` of the data rows are rejected.
     Accepted rows are stably sorted by sale month.
 
-    The file is read as UTF-8. A byte that is not UTF-8 is read as a lone
-    surrogate (``errors="surrogateescape"``), so it rejects its row like any
-    other malformed cell instead of failing the whole load.
+    The file is read as UTF-8, after a byte-order mark if it starts with one.
+    A byte that is not UTF-8 is read as a lone surrogate
+    (``errors="surrogateescape"``), so it rejects its row like any other
+    malformed cell instead of failing the whole load.
     """
     path = Path(path)
     with _open_csv(path) as fh:
@@ -311,8 +312,9 @@ def _schema_columns(path: Path, reader, schema: FeatureSchema) -> dict[str, int]
 
 
 def _open_csv(path: Path):
-    """``path`` opened for reading as UTF-8, undecodable bytes kept as lone surrogates."""
-    return path.open(newline="", encoding="utf-8", errors="surrogateescape")
+    """``path`` opened for reading as UTF-8 after an optional byte-order mark,
+    undecodable bytes kept as lone surrogates."""
+    return path.open(newline="", encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _check_label(label: str) -> str:
@@ -415,7 +417,7 @@ class _ChunkReader:
                 warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 table = np.loadtxt(self.source, **self.loadtxt_args)
-        except (ValueError, OverflowError):
+        except ValueError:
             return None
         prices = table["PRICE"]
         if not np.all((prices > 0) & np.isfinite(prices)):
@@ -452,10 +454,7 @@ class _ChunkReader:
         that rejects it: DATE, PRICE, the numeric cells in schema order, then a
         row too short for a key cell, then a key label with an undecodable byte."""
         col = self.col
-        date = row[col["DATE"]]
-        month = self.month_of[date]
-        if not _MONTH_MIN <= month <= _MONTH_MAX:  # past the int64 the months are stored in
-            raise ValueError(f"month out of range in {date!r}")
+        month = self.month_of[row[col["DATE"]]]
         price = float(row[col["PRICE"]])
         if not price > 0:
             raise ValueError(f"non-positive price {price}")

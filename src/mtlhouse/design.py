@@ -4,6 +4,8 @@ Every task shares one column layout: standardized numeric features, one-hot
 dummies for key columns not consumed by the active task
 definition, and a trailing intercept column of ones. Dummy inventories come
 from the full dataset so the layout is identical across rolling windows.
+:func:`design_rows` is the one encoder of a round's training, test and
+validation matrices; the standardizer works on the numeric block only.
 """
 
 from __future__ import annotations
@@ -49,21 +51,6 @@ class DesignLayout:
     def n_columns(self) -> int:
         return len(self.columns)
 
-    def raw_rows(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
-        """Encode dataset rows without standardization (numerics raw, dummies 0/1)."""
-        if self.numeric != dataset.schema.numeric or any(
-            categories != dataset.inventories[name] for name, categories in self.dummies
-        ):
-            raise ValueError("the layout was not built from this dataset")
-        out = np.zeros((len(rows), self.n_columns))
-        out[:, : len(self.numeric)] = dataset.numeric[rows]
-        j = len(self.numeric)
-        for name, categories in self.dummies:
-            out[np.arange(len(rows)), j + dataset.codes[name][rows]] = 1.0
-            j += len(categories)
-        out[:, -1] = 1.0
-        return out
-
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -73,19 +60,14 @@ class Standardizer:
     stds: np.ndarray
 
     @classmethod
-    def fit(cls, raw_numeric: np.ndarray) -> "Standardizer":
-        means = raw_numeric.mean(axis=0)
-        stds = raw_numeric.std(axis=0)
-        return cls(means=means, stds=stds)
+    def fit(cls, numeric: np.ndarray) -> "Standardizer":
+        return cls(means=numeric.mean(axis=0), stds=numeric.std(axis=0))
 
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Standardize the leading numeric columns; zero-variance columns become 0."""
-        out = rows.copy()
-        k = len(self.means)
+    def apply(self, numeric: np.ndarray) -> np.ndarray:
+        """The N x K numeric block standardized; zero-variance columns become 0."""
         zero = self.stds == 0.0
-        scaled = (rows[:, :k] - self.means) / np.where(zero, 1.0, self.stds)
-        out[:, :k] = np.where(zero, 0.0, scaled)
-        return out
+        scaled = (numeric - self.means) / np.where(zero, 1.0, self.stds)
+        return np.where(zero, 0.0, scaled)
 
 
 @dataclass(frozen=True)
@@ -251,14 +233,13 @@ def build_task_data(
     if not kept.size:
         raise ValueError(f"no task has records in window {window}")
 
-    raw = layout.raw_rows(dataset, rows)
-    standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
+    standardizer = Standardizer.fit(dataset.numeric[rows])
     for j, name in enumerate(layout.numeric):
         if standardizer.stds[j] == 0.0:
             logger.info("feature %s has zero variance in window %s; standardized to zeros", name, window)
     return TaskData(
         task_ids=tuple(taskset.tasks[p] for p in kept),
-        x=standardizer.apply(raw),
+        x=design_rows(dataset, rows, layout, standardizer),
         y=dataset.log_prices[rows],
         sizes=counts[kept],
         layout=layout,
@@ -277,5 +258,17 @@ def month_span(dataset: Dataset, rows: np.ndarray) -> tuple[int, int]:
 def design_rows(
     dataset: Dataset, rows: np.ndarray, layout: DesignLayout, standardizer: Standardizer
 ) -> np.ndarray:
-    """Encode dataset rows with an existing layout and training statistics."""
-    return standardizer.apply(layout.raw_rows(dataset, rows))
+    """Encode dataset rows with a layout built from ``dataset`` and a window's
+    statistics: standardized numerics, one-hot dummies, then the intercept."""
+    if layout.numeric != dataset.schema.numeric or any(
+        categories != dataset.inventories[name] for name, categories in layout.dummies
+    ):
+        raise ValueError("the layout was not built from this dataset")
+    out = np.zeros((len(rows), layout.n_columns))
+    out[:, : len(layout.numeric)] = standardizer.apply(dataset.numeric[rows])
+    j = len(layout.numeric)
+    for name, categories in layout.dummies:
+        out[np.arange(len(rows)), j + dataset.codes[name][rows]] = 1.0
+        j += len(categories)
+    out[:, -1] = 1.0
+    return out

@@ -122,9 +122,12 @@ def aggregate(records: Sequence[MetricRecord]) -> dict[str, MethodSummary]:
     return summaries
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
+def _midranks(values: Sequence[float]) -> tuple[list[float], list[int]]:
+    """Each value's mid-rank, and the size of each group of two or more equal
+    values in ascending order of value, from one sort."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
+    tie_sizes = []
     i = 0
     while i < len(order):
         j = i
@@ -133,8 +136,10 @@ def _midranks(values: Sequence[float]) -> list[float]:
         mean_rank = (i + j) / 2.0 + 1.0
         for k in range(i, j + 1):
             ranks[order[k]] = mean_rank
+        if j > i:
+            tie_sizes.append(j - i + 1)
         i = j + 1
-    return ranks
+    return ranks, tie_sizes
 
 
 def _exact_ranksum_tail(n: int, m: int, w: int) -> tuple[float, float]:
@@ -168,18 +173,15 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> RankSumOutcome:
     if not a or not b:
         raise ValueError("both samples must be nonempty")
     n, m = len(a), len(b)
-    pooled = a + b
-    tie_free = len(set(pooled)) == n + m
-    ranks = _midranks(pooled)
+    ranks, tie_sizes = _midranks(a + b)
     statistic = sum(ranks[:n])
 
-    if tie_free and n + m <= EXACT_RANKSUM_LIMIT:
+    if not tie_sizes and n + m <= EXACT_RANKSUM_LIMIT:
         le, ge = _exact_ranksum_tail(n, m, round(statistic))
         p_value = min(1.0, 2.0 * min(le, ge))
     else:
         total = n + m
         mean = n * (total + 1) / 2.0
-        tie_sizes = _tie_sizes(pooled)
         tie_term = sum(t**3 - t for t in tie_sizes)
         variance = n * m / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
         if variance <= 0:
@@ -192,15 +194,6 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> RankSumOutcome:
     return RankSumOutcome(
         statistic=statistic, p_value=p_value, significant=p_value <= SIGNIFICANCE_LEVEL
     )
-
-
-def _tie_sizes(values: Sequence[float]) -> list[int]:
-    sizes = []
-    for v in sorted(set(values)):
-        c = sum(1 for x in values if x == v)
-        if c > 1:
-            sizes.append(c)
-    return sizes
 
 
 def win_loss_draw(

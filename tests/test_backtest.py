@@ -1,6 +1,7 @@
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mtlhouse import backtest, baselines
@@ -12,7 +13,7 @@ from mtlhouse.backtest import (
     make_rolling_plan,
     run_backtest,
 )
-from mtlhouse.design import build_task_data
+from mtlhouse.design import DesignLayout, build_task_data
 from mtlhouse.reports import write_records_csv
 from mtlhouse.solver import RegularizerSpec, SolverParams
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
@@ -52,6 +53,10 @@ class TestRollingPlan:
         assert len(plan) == 9
         expected = [((m - 3, m - 1), m) for m in range(3, 12)]
         assert [(r.train_window, r.test_month) for r in plan.rounds] == expected
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            make_rolling_plan(span_dataset(0), k=3)
 
     def test_short_span_rejected(self):
         with pytest.raises(ValueError, match="at least"):
@@ -300,6 +305,37 @@ class TestGridSelection:
         ]
         run_backtest(dataset, RegionDef("SA3"), methods, plan)
         assert windows == [round_.train_window for round_ in plan.rounds]
+
+    def test_grid_points_are_scored_by_rmse_on_the_pooled_validation_rows(self, monkeypatch):
+        dataset = small_market()
+        definition = RegionDef("SA3")
+        held_out = backtest._held_out(
+            dataset,
+            define_tasks(dataset, definition),
+            DesignLayout.from_dataset(dataset, definition),
+            make_rolling_plan(dataset, k=3).rounds[0],
+        )
+        inner, validation = held_out
+        assert validation.n_tasks > 1
+        scored = []
+        real = backtest.rmse
+
+        def logged(actual, predicted):
+            scored.append((actual, predicted, real(actual, predicted)))
+            return scored[-1][2]
+
+        monkeypatch.setattr(backtest, "rmse", logged)
+        spec = MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 1e7, 3.0))
+        fits = {}
+        chosen = backtest._select_grid_point(spec, held_out, fits)
+        points = spec.grid_points()
+        assert len(scored) == len(points)
+        for point, (actual, predicted, _) in zip(points, scored):
+            weights = backtest._fit_point(inner, spec, point, fits)
+            pooled = [x @ weights.column(t) for t, x in zip(validation.task_ids, validation.xs)]
+            assert np.array_equal(actual, validation.y)
+            assert np.array_equal(predicted, np.concatenate(pooled))
+        assert chosen == points[int(np.argmin([score for _, _, score in scored]))]
 
     @pytest.mark.parametrize(
         "kind, grids, missing",

@@ -204,6 +204,16 @@ class TestRun:
         with pytest.raises(AssertionError, match="HouseRecord"):
             HouseRecord(sale_month=0, values={}, price=1.0)
 
+    def test_file_without_rows_is_reported_as_empty(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        header = (FIXTURE_DIR / "dataset.csv").read_text().splitlines()[0]
+        path.write_text(header + "\n")
+        config = write_config(
+            tmp_path, data={"path": str(path), "schema": "synthetic", "n_features": 10}
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: dataset has no rows\n"
+
     def test_metric_cells_are_plain_floats(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -667,6 +677,12 @@ class TestConfigValidation:
     def test_data_section_required(self):
         with pytest.raises(ConfigError, match="data"):
             config_from_dict({"task_definitions": ["region:SA3"], "methods": [{"kind": "ols"}]})
+
+    def test_config_with_a_byte_order_mark_loads(self, tmp_path):
+        path = write_config(tmp_path)
+        plain = load_config(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(path) == plain
 
     def test_not_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -83,7 +83,9 @@ class TestMonths:
         assert month_index("2015-01") - month_index("2014-12") == 1
         assert month_index("2018-01") - month_index("2015-01") == 36
 
-    @pytest.mark.parametrize("bad", ["2015", "2015-13", "2015-00", "201501"])
+    @pytest.mark.parametrize(
+        "bad", ["2015", "2015-13", "2015-00", "201501", "+2015-01", "20150-01", "215-01"]
+    )
     def test_bad_dates(self, bad):
         with pytest.raises(ValueError):
             month_index(bad)
@@ -285,9 +287,9 @@ class TestLoadDataset:
 
 
 class TestRejectsDoNotFailTheLoad:
-    """A row with a year past int64 or a byte that is not UTF-8 is rejected
-    with its line number; it does not fail the whole load. Files are UTF-8
-    whatever the locale."""
+    """A row whose year is not four ASCII digits, or with a byte that is not
+    UTF-8, is rejected with its line number; it does not fail the whole load.
+    Files are UTF-8 whatever the locale."""
 
     schema = make_schema(numeric=("SIZE",), key=("REGION",))
 
@@ -298,12 +300,14 @@ class TestRejectsDoNotFailTheLoad:
                 b"1.0,A,99999999999999999999-01,5.0",
                 "line 22: month out of range in '99999999999999999999-01'",
             ),
+            (b"1.0,A,20150-01,5.0", "line 22: month out of range in '20150-01'"),
+            (b"1.0,A,+2015-01,5.0", "line 22: expected YYYY-MM, got '+2015-01'"),
             (
                 b"1.0,\xff\xfe,2015-01,5.0",
                 "line 22: label '\\udcff\\udcfe' holds a byte that is not UTF-8",
             ),
         ],
-        ids=["year_past_int64", "undecodable_label"],
+        ids=["year_past_int64", "five_digit_year", "signed_year", "undecodable_label"],
     )
     def test_rejected_after_twenty_good_rows(self, tmp_path, caplog, line, rejected):
         path = tmp_path / "bad.csv"
@@ -734,6 +738,13 @@ class TestBundledFixture:
         )
         regenerated, _ = generate_synthetic(config)
         assert_same_columns(dataset, regenerated)
+
+    def test_fixture_with_a_byte_order_mark_loads_the_same(self, fixture_dir, tmp_path):
+        schema = synthetic_schema(10)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / "dataset.csv").read_bytes())
+        plain = load_dataset(fixture_dir / "dataset.csv", schema)
+        assert_same_columns(load_dataset(path, schema), plain)
 
 
 class TestDatasetInvariants:

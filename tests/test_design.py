@@ -156,8 +156,8 @@ class TestBuildTaskData:
 
     def test_zero_variance_column_is_zero_on_rows_off_the_mean(self):
         standardizer = Standardizer(means=np.array([7.0, 1.0]), stds=np.array([0.0, 2.0]))
-        out = standardizer.apply(np.array([[9.0, 5.0, 1.0], [-3.0, 1.0, 1.0]]))
-        assert out.tolist() == [[0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]
+        out = standardizer.apply(np.array([[9.0, 5.0], [-3.0, 1.0]]))
+        assert out.tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_tasks_without_window_records_are_excluded(self):
         rows = [
@@ -233,9 +233,10 @@ def oracle_task_data(dataset, taskset, window, layout):
     """Window rows per task from the row view, gathered in task order and standardized."""
     kept = [(t, rows) for t, rows in window_members(dataset, taskset, window) if rows]
     records = [dataset.records[i] for _, rows in kept for i in rows]
-    raw = oracle_raw_rows(layout, records)
-    standardizer = Standardizer.fit(raw[:, : len(layout.numeric)])
-    encoded = standardizer.apply(raw)
+    encoded = oracle_raw_rows(layout, records)
+    k = len(layout.numeric)
+    standardizer = Standardizer.fit(encoded[:, :k])
+    encoded[:, :k] = standardizer.apply(encoded[:, :k])
     xs, ys, offset = [], [], 0
     for _, rows in kept:
         xs.append(encoded[offset : offset + len(rows)])
@@ -293,7 +294,9 @@ class TestColumnarEncodingOracle:
             for task_id, rows in window_members(dataset, taskset, (round_.test_month,) * 2):
                 if rows and task_id in data.task_ids:
                     records = [dataset.records[i] for i in rows]
-                    x = data.standardizer.apply(oracle_raw_rows(layout, records))
+                    x = oracle_raw_rows(layout, records)
+                    k = len(layout.numeric)
+                    x[:, :k] = data.standardizer.apply(x[:, :k])
                     expected[task_id] = (x, np.array([math.log(r.price) for r in records]))
             assert list(test_rows.task_ids) == list(expected)
             for (x, y), test_x, test_y in zip(expected.values(), test_rows.xs, test_rows.ys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtlhouse.metrics import (
     MetricRecord,
+    _midranks,
     aggregate,
     mae,
     mean_left_to_right,
@@ -209,7 +211,7 @@ class TestWilcoxon:
             # against the internal normal approximation directly
             from mtlhouse import metrics as m
 
-            ranks = m._midranks(a + b)
+            ranks = m._midranks(a + b)[0]
             w = sum(ranks[:10])
             mean = 10 * 21 / 2.0
             variance = 10 * 10 / 12.0 * 21
@@ -246,6 +248,13 @@ class TestWilcoxon:
     def test_p_value_in_unit_interval(self, a, b):
         outcome = wilcoxon_rank_sum(a, b)
         assert 0.0 < outcome.p_value <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([-1.5, 0.0, 2.0]), max_size=30))
+    def test_tie_sizes_count_each_repeated_value(self, values):
+        counts = Counter(values)
+        _, tie_sizes = _midranks(values)
+        assert tie_sizes == [counts[v] for v in sorted(counts) if counts[v] > 1]
 
 
 class TestWinLossDraw:
