@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import fit_stl
-from .data import Dataset
+from .data import Dataset, month_text
 from .design import DesignLayout, TaskData, WeightMatrix, build_task_data, design_rows, month_span
 from .metrics import (
     MethodSummary,
@@ -39,24 +39,34 @@ from .tasks import (
     TaskDefinition,
     TaskSet,
     define_tasks,
+    format_definition,
     quartile_groups,
 )
 
 logger = logging.getLogger(__name__)
 
-# Each method kind: the solver regularizer kind it fits with (None for a
-# per-task baseline, fitted by fit_stl), the grids it takes, in grid-point
-# order, and the grids it needs. A grid it takes but does not need may be
-# left empty; the fit then picks that value itself (ridge: per-task CV).
+# Each method kind: the solver regularizer kind it fits with (None for the
+# ols and ridge baselines, fitted by fit_stl), the grids it takes, in
+# grid-point order, and the grids it needs. A grid it takes but does not need
+# may be left empty; the fit then picks that value itself (ridge: per-task
+# CV). The per-task lasso at penalty λ is the solver's lasso at theta1 = λ:
+# the loss and the l1 penalty separate by task.
 METHODS: dict[str, tuple[Optional[str], tuple[str, ...], tuple[str, ...]]] = {
     "mtl_lasso": ("lasso", ("theta1",), ("theta1",)),
     "mtl_l21": ("group_l21", ("theta1",), ("theta1",)),
     "mtl_graph": ("graph", ("theta1", "theta2"), ("theta1", "theta2")),
     "ols": (None, (), ()),
     "ridge": (None, ("penalty",), ()),
-    "lasso": (None, ("penalty",), ("penalty",)),
+    "lasso": ("lasso", ("penalty",), ("penalty",)),
 }
 GRIDS = ("theta1", "theta2", "penalty")
+
+# Solver kinds whose grid is solved as a path: from the largest theta1 down,
+# each inner-window fit started from the previous one, and the full-window
+# fit from the chosen point's inner fit. Their stop is certified by a duality
+# gap, so a start near the optimum cannot stop a fit short of it; the graph
+# kind's stop has no certificate, and its fits start from 0.
+PATH_KINDS = ("lasso", "group_l21")
 
 # The protocol predicts the month right after each training window.
 HORIZON = 1
@@ -152,15 +162,23 @@ class MethodSpec:
         return tuple(itertools.product(*(getattr(self, name) or (None,) for name in takes)))
 
 
-def _fit_point(data: TaskData, spec: MethodSpec, point: tuple, fits: dict) -> WeightMatrix:
+def _fit_point(
+    data: TaskData,
+    spec: MethodSpec,
+    point: tuple,
+    fits: dict,
+    where: str,
+    init: Optional[WeightMatrix] = None,
+) -> WeightMatrix:
     """The weights of ``spec`` at grid point ``point`` on ``data``.
 
     ``fits`` holds the weights already fitted on ``data``, keyed by the
     problem they solve: its kind, the point's values bit for bit, and the
-    solver parameters; a problem already in it is not solved again. The
-    per-task lasso at penalty λ is the solver's lasso at theta1 = λ (the same
-    call), so an ``mtl_lasso`` and a ``lasso`` method that agree on the point
-    share one fit.
+    solver parameters; a problem already in it is not solved again, whatever
+    start it was solved from. An ``mtl_lasso`` and a ``lasso`` method that
+    agree on the point solve one problem and share one fit. A solver fit
+    starts from ``init`` (see :func:`fit`); one that does not converge is
+    logged as a warning that begins with ``where``.
     """
     reg_kind = METHODS[spec.kind][0]
     values = tuple(v if v is None else float(v).hex() for v in point)  # 0.0 is not -0.0
@@ -169,7 +187,21 @@ def _fit_point(data: TaskData, spec: MethodSpec, point: tuple, fits: dict) -> We
         if reg_kind is None:
             fits[key] = fit_stl(data, spec, *point)
         else:
-            fits[key] = fit(data, RegularizerSpec(reg_kind, *point), spec.solver).weights
+            result = fit(data, RegularizerSpec(reg_kind, *point), spec.solver, init=init)
+            if not result.converged:
+                _, takes, _ = METHODS[spec.kind]
+                logger.warning(
+                    "%s: %s fit at %s on months %s..%s did not converge in %d iterations "
+                    "(relative duality gap %s)",
+                    where,
+                    spec.label,
+                    ", ".join(f"{name}={value!r}" for name, value in zip(takes, point)),
+                    month_text(data.window[0]),
+                    month_text(data.window[1]),
+                    result.iterations,
+                    "not certified" if result.gap is None else f"{result.gap:.2e}",
+                )
+            fits[key] = result.weights
     return fits[key]
 
 
@@ -196,8 +228,10 @@ def run_backtest(
     Per round: build training data on the window, fit every method, predict
     the test month, and record per-task RMSE/MAE for tasks that have both
     training and test samples. Each distinct problem is fitted once per
-    round and on each of its data sets (see :func:`_fit_point`). Rounds with
-    no usable training data are skipped with a notice.
+    round and on each of its data sets (see :func:`_fit_point`); the lasso
+    and l2,1 grids are solved as paths (see ``PATH_KINDS``). A solver fit that
+    does not converge is logged as a warning. Rounds with no usable training
+    data are skipped with a notice.
     """
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
@@ -207,6 +241,7 @@ def run_backtest(
     if benchmark not in labels:
         raise ValueError(f"benchmark {benchmark!r} not among methods {labels}")
 
+    definition = format_definition(taskdef)
     taskset = define_tasks(dataset, taskdef)
     layout = DesignLayout.from_dataset(dataset, taskdef)
     needs_held_out = any(len(spec.grid_points()) > 1 for spec in methods)
@@ -228,9 +263,10 @@ def run_backtest(
 
         held_out = _held_out(dataset, taskset, layout, round_) if needs_held_out else None
         fits, inner_fits = {}, {}  # this round's fits on its window and on its inner window
+        where = f"{definition} round {round_index}"
         for spec in methods:
-            point = _select_grid_point(spec, held_out, inner_fits)
-            weights = _fit_point(data, spec, point, fits)
+            point, start = _select_grid_point(spec, held_out, inner_fits, where)
+            weights = _fit_point(data, spec, point, fits, where, init=start)
             for task_id, x, actual in zip(test.task_ids, test.xs, test.ys):
                 predicted = x @ weights.column(task_id)
                 records.append(
@@ -313,23 +349,38 @@ def _held_out(dataset, taskset, layout, round_: Round):
     return (inner, validation) if validation is not None else None
 
 
-def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict):
-    """Pick the point with the least held-out RMSE; the first point if nothing is
-    held out. ``inner_fits`` holds the round's fits on the inner window."""
+def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict, where: str):
+    """The grid point with the least held-out RMSE, the first in table order on
+    a tie, and the start of its full-window fit.
+
+    Without held-out data, or with one point, that is the first point and no
+    start. Otherwise every point is fitted on the inner window (``inner_fits``
+    holds the round's fits there): a ``PATH_KINDS`` method solves its points
+    from the largest theta1 down, each fit started from the previous one, and
+    its full-window fit starts from the chosen point's inner fit; any other
+    method fits its points in table order, each from 0, and has no start.
+    """
     points = spec.grid_points()
     if len(points) == 1 or held_out is None:
-        return points[0]
+        return points[0], None
     inner, validation = held_out
-    best_point, best_score = points[0], np.inf
-    for point in points:
-        weights = _fit_point(inner, spec, point, inner_fits)
+    path = METHODS[spec.kind][0] in PATH_KINDS
+    order = range(len(points))
+    if path:  # a path kind has one grid; sorted() keeps equal values in table order
+        order = sorted(order, key=lambda i: -points[i][0])
+    weights, start = [None] * len(points), None
+    for i in order:
+        weights[i] = _fit_point(inner, spec, points[i], inner_fits, where, init=start)
+        start = weights[i] if path else None
+    best, best_score = 0, np.inf
+    for i, w in enumerate(weights):
         predictions = [
-            x @ weights.column(task_id) for task_id, x in zip(validation.task_ids, validation.xs)
+            x @ w.column(task_id) for task_id, x in zip(validation.task_ids, validation.xs)
         ]
         score = rmse(validation.y, np.concatenate(predictions))
         if score < best_score:
-            best_point, best_score = point, score
-    return best_point
+            best, best_score = i, score
+    return points[best], (weights[best] if path else None)
 
 
 def _build_report(records, taskset, plan, labels, benchmark, skipped) -> ComparisonReport:

@@ -54,13 +54,14 @@ class DataError(ValueError):
 def month_index(date_text: str) -> int:
     """Convert an ISO ``YYYY-MM`` string to an absolute month count.
 
-    The year has exactly four ASCII digits, so a month count is at most 119,999.
+    The year has exactly four ASCII digits, so a month count is at most
+    119,999, and the month exactly two.
     """
     parts = date_text.strip().split("-")
-    if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
+    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"expected YYYY-MM, got {date_text!r}")
     year, month = int(parts[0]), int(parts[1])
-    if len(parts[0]) != 4 or not 1 <= month <= 12:
+    if len(parts[0]) != 4 or len(parts[1]) != 2 or not 1 <= month <= 12:
         raise ValueError(f"month out of range in {date_text!r}")
     return year * 12 + (month - 1)
 

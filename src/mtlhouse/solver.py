@@ -26,6 +26,26 @@ both separate by task, so the lasso kind has one block per task's column,
 with its own L_p = 2 lambda_max(x_p^T x_p). Every operation on a lasso block
 stays inside its task's rows, so a column's iterates are those of a
 single-task fit of that task, bit for bit.
+
+A block stops when its objective's relative change over one step is at most
+``rel_tol``. For the lasso and l2,1 kinds at theta1 > 0 that test only
+triggers the stop: the block stops once its relative duality gap
+(P(W) - D(u)) / P(W) is also at most GAP_TOL, which bounds how far its
+objective can lie above the optimum. The gap is computed only in a sweep in
+which the relative-change test fires, and once for the returned weights
+(``FitResult.gap``). The dual point u starts from the gradient of the loss,
+twice the residual. Each task's u is projected onto the complement of its
+last design column (for the ones column, centring), so the unpenalized
+intercept row of X^T u is 0, and u is then scaled by
+min(1, theta1 / ||X^T u||) over the penalized rows, with the l-infinity norm
+of each task's column for lasso and the largest row l2 norm for l2,1, which
+makes it dual feasible. The graph kind and theta1 = 0 have no such
+certificate here (at theta1 = 0 the scaled dual point is 0 and the gap is the
+whole objective), so they stop on the relative-change test alone.
+
+A fit may start from given weights (``init``); a grid of theta1 values solved
+from the largest down, each fit started from the previous solution, is what
+that is for.
 """
 
 from __future__ import annotations
@@ -41,6 +61,9 @@ from .design import TaskData, WeightMatrix
 from .values import is_integer, is_real
 
 REGULARIZER_KINDS = ("lasso", "group_l21", "graph")
+
+# The largest relative duality gap at which a lasso or l2,1 block may stop.
+GAP_TOL = 1e-3
 
 
 class DivergenceError(RuntimeError):
@@ -109,7 +132,12 @@ class FitResult:
     steps each task's block took and ``iterations`` their maximum: the number
     of sweeps, the entries of ``objective_trace`` after its starting value.
     Each trace entry is the sum of the blocks' objectives. ``converged`` means
-    every block stopped on the relative-change test within ``max_iters``.
+    every block stopped within ``max_iters``: the relative-change test fired
+    and, for the lasso and l2,1 kinds at theta1 > 0, its relative duality gap
+    was at most ``GAP_TOL``. ``gap`` is the largest relative duality gap of the
+    blocks at the returned weights, an upper bound on each block's
+    (P(W) - P(W*)) / P(W); it is None where the fit has no certificate (the
+    graph kind and theta1 = 0).
     """
 
     weights: WeightMatrix
@@ -117,6 +145,7 @@ class FitResult:
     iterations: int
     converged: bool
     task_iterations: tuple[int, ...] = ()
+    gap: Optional[float] = None
 
     def __post_init__(self):
         trace = self.objective_trace
@@ -367,19 +396,24 @@ def fit(
     data: TaskData,
     reg: RegularizerSpec,
     params: SolverParams = SolverParams(),
+    init: Optional[WeightMatrix] = None,
 ) -> FitResult:
     """Estimate the weight matrix by monotone accelerated proximal gradient.
 
-    Every step is 1/L, with L the Lipschitz constant of the smooth part's
-    gradient; there is no line search. On an objective increase the momentum
-    is restarted and a plain descent step is taken, so the recorded trace is
-    nonincreasing. Stops when the relative objective change drops below
-    ``params.rel_tol`` or ``params.max_iters`` is reached. For the lasso kind
-    every task's column does all of this on its own, with its own L_p.
+    Starts from ``init``, matched to the data's tasks by task id (a task it
+    does not hold starts at 0, and its tasks the data lacks are ignored), or
+    from 0. Every step is 1/L, with L the Lipschitz constant of the smooth
+    part's gradient; there is no line search. On an objective increase the
+    momentum is restarted and a plain descent step is taken, so the recorded
+    trace is nonincreasing. Stops when the relative objective change drops
+    below ``params.rel_tol`` and, where the kind has one, the duality gap
+    certifies the point (see the module docstring), or when
+    ``params.max_iters`` is reached. For the lasso kind every task's column
+    does all of this on its own, with its own L_p.
     """
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
-    W = np.zeros((data.n_columns, data.n_tasks))
+    W = _starting_weights(data, init)
     r = smooth._residual(W)
     current = _objective_values(smooth, reg, W, r)
     if not _all_finite(current):
@@ -395,14 +429,59 @@ def fit(
         raise DivergenceError("step size underflow at iteration 1")
     # step > 0 here, and theta >= 0 (a NaN theta has made `current` non-finite
     # above), so every prox threshold of this fit is nonnegative
-    W, trace, stopped_at, converged = _fista(smooth, reg, W, r, current, step, params)
+    W, trace, stopped_at, converged, gap = _fista(smooth, reg, W, r, current, step, params)
     return FitResult(
         weights=WeightMatrix(values=W, task_ids=data.task_ids, columns=data.columns),
         objective_trace=tuple(trace),
         iterations=len(trace) - 1,
         converged=converged,
         task_iterations=tuple(int(n) for n in np.broadcast_to(stopped_at, data.n_tasks)),
+        gap=gap,
     )
+
+
+def _starting_weights(data: TaskData, init: Optional[WeightMatrix]) -> np.ndarray:
+    """``init``'s column of each of the data's tasks, 0 for a task it lacks."""
+    W = np.zeros((data.n_columns, data.n_tasks))
+    if init is not None:
+        if init.columns != data.columns:
+            raise ValueError("init weights have other design columns than the data")
+        known = set(init.task_ids)
+        for p, task_id in enumerate(data.task_ids):
+            if task_id in known:
+                W[:, p] = init.column(task_id)
+    return W
+
+
+def _relative_gaps(smooth: _Smooth, reg: RegularizerSpec, W, r, values):
+    """Relative duality gap (P(W) - D(u)) / P(W) of each block at ``W``.
+
+    ``r`` is W's residual and ``values`` its blocks' objectives (see
+    :func:`_objective_values`). The dual of the squared loss plus penalty is
+    D(u) = -<u, y> - ||u||^2 / 4 over the u with the intercept row of X^T u
+    equal to 0 and the penalized rows' dual norm at most theta1. With
+    u = 2 s v, where v is the residual projected off each task's last column
+    and s the feasibility scale, D = -2 s <v, y> - s^2 ||v||^2 per task.
+    """
+    data = smooth.data
+    last = data.x[:, -1]
+    last_norms = np.add.reduceat(last * last, data.starts)
+    along = np.add.reduceat(last * r, data.starts)
+    shares = np.divide(along, last_norms, out=np.zeros_like(along), where=last_norms > 0.0)
+    v = r - shares.take(smooth.task_of_row) * last
+    dual_rows = np.add.reduceat(smooth.twice_columns * v, data.starts, axis=1)[:-1]  # X^T u, s = 1
+    if reg.kind == "lasso":
+        dual_norm = np.max(np.abs(dual_rows), axis=0, initial=0.0)
+    else:
+        dual_norm = np.max(_row_norms(dual_rows), initial=0.0)
+    with np.errstate(divide="ignore"):
+        scale = np.minimum(1.0, reg.theta1 / dual_norm)
+    vy = np.add.reduceat(v * data.y, data.starts)
+    vv = np.add.reduceat(v * v, data.starts)
+    if reg.kind != "lasso":  # one block
+        vy, vv = vy.sum(), vv.sum()
+    gaps = (values + 2.0 * scale * vy + scale * scale * vv) / np.maximum(np.abs(values), 1e-12)
+    return gaps if reg.kind == "lasso" else float(gaps)
 
 
 def _fista(smooth, reg, W, r, current, step, params):
@@ -440,6 +519,7 @@ def _fista(smooth, reg, W, r, current, step, params):
 
     W_prev, r_prev = W, r
     all_active = True
+    certified = reg.kind != "graph" and reg.theta1 > 0.0
     trace = [total(current)]
 
     for iteration in range(1, params.max_iters + 1):
@@ -476,6 +556,8 @@ def _fista(smooth, reg, W, r, current, step, params):
         if not all_active:
             stopped &= active
         current = values
+        if certified and any_(stopped):
+            stopped &= _relative_gaps(smooth, reg, W, r, current) <= GAP_TOL
         if any_(stopped):
             stopped_at = where(stopped, iteration, stopped_at)
             active = where(stopped, False, active)
@@ -483,7 +565,8 @@ def _fista(smooth, reg, W, r, current, step, params):
             if not any_(active):
                 break
 
-    return W, trace, stopped_at, not any_(active)
+    gap = float(np.max(_relative_gaps(smooth, reg, W, r, current))) if certified else None
+    return W, trace, stopped_at, not any_(active), gap
 
 
 def _pick(condition: bool, a, b):

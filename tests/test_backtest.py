@@ -1,3 +1,4 @@
+import logging
 import re
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from mtlhouse.backtest import (
     make_rolling_plan,
     run_backtest,
 )
+from mtlhouse.data import month_text
 from mtlhouse.design import DesignLayout, build_task_data
 from mtlhouse.reports import write_records_csv
 from mtlhouse.solver import RegularizerSpec, SolverParams
@@ -253,7 +255,7 @@ class TestRunBacktest:
 
 
 class TestGridSelection:
-    def test_grid_picks_the_useful_point(self):
+    def test_grid_picks_the_useful_point(self, monkeypatch):
         config = SyntheticConfig(
             n_tasks=4,
             n_features=4,
@@ -267,15 +269,17 @@ class TestGridSelection:
         dataset, _ = generate_synthetic(config)
         plan = make_rolling_plan(dataset, k=3)
         absurd = 1e7  # zeroes every feature row; validation must reject it
-        gridded = [
-            MethodSpec(label="mtl_l21", kind="mtl_l21", theta1=(1.0, absurd))
-        ]
-        fixed = [MethodSpec(label="mtl_l21", kind="mtl_l21", theta1=(1.0,))]
-        _, report_grid = run_backtest(dataset, RegionDef("SA3"), gridded, plan)
-        _, report_fixed = run_backtest(dataset, RegionDef("SA3"), fixed, plan)
-        assert report_grid.summaries["mtl_l21"].overall_rmse == pytest.approx(
-            report_fixed.summaries["mtl_l21"].overall_rmse, rel=1e-9
-        )
+        chosen = []
+        select = backtest._select_grid_point
+
+        def recorded(*args):
+            chosen.append(select(*args)[0])
+            return chosen[-1], None
+
+        monkeypatch.setattr(backtest, "_select_grid_point", recorded)
+        gridded = [MethodSpec(label="mtl_l21", kind="mtl_l21", theta1=(absurd, 1.0))]
+        run_backtest(dataset, RegionDef("SA3"), gridded, plan)
+        assert chosen == [(1.0,)] * len(plan)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_multi_point_grids_share_one_inner_build_per_round(self, monkeypatch, k):
@@ -327,15 +331,108 @@ class TestGridSelection:
         monkeypatch.setattr(backtest, "rmse", logged)
         spec = MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 1e7, 3.0))
         fits = {}
-        chosen = backtest._select_grid_point(spec, held_out, fits)
+        chosen, start = backtest._select_grid_point(spec, held_out, fits, "round 0")
         points = spec.grid_points()
         assert len(scored) == len(points)
         for point, (actual, predicted, _) in zip(points, scored):
-            weights = backtest._fit_point(inner, spec, point, fits)
+            weights = backtest._fit_point(inner, spec, point, fits, "round 0")
             pooled = [x @ weights.column(t) for t, x in zip(validation.task_ids, validation.xs)]
             assert np.array_equal(actual, validation.y)
             assert np.array_equal(predicted, np.concatenate(pooled))
         assert chosen == points[int(np.argmin([score for _, _, score in scored]))]
+        assert start is backtest._fit_point(inner, spec, chosen, fits, "round 0")
+
+    @pytest.mark.parametrize("theta1", [(1.0, 3.0), (3.0, 1.0), (2.0, 5.0, 2.0)])
+    def test_score_ties_pick_the_first_point_in_table_order(self, monkeypatch, theta1):
+        dataset = small_market()
+        definition = RegionDef("SA3")
+        held_out = backtest._held_out(
+            dataset,
+            define_tasks(dataset, definition),
+            DesignLayout.from_dataset(dataset, definition),
+            make_rolling_plan(dataset, k=3).rounds[0],
+        )
+        monkeypatch.setattr(backtest, "rmse", lambda actual, predicted: 0.25)
+        spec = MethodSpec(label="l21", kind="mtl_l21", theta1=theta1)
+        fits = {}
+        chosen, start = backtest._select_grid_point(spec, held_out, fits, "round 0")
+        assert chosen == (theta1[0],)
+        assert start is backtest._fit_point(held_out[0], spec, chosen, fits, "round 0")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0, 2.0)),
+            MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(1.0, 3.0, 2.0)),
+            MethodSpec(label="lasso", kind="lasso", penalty=(1.0, 3.0, 2.0)),
+        ],
+        ids=lambda spec: spec.label,
+    )
+    def test_lasso_and_l21_grids_are_solved_as_a_warm_started_path(self, monkeypatch, spec):
+        calls = []
+        real = backtest.fit
+
+        def recorded(data, reg, params, init=None):
+            result = real(data, reg, params, init=init)
+            calls.append((data.window, reg.theta1, init, result.weights))
+            return result
+
+        monkeypatch.setattr(backtest, "fit", recorded)
+        dataset = small_market()
+        plan = make_rolling_plan(dataset, k=3)
+        run_backtest(dataset, RegionDef("SA3"), [spec], plan)
+        assert len(calls) == 4 * len(plan)  # three inner-window fits and one full-window fit
+        for n, round_ in enumerate(plan.rounds):
+            first, second, third, full = calls[4 * n : 4 * n + 4]
+            lo, hi = round_.train_window
+            assert [c[0] for c in (first, second, third, full)] == [(lo, hi - 1)] * 3 + [(lo, hi)]
+            assert [c[1] for c in (first, second, third)] == [3.0, 2.0, 1.0]
+            assert first[2] is None and second[2] is first[3] and third[2] is second[3]
+            # the full-window fit starts from the chosen point's inner fit
+            chosen = [inner for inner in (first, second, third) if inner[1] == full[1]]
+            assert len(chosen) == 1 and full[2] is chosen[0][3]
+
+    def test_graph_grid_starts_every_fit_from_zero(self, monkeypatch):
+        inits = []
+        real = backtest.fit
+
+        def recorded(data, reg, params, init=None):
+            inits.append(init)
+            return real(data, reg, params, init=init)
+
+        monkeypatch.setattr(backtest, "fit", recorded)
+        dataset = small_market()
+        spec = MethodSpec(label="g", kind="mtl_graph", theta1=(0.5, 1.0), theta2=(1.0,))
+        run_backtest(dataset, RegionDef("SA3"), [spec], make_rolling_plan(dataset, k=3))
+        assert inits and all(init is None for init in inits)
+
+    def test_unconverged_fits_are_logged_as_warnings(self, caplog):
+        dataset = small_market()
+        plan = make_rolling_plan(dataset, k=3)
+        few = SolverParams(max_iters=3)
+        methods = [
+            MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0), solver=few),
+            MethodSpec(label="g", kind="mtl_graph", theta1=(0.5,), theta2=(1.0,), solver=few),
+            MethodSpec(label="ols", kind="ols"),
+        ]
+        with caplog.at_level(logging.WARNING, logger="mtlhouse.backtest"):
+            run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        month = r"\d{4}-\d{2}"
+        l21 = re.compile(
+            rf"^region:SA3 round (\d): l21 fit at theta1=([13])\.0 on months ({month})\.\.({month}) "
+            r"did not converge in 3 iterations \(relative duality gap \d\.\d\de[+-]\d\d\)$"
+        )
+        graph = re.compile(
+            rf"^region:SA3 round (\d): g fit at theta1=0\.5, theta2=1\.0 on months ({month})\.\.({month}) "
+            r"did not converge in 3 iterations \(relative duality gap not certified\)$"
+        )
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 4 * len(plan)  # two inner and one full l21 fit, one graph fit
+        assert all(l21.match(m) or graph.match(m) for m in messages)
+        first = [m for m in messages if m.startswith("region:SA3 round 0:")]
+        windows = {(l21.match(m) or graph.match(m)).groups()[-2:] for m in first}
+        lo, hi = plan.rounds[0].train_window
+        assert windows == {(month_text(lo), month_text(hi - 1)), (month_text(lo), month_text(hi))}
 
     @pytest.mark.parametrize(
         "kind, grids, missing",
@@ -388,9 +485,10 @@ class TestGridSelection:
     def test_each_kind_sends_its_grid_points_to_its_fit(self, monkeypatch):
         calls = []
 
-        def fake_fit(data, reg, params):
+        def fake_fit(data, reg, params, init):
+            assert init is None
             calls.append(("fit", reg, params))
-            return SimpleNamespace(weights="joint")
+            return SimpleNamespace(weights="joint", converged=True)
 
         def fake_fit_stl(data, spec, *penalty):
             calls.append(("fit_stl", spec, penalty))
@@ -409,9 +507,9 @@ class TestGridSelection:
             MethodSpec("g", "lasso", penalty=(0.1,), solver=params),
         ]
         for spec in specs:
-            expected = "per-task" if spec.kind in ("ols", "ridge", "lasso") else "joint"
+            expected = "per-task" if spec.kind in ("ols", "ridge") else "joint"
             for point in spec.grid_points():
-                assert backtest._fit_point("data", spec, point, {}) == expected
+                assert backtest._fit_point("data", spec, point, {}, "round 0") == expected
         a, b, c, d, e, f, g = specs
         assert calls == [
             ("fit", RegularizerSpec("lasso", 1.0), params),
@@ -425,7 +523,7 @@ class TestGridSelection:
             ("fit_stl", e, (None,)),
             ("fit_stl", f, (0.5,)),
             ("fit_stl", f, (2.0,)),
-            ("fit_stl", g, (0.1,)),
+            ("fit", RegularizerSpec("lasso", 0.1), params),
         ]
 
     def test_ridge_penalty_of_zero_points_to_ols(self):
@@ -445,10 +543,10 @@ class TestRoundSharesFits:
         solves = []
         for module in (backtest, baselines):
 
-            def counted(data, reg, params, real=module.fit):
+            def counted(data, reg, params, init=None, real=module.fit):
                 if reg.kind == "lasso":
                     solves.append((data.window, reg.theta1))
-                return real(data, reg, params)
+                return real(data, reg, params, init=init)
 
             monkeypatch.setattr(module, "fit", counted)
         dataset = small_market(months=7)

@@ -84,7 +84,21 @@ class TestMonths:
         assert month_index("2018-01") - month_index("2015-01") == 36
 
     @pytest.mark.parametrize(
-        "bad", ["2015", "2015-13", "2015-00", "201501", "+2015-01", "20150-01", "215-01"]
+        "bad",
+        [
+            "2015",
+            "2015-13",
+            "2015-00",
+            "201501",
+            "+2015-01",
+            "20150-01",
+            "215-01",
+            "2015-1_0",
+            "2015-+3",
+            "2015- 4",
+            "2015-1",
+            "2015-012",
+        ],
     )
     def test_bad_dates(self, bad):
         with pytest.raises(ValueError):
@@ -493,7 +507,7 @@ class TestOnePassLoad:
         [
             ("nan,1,A,s,2015-01,100000.0", "line 7: non-finite value in column 'SIZE'"),
             ("1_000,1,A,s,2015-01,100000.0", None),  # Python's float takes it: kept as 1000.0
-            ("500.0,1,A,s,2015-1x,100000.0", "line 7: invalid literal for int() with base 10: '1x'"),
+            ("500.0,1,A,s,2015-1x,100000.0", "line 7: expected YYYY-MM, got '2015-1x'"),
             ("   ", "line 7: list index out of range"),
         ],
         ids=["nan", "underscore", "bad_date", "whitespace_line"],

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mtlhouse.design import TaskData
+from mtlhouse.design import TaskData, WeightMatrix
 from mtlhouse.solver import (
+    GAP_TOL,
     DivergenceError,
     FitResult,
     RegularizerSpec,
@@ -16,8 +17,10 @@ from mtlhouse.solver import (
     _graph_laplacian,
     _graph_quadratic,
     _momentum,
+    _objective_values,
     _prox,
     _prox_step,
+    _relative_gaps,
     _row_norms,
     _Smooth,
     build_task_graph,
@@ -750,6 +753,101 @@ class TestColumnwiseLasso:
         assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+def tasks_with_last_column(rng, last):
+    """Random tasks whose last, unpenalized column is ones or varies by row."""
+    data = random_task_data(rng, n_tasks=4, n_columns=5)
+    if last == "ones":
+        return data
+    xs = [x.copy() for x in data.xs]
+    for x in xs:
+        x[:, -1] = rng.uniform(0.5, 2.0, x.shape[0])
+    return TaskData.from_arrays(xs, data.ys)
+
+
+class TestDualityGap:
+    """The relative duality gap that certifies a lasso or l2,1 stop."""
+
+    @staticmethod
+    def gaps(data, reg, W):
+        """Each block's relative gap and objective at W."""
+        smooth = _Smooth(data, reg, None)
+        r = smooth._residual(W)
+        values = _objective_values(smooth, reg, W, r)
+        return _relative_gaps(smooth, reg, W, r, values), values
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("last", ["ones", "varying"])
+    @pytest.mark.parametrize("kind", ["lasso", "group_l21"])
+    def test_gap_bounds_the_objective_excess(self, kind, last, seed):
+        rng = np.random.default_rng(seed)
+        data = tasks_with_last_column(rng, last)
+        reg = RegularizerSpec(kind, 0.8)
+        optimum = fit(data, reg, SolverParams(max_iters=100000, rel_tol=1e-15)).weights.values
+        relative, best = self.gaps(data, reg, optimum)
+        assert np.all(np.abs(relative) <= 1e-5)  # about 0 at a tight solve
+        points = [
+            np.zeros_like(optimum),
+            optimum + rng.normal(0, 0.3, optimum.shape),
+            rng.normal(0, 2.0, optimum.shape),
+            fit(data, reg, SolverParams(max_iters=5)).weights.values,
+        ]
+        for W in points:
+            relative, value = self.gaps(data, reg, W)
+            oracle = oracle_relative_gap(data, reg, W, value)
+            assert np.allclose(relative, oracle, rtol=1e-9, atol=1e-12)
+            assert np.all(relative * np.abs(value) >= value - best - 1e-9 * np.abs(best))
+
+    @pytest.mark.parametrize("kind", ["lasso", "group_l21"])
+    def test_relative_change_triggers_the_stop_and_the_gap_certifies_it(self, kind):
+        data = well_conditioned_data(noise=0.3)
+        reg = RegularizerSpec(kind, 0.6)
+        loose = SolverParams(rel_tol=0.5)  # fires in the first sweeps, far from the optimum
+        result = fit(data, reg, loose)
+        assert result.converged and result.gap <= GAP_TOL
+        assert result.iterations > 5
+        gaps = [fit(data, reg, SolverParams(max_iters=n)).gap for n in (1, result.iterations)]
+        assert gaps[0] > GAP_TOL >= gaps[1]
+
+    def test_gap_is_reported_only_where_it_certifies(self):
+        data = well_conditioned_data(noise=0.3)
+        assert fit(data, RegularizerSpec("graph", 0.5, 1.0)).gap is None
+        assert fit(data, RegularizerSpec("lasso", 0.0)).gap is None
+        assert fit(data, RegularizerSpec("group_l21", 0.0)).gap is None
+        for kind in ("lasso", "group_l21"):
+            result = fit(data, RegularizerSpec(kind, 0.6))
+            assert result.converged and 0.0 <= result.gap <= GAP_TOL
+
+
+class TestWarmStart:
+    def test_init_maps_columns_by_task_id(self):
+        rng = np.random.default_rng(8)
+        data = random_task_data(rng, n_tasks=3, n_columns=5)
+        data = TaskData.from_arrays(data.xs, data.ys, ("a", "b", "c"))
+        init = WeightMatrix(rng.normal(0, 1, (5, 2)), ("gone", "b"), data.columns)
+        start = np.zeros((5, 3))
+        start[:, 1] = init.column("b")  # "a" and "c" are new and start at 0; "gone" is ignored
+        for reg in (RegularizerSpec("lasso", 0.5), RegularizerSpec("group_l21", 0.5)):
+            result = fit(data, reg, SolverParams(max_iters=1), init=init)
+            assert result.objective_trace[0] == objective(start, data, reg)
+
+    def test_init_with_other_columns_is_rejected(self):
+        data = random_task_data(np.random.default_rng(8), n_tasks=2, n_columns=3)
+        init = WeightMatrix(np.zeros((3, 2)), data.task_ids, ("x", "y", "z"))
+        with pytest.raises(ValueError, match="other design columns"):
+            fit(data, RegularizerSpec("lasso", 0.5), init=init)
+
+    @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
+    def test_fit_started_at_its_optimum_stops_within_a_few_sweeps(self, kind, theta2):
+        data = well_conditioned_data(noise=0.3)
+        reg = RegularizerSpec(kind, 0.6, theta2)
+        optimum = fit(data, reg, TIGHT)
+        warm = fit(data, reg, init=optimum.weights)
+        assert warm.converged and warm.iterations <= 3
+        assert fit(data, reg).iterations > 15
+        if kind != "graph":
+            assert warm.gap <= GAP_TOL
+
+
 class TestRegularizerSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -805,9 +903,34 @@ class TestPredict:
                 assert prediction == pytest.approx(math.log(record.price), abs=1e-6)
 
 
+def oracle_relative_gap(data, reg, W, value):
+    """Relative duality gap of a lasso or l2,1 point, task by task: u = 2 r
+    projected off each task's last column, scaled into the dual norm ball, and
+    D(u) = -<u, y> - ||u||^2 / 4. For lasso, one gap per task."""
+    us, dual_rows = [], []
+    for p, (x, y) in enumerate(zip(data.xs, data.ys)):
+        u = 2.0 * (x @ W[:, p] - y)
+        c = x[:, -1]
+        if c @ c > 0:
+            u = u - (c @ u) / (c @ c) * c
+        us.append(u)
+        dual_rows.append(x[:, :-1].T @ u)
+    if reg.kind == "lasso":
+        norms = [max(np.abs(g), default=0.0) for g in dual_rows]
+    else:
+        G = np.column_stack(dual_rows)
+        norms = [max(np.sqrt((G * G).sum(axis=1)), default=0.0)] * data.n_tasks
+    scales = [1.0 if n <= reg.theta1 else reg.theta1 / n for n in norms]
+    duals = [-(s * u) @ y - (s * u) @ (s * u) / 4 for s, u, y in zip(scales, us, data.ys)]
+    if reg.kind == "lasso":
+        return [(v - d) / max(abs(v), 1e-12) for v, d in zip(value, duals)]
+    return (value - sum(duals)) / max(abs(value), 1e-12)
+
+
 def oracle_joint_fit(data, reg, params):
     """Reference for the joint kinds: plain scalar FISTA with restart over all
-    columns at once, with one step 1/L.
+    columns at once, with one step 1/L, stopping on the relative-change test
+    and, for l2,1 at theta1 > 0, the duality-gap test.
 
     Returns the weights, trace, iterations, converged flag and the number of
     restarts.
@@ -849,6 +972,8 @@ def oracle_joint_fit(data, reg, params):
         since += 1
         stopped = abs(current - value) <= params.rel_tol * max(abs(current), 1e-12)
         current = value
+        if stopped and reg.kind == "group_l21" and reg.theta1 > 0:
+            stopped = oracle_relative_gap(data, reg, W, value) <= GAP_TOL
         if stopped:
             converged = True
             break
