@@ -11,8 +11,9 @@ so it is left out of the fit and given that 0 directly, and a task pays for
 the columns it uses, not for the full design width. Ridge CV and ridge run
 once per support width: the tasks of one width pick their penalties in one
 stacked cross-validation pass and solve their ridge systems in one stacked
-call, and each task's numbers stay those of a fit of that task alone. OLS
-runs task by task. Per-task lasso is the joint lasso: its loss and l1 penalty
+call on the Gram matrices that ``TaskData.support_grams`` caches for the
+solver too, and each task's numbers stay those of a fit of that task alone.
+OLS runs task by task. Per-task lasso is the joint lasso: its loss and l1 penalty
 separate by task, and the solver runs each task's column on its own, so one
 solver call fits every task.
 """
@@ -54,17 +55,15 @@ def fit_stl(data: TaskData, spec: MethodSpec, penalty: Optional[float] = None) -
         for p, (x, y, support) in enumerate(zip(data.xs, data.ys, data.supports)):
             values[support, p] = np.linalg.lstsq(x[:, support], y, rcond=None)[0]
         return WeightMatrix(values=values, task_ids=data.task_ids, columns=data.columns)
-    widths = np.array([len(support) for support in data.supports])
-    for width in np.unique(widths):
-        tasks = np.flatnonzero(widths == width)
-        supports = np.stack([data.supports[p] for p in tasks])
-        xs = [data.xs[p][:, support] for p, support in zip(tasks, supports)]
-        ys = [data.ys[p] for p in tasks]
-        penalties = cv_ridge_penalty(xs, ys) if penalty is None else np.full(len(tasks), penalty)
-        grams = np.stack([x.T @ x for x in xs])
-        moments = np.stack([x.T @ y for x, y in zip(xs, ys)])[..., None]
-        systems = grams + penalties[:, None, None] * _ridge_shrink(width)
-        values[supports, tasks[:, None]] = np.linalg.solve(systems, moments)[..., 0]
+    for group in data.support_grams:
+        tasks, supports = group.tasks, group.columns
+        if penalty is None:
+            xs = [data.xs[p][:, support] for p, support in zip(tasks, supports)]
+            penalties = cv_ridge_penalty(xs, [data.ys[p] for p in tasks])
+        else:
+            penalties = np.full(len(tasks), penalty)
+        systems = group.grams + penalties[:, None, None] * _ridge_shrink(supports.shape[1])
+        values[supports, tasks[:, None]] = np.linalg.solve(systems, group.moments[..., None])[..., 0]
     return WeightMatrix(values=values, task_ids=data.task_ids, columns=data.columns)
 
 

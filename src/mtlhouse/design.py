@@ -71,6 +71,44 @@ class Standardizer:
 
 
 @dataclass(frozen=True)
+class SupportGrams:
+    """The tasks of one support width: ``tasks`` (ascending), each one's
+    support ``columns`` (n x w, ascending, so the intercept is last), its Gram
+    matrix x_p^T x_p (n x w x w) and its moment x_p^T y_p (n x w) on them."""
+
+    tasks: np.ndarray
+    columns: np.ndarray
+    grams: np.ndarray
+    moments: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.tasks, self.columns, self.grams, self.moments):
+            array.flags.writeable = False  # shared by every fit of this data
+
+
+@dataclass(frozen=True)
+class SupportSlots:
+    """Every task's support as the slots of an S x P array, S the widest
+    support: slot k < w_p - 1 of task p holds its k-th penalized support
+    column, the last slot its intercept (the last design column), and the
+    slots between are padding. ``columns`` holds each slot's design column
+    (the intercept's for padding) and ``padding`` marks the padding;
+    ``moments`` and ``last_rows`` hold x_p^T y_p and x_p^T c_p, c_p the
+    task's last design column, in slots (0 in padding). ``rows`` holds each
+    support width's slots, in the order of ``TaskData.support_grams``."""
+
+    columns: np.ndarray
+    padding: np.ndarray
+    moments: np.ndarray
+    last_rows: np.ndarray
+    rows: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for array in (self.columns, self.padding, self.moments, self.last_rows, *self.rows):
+            array.flags.writeable = False  # shared by every fit of this data
+
+
+@dataclass(frozen=True)
 class TaskData:
     """A round's rows: x is N x D with a trailing ones column, y the N log targets.
 
@@ -114,18 +152,6 @@ class TaskData:
         return tuple(np.split(self.y, self.starts[1:]))
 
     @functools.cached_property
-    def top_gram_eigenvalues(self) -> np.ndarray:
-        """lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
-        out = np.empty(self.n_tasks)
-        for p, x in enumerate(self.xs):
-            with np.errstate(over="ignore"):  # an overflowed Gram is caught just below
-                gram = x.T @ x
-            finite = np.all(np.isfinite(gram))
-            out[p] = float(np.linalg.eigvalsh(gram)[-1]) if finite else math.nan
-        out.flags.writeable = False  # shared by every fit of this data
-        return out
-
-    @functools.cached_property
     def supports(self) -> tuple[np.ndarray, ...]:
         """Each task's support: the columns with a nonzero (or NaN) entry in
         its rows, plus the trailing intercept, which is always kept. A column
@@ -135,6 +161,60 @@ class TaskData:
         out = tuple(np.flatnonzero(row) for row in used)
         for support in out:
             support.flags.writeable = False  # shared by every fit of this data
+        return out
+
+    @functools.cached_property
+    def support_grams(self) -> tuple[SupportGrams, ...]:
+        """The tasks' Gram matrices and moments on their supports, one stack
+        per support width, widths ascending. The squared loss of task p sees
+        its data only through x_p^T x_p, x_p^T y_p and y_p^T y_p, and the rows
+        and columns of x_p^T x_p off its support are 0, so the support Gram is
+        all of it that is not zero. Each product is that task's own ``x.T @ x``
+        and ``x.T @ y`` on its support columns, whatever the other tasks."""
+        widths = np.array([len(support) for support in self.supports])
+        out = []
+        for width in np.unique(widths):
+            tasks = np.flatnonzero(widths == width)
+            columns = np.stack([self.supports[p] for p in tasks])
+            xs = [self.xs[p][:, support] for p, support in zip(tasks, columns)]
+            with np.errstate(over="ignore"):  # an overflowed Gram makes its task's L NaN
+                grams = np.stack([x.T @ x for x in xs])
+                moments = np.stack([x.T @ self.ys[p] for p, x in zip(tasks, xs)])
+            out.append(SupportGrams(tasks=tasks, columns=columns, grams=grams, moments=moments))
+        return tuple(out)
+
+    @functools.cached_property
+    def support_slots(self) -> SupportSlots:
+        """The supports, moments and last-column Gram rows in slots (see
+        :class:`SupportSlots`)."""
+        groups = self.support_grams
+        n_slots = groups[-1].columns.shape[1]  # the widest support
+        shape = (n_slots, self.n_tasks)
+        columns = np.full(shape, self.n_columns - 1)
+        padding = np.ones(shape, dtype=bool)
+        moments, last_rows = np.zeros(shape), np.zeros(shape)
+        rows = []
+        for group in groups:
+            width = group.columns.shape[1]
+            slots = np.append(np.arange(width - 1), n_slots - 1)
+            at = (slots[:, None], group.tasks)
+            columns[at] = group.columns.T
+            padding[at] = False
+            moments[at] = group.moments.T
+            last_rows[at] = group.grams[:, :, -1].T
+            rows.append(slots)
+        return SupportSlots(columns, padding, moments, last_rows, tuple(rows))
+
+    @functools.cached_property
+    def top_gram_eigenvalues(self) -> np.ndarray:
+        """lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not
+        finite. One stacked ``eigvalsh`` per support width."""
+        out = np.empty(self.n_tasks)
+        for group in self.support_grams:
+            finite = np.all(np.isfinite(group.grams), axis=(1, 2))
+            grams = np.where(finite[:, None, None], group.grams, 0.0)
+            out[group.tasks] = np.where(finite, np.linalg.eigvalsh(grams)[:, -1], math.nan)
+        out.flags.writeable = False  # shared by every fit of this data
         return out
 
     @property

@@ -14,9 +14,21 @@ never penalized.
 
 The smooth part is a quadratic, so the Lipschitz constant L of its gradient
 is computed once per fit from eigenvalues and every step is exactly 1/L; no
-line search is needed. The residual is affine in W, so the residual at the
-extrapolated point is combined from those of the last two iterates, and an
-accelerated step costs one residual and one gradient product.
+line search is needed.
+
+The loss sees the data only through each task's Gram matrix G_p = x_p^T x_p
+and moment b_p = x_p^T y_p on its support columns, which ``TaskData`` caches
+once per data set. So the loop never forms an N-row residual: the gradient
+is 2(G_p w_p - b_p), one batched product over the tasks, and a step costs
+O(P·w^2) for supports w wide, whatever N. The loop keeps q = G·W of its
+iterates; q is linear in W, so q at the extrapolated point is combined from
+those of the last two iterates, and an accelerated step costs one Gram
+product. The objective is a running value: it starts from the exact value
+and adds each step's change d^T (q_C - q_W) + 2 d^T (q_W - b), d = C - W.
+That difference comes from quantities as small as d, not as the difference
+of two objective values, whose rounding error is of the size of the
+objective itself and swamps a step near a minimizer (see :class:`_Smooth`).
+The trace starts and ends on the exact objective, from the residual.
 
 One FISTA loop advances blocks of W's columns together; each block has its
 own step 1/L, momentum, restart test and stop, and once it stops it stays
@@ -24,8 +36,10 @@ fixed. The joint kinds couple every column, so they are one block: all
 columns take every step, with one L. The l1 penalty and the squared loss
 both separate by task, so the lasso kind has one block per task's column,
 with its own L_p = 2 lambda_max(x_p^T x_p). Every operation on a lasso block
-stays inside its task's rows, so a column's iterates are those of a
-single-task fit of that task, bit for bit.
+stays inside its task's Gram matrix and slots, so a column's iterates are
+those of a single-task fit of that task, bit for bit, whatever the other
+tasks. A restart's plain step and a gap are computed only for the columns
+that need them, and a stopped column leaves the loop.
 
 A block stops when its objective's relative change over one step is at most
 ``rel_tol``. For the lasso and l2,1 kinds at theta1 > 0 that test only
@@ -39,7 +53,8 @@ last design column (for the ones column, centring), so the unpenalized
 intercept row of X^T u is 0, and u is then scaled by
 min(1, theta1 / ||X^T u||) over the penalized rows, with the l-infinity norm
 of each task's column for lasso and the largest row l2 norm for l2,1, which
-makes it dual feasible. The graph kind and theta1 = 0 have no such
+makes it dual feasible. Every term comes from Gram quantities: X^T r is
+q - b, less the projection. The graph kind and theta1 = 0 have no such
 certificate here (at theta1 = 0 the scaled dual point is 0 and the gap is the
 whole objective), so they stop on the relative-change test alone.
 
@@ -131,7 +146,10 @@ class FitResult:
     block steps, restarts and stops on its own. ``task_iterations`` holds the
     steps each task's block took and ``iterations`` their maximum: the number
     of sweeps, the entries of ``objective_trace`` after its starting value.
-    Each trace entry is the sum of the blocks' objectives. ``converged`` means
+    Each trace entry is the sum of the blocks' objectives: the first is the
+    exact objective of the start, the last that of the returned weights, and
+    the ones between are the running values the loop compared. An entry that
+    rounding left below the last is raised to it. ``converged`` means
     every block stopped within ``max_iters``: the relative-change test fired
     and, for the lasso and l2,1 kinds at theta1 > 0, its relative duality gap
     was at most ``GAP_TOL``. ``gap`` is the largest relative duality gap of the
@@ -196,8 +214,7 @@ def _graph_quadratic(V: np.ndarray, laplacian: np.ndarray) -> float:
     cancel catastrophically and the restart and stopping tests are not swamped
     by noise.
     """
-    # the row means as V.mean(axis=1) computes them, without that call's overhead
-    centred = V - np.add.reduce(V, axis=1, keepdims=True) / V.shape[1]
+    centred = _centred(V)
     return 2.0 * float(np.einsum("dp,dp->", centred @ laplacian, centred))
 
 
@@ -286,47 +303,84 @@ def _shrink_l1(V, threshold, skip_intercept_row=True):
 
 
 def _shrink_l21(V, threshold, skip_intercept_row=True):
-    """:func:`prox_l21` without the threshold check.
+    """:func:`prox_l21` without the threshold check."""
+    out = V * _l21_factors(_row_norms(V), threshold)[:, None]
+    if skip_intercept_row:
+        out[-1] = V[-1]
+    return out
+
+
+def _l21_factors(norms: np.ndarray, threshold) -> np.ndarray:
+    """Each row's l2,1 shrink factor max(0, 1 - threshold/norm).
 
     A zero row's factor 1 - threshold/0 is -inf (or NaN at threshold 0), and
     a NaN row's is NaN; ``fmax`` takes 0 over either, so those rows get the
     factor 0 that masking them out would give.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.fmax(1.0 - threshold / _row_norms(V), 0.0)
-    out = V * scale[:, None]
-    if skip_intercept_row:
-        out[-1] = V[-1]
-    return out
-
-
-def _prox(reg: RegularizerSpec, V: np.ndarray, step: Union[float, np.ndarray]) -> np.ndarray:
-    """The penalty's prox at ``step``. :func:`fit` has made sure once that every
-    threshold is nonnegative (step > 0 and theta >= 0), so no step checks it."""
-    if reg.kind == "lasso":
-        return _shrink_l1(V, step * reg.theta1)
-    if reg.kind == "group_l21":
-        return _shrink_l21(V, step * reg.theta1)
-    return _shrink_l21(V, step * reg.theta2)
+        return np.fmax(1.0 - threshold / norms, 0.0)
 
 
 class _Smooth:
-    """The smooth part over the data's stacked rows, fast and cancellation-free.
+    """The smooth part: the squared loss, plus the coupling for the graph kind.
 
-    Losses and gradients are computed from residuals rather than expanded
-    Gram quadratics; near a minimizer the expanded form is dominated by
-    rounding noise, which breaks the restart and stopping tests. Each task's
-    rows form one contiguous block, and per-task sums run over that block
-    alone (``np.add.reduceat``), in O(N·D) for any task count.
+    It has two forms. The exact form works on a dense D x P weight matrix and
+    the stacked rows: each task's residual over its own contiguous row block,
+    in O(N·D). It gives :func:`objective`, :func:`smooth_objective`,
+    :func:`smooth_gradient`, and a fit's first and last objective values.
+
+    The Gram form is what the FISTA loop runs on. Task p's loss sees its
+    weights only through G_p = x_p^T x_p and b_p = x_p^T y_p on its support
+    columns (``TaskData.support_grams``), so the loss gradient is 2(G_p w_p -
+    b_p) at O(P·w^2) per step for supports w wide, whatever N. Weights are
+    held in slots (``TaskData.support_slots``): row k < w_p - 1 of task p's
+    column is its k-th penalized support column, the last row is its
+    intercept, and the rows between are 0. The lasso and l2,1 kinds hold W
+    in that compact S x P layout, S the widest support; a column off a
+    task's support has zero loss gradient, so it stays 0 there. The graph
+    kind's coupling reaches every row, so it holds W dense and gathers each
+    task's support entries for its loss: its Gram matrices are the same
+    stacks, sum_p w_p^2 numbers, not P·D^2.
+
+    The loop keeps the products ``h`` of its iterates: q = G·W (in slots) and,
+    for the graph kind, the coupling's M = centred(V)·Lap below them, with V
+    the penalized rows. Both are linear in W, so the products at the
+    extrapolated point are combined from those of the last two iterates. A
+    step's change of the smooth part comes from products, not as the
+    difference of two values:
+
+        f(C) - f(W) = d^T (q_C - q_W) + 2 d^T (q_W - b),  d = C - W,
+
+    plus theta1 · 2 <d, M_C + M_W> for the coupling. It is free of
+    cancellation: near a minimizer its subtractions are of nearby numbers
+    (q_C of q_W, and q_W of b, as X^T r = q - b is small there), which
+    floating point subtracts exactly or nearly so, and the rest multiplies
+    and adds small numbers. Its rounding error is of the size of d times the
+    gradient. A difference of two objective values rounds at the size of f
+    itself, which swamps a step near a minimizer and breaks the restart and
+    stopping tests. Every per-task sum over slots adds in row order, and
+    every per-task product is that task's own matrix product, so a task's
+    numbers do not depend on the other tasks or on S.
     """
 
     def __init__(self, data: TaskData, reg: RegularizerSpec, graph: Optional[TaskGraph]):
         self.reg = reg
         self.data = data
-        # 2 X^T, D x N: each task's block is contiguous in every feature row
-        self.twice_columns = 2.0 * data.x.T.copy()
         self.task_of_row = np.repeat(np.arange(data.n_tasks), data.sizes)
         self.laplacian = _graph_laplacian(graph.weights) if reg.kind == "graph" else None
+        self.dense = reg.kind == "graph"
+        slots = data.support_slots
+        self.slot_columns = slots.columns
+        self.penalized_columns = slots.columns[:-1].ravel()
+        # each slot's index in W.ravel() for a dense D x P matrix W; a padding
+        # slot's is D·P, one past the end
+        in_dense = slots.columns * data.n_tasks + np.arange(data.n_tasks)
+        self.in_dense = np.where(slots.padding, data.n_columns * data.n_tasks, in_dense).ravel()
+        self.padding = np.flatnonzero(slots.padding.ravel())
+        stacks = [(rows, group.tasks, group.grams) for rows, group in zip(slots.rows, data.support_grams)]
+        self.all = _GramColumns(stacks, slots.moments, slots.last_rows)
+
+    # ----- exact form -----
 
     def _residual(self, W: np.ndarray) -> np.ndarray:
         # each row's own dot product with its task's column; the summation
@@ -338,7 +392,13 @@ class _Smooth:
         return self.value_from_residual(W, self._residual(W))
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
-        return self.gradient_from_residual(W, self._residual(W))
+        # column p is 2 x_p^T r_p, summed over task p's rows alone
+        twice_columns = 2.0 * self.data.x.T.copy()
+        grad = np.add.reduceat(twice_columns * self._residual(W), self.data.starts, axis=1)
+        if self.reg.kind == "graph":
+            # d/dV of the ordered-pair quadratic 2 <V Lap, V>
+            grad[:-1] += 4.0 * self.reg.theta1 * (W[:-1] @ self.laplacian)
+        return grad
 
     def value_from_residual(self, W: np.ndarray, residual: np.ndarray) -> float:
         loss = float(residual @ residual)
@@ -349,14 +409,6 @@ class _Smooth:
     def task_losses(self, residual: np.ndarray) -> np.ndarray:
         """Each task's squared loss, summed over its own rows."""
         return np.add.reduceat(residual * residual, self.data.starts)
-
-    def gradient_from_residual(self, W: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        # column p is 2 x_p^T r_p, summed over task p's rows alone
-        grad = np.add.reduceat(self.twice_columns * residual, self.data.starts, axis=1)
-        if self.reg.kind == "graph":
-            # d/dV of the ordered-pair quadratic 2 <V Lap, V>
-            grad[:-1] += 4.0 * self.reg.theta1 * (W[:-1] @ self.laplacian)
-        return grad
 
     def task_lipschitz(self) -> np.ndarray:
         """2 lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
@@ -375,17 +427,170 @@ class _Smooth:
             L += 4.0 * self.reg.theta1 * float(np.linalg.eigvalsh(self.laplacian)[-1])
         return L
 
+    # ----- Gram form; ``cols`` holds the columns given, None for all -----
+
+    def compact(self, W: np.ndarray) -> np.ndarray:
+        """Each task's support entries of dense W, in slots."""
+        Z = W.take(self.in_dense, mode="clip")  # padding reads W's last entry ...
+        Z[self.padding] = 0.0  # ... and is set to 0
+        return Z.reshape(self.slot_columns.shape)
+
+    def expand(self, Z: np.ndarray) -> np.ndarray:
+        """The dense D x P matrix with slots ``Z`` and 0 off every support."""
+        W = np.zeros(self.data.n_columns * self.data.n_tasks + 1)  # the last entry takes the padding
+        W[self.in_dense] = Z.ravel()
+        return W[:-1].reshape(self.data.n_columns, self.data.n_tasks)
+
+    def products(self, W: np.ndarray, cols: Optional["_GramColumns"] = None) -> np.ndarray:
+        """h(W): q = G·W in slots, and for the graph kind M below it."""
+        if not self.dense:
+            return _gram_products(W, cols or self.all)
+        h = np.empty((self.slot_columns.shape[0] + W.shape[0] - 1, W.shape[1]))
+        h[: self.slot_columns.shape[0]] = _gram_products(self.compact(W), self.all)
+        np.matmul(_centred(W[:-1]), self.laplacian, out=h[self.slot_columns.shape[0] :])
+        return h
+
+    def gradient_from_products(self, h: np.ndarray, cols: Optional["_GramColumns"] = None) -> np.ndarray:
+        """The smooth part's gradient at the point whose products are ``h``."""
+        moments = (cols or self.all).moments
+        n_slots = moments.shape[0]
+        grad = 2.0 * (h[:n_slots] - moments)
+        if self.dense:
+            grad = self.expand(grad)
+            grad[:-1] += 4.0 * self.reg.theta1 * h[n_slots:]
+        return grad
+
+    def change(self, d, h_to, h_from, cols: Optional["_GramColumns"] = None):
+        """f(C) - f(W) with d = C - W and the products ``h_to`` of C and ``h_from``
+        of W: one per column for lasso, one float for the joint kinds."""
+        moments = (cols or self.all).moments
+        n_slots = moments.shape[0]
+        q_to, q_from = h_to[:n_slots], h_from[:n_slots]
+        terms = (self.compact(d) if self.dense else d) * ((q_to - q_from) + 2.0 * (q_from - moments))
+        if self.reg.kind == "lasso":
+            return _column_sums(terms)
+        change = float(np.add.reduce(terms, axis=None))
+        if self.dense:  # the coupling's 2 <d, M_C + M_W>
+            coupling = np.add.reduce(d[:-1] * (h_to[n_slots:] + h_from[n_slots:]), axis=None)
+            change += self.reg.theta1 * 2.0 * float(coupling)
+        return change
+
+    def group_norms(self, V: np.ndarray) -> np.ndarray:
+        """The l2 norm over the tasks of each design row, from the penalized
+        slots ``V`` (every slot row but the last); the intercept's entry is
+        that of the padding and means nothing."""
+        squares = np.bincount(
+            self.penalized_columns, weights=(V * V).ravel(), minlength=self.data.n_columns
+        )
+        return np.sqrt(squares)
+
+    def prox(self, V: np.ndarray, step):
+        """The penalty's prox at ``step`` in the loop's layout, and the penalty
+        of the point it returns: one per column for lasso, one float for the
+        joint kinds. :func:`fit` has made sure once that every threshold is
+        nonnegative (step > 0 and theta >= 0), so no step checks it."""
+        reg = self.reg
+        if reg.kind == "lasso":
+            out = _shrink_l1(V, step * reg.theta1)
+            return out, reg.theta1 * _column_sums(np.abs(out[:-1]))
+        # the l2,1 part: each design row's factor applied to that row (on
+        # slots, to its slot in every task)
+        theta = reg.theta2 if self.dense else reg.theta1
+        threshold = step * theta
+        norms = _row_norms(V) if self.dense else self.group_norms(V[:-1])
+        scale = _l21_factors(norms, threshold)
+        out = V * (scale[:, None] if self.dense else scale[self.slot_columns])
+        out[-1] = V[-1]
+        # a shrunk row's norm is max(norm - threshold, 0); a NaN one stays NaN
+        shrunk = np.maximum(norms[:-1] - threshold, 0.0)
+        return out, float(theta * np.add.reduce(shrunk))
+
+
+class _GramColumns:
+    """The Gram form of some of the tasks' columns, in slots: per support
+    width the slots, the columns' positions and their Gram matrices, the
+    moments b, the Gram rows x_p^T c_p of each task's last design column c_p,
+    and c_p^T c_p (inf where c_p = 0, so that a share c_p^T r / c_p^T c_p is
+    0). ``flat_slots`` holds each width's slots as indices into the
+    flattened S x C array of these C columns, one row per column."""
+
+    def __init__(self, stacks: Optional[list], moments: np.ndarray, last_rows: np.ndarray, last_norms=None):
+        self.stacks = stacks
+        if stacks is not None:
+            self.flat_slots = [slots * moments.shape[1] + at[:, None] for slots, at, _ in stacks]
+        self.moments = moments
+        self.last_rows = last_rows
+        if last_norms is None:
+            last_norms = np.where(last_rows[-1] > 0.0, last_rows[-1], np.inf)
+        self.last_norms = last_norms
+
+    def take(self, positions: Optional[np.ndarray], grams: bool = True) -> "_GramColumns":
+        """The columns at ``positions`` (ascending) among these, all of them if
+        None; without their Gram matrices if ``grams`` is false (the duality
+        gap needs none)."""
+        if positions is None:
+            return self
+        stacks = None
+        if grams:
+            stacks, (width_of, row_of) = [], self.stack_rows
+            width_of, row_of = width_of[positions], row_of[positions]
+            for i, (slots, _, stack) in enumerate(self.stacks):
+                kept = np.flatnonzero(width_of == i)
+                if kept.size:
+                    stacks.append((slots, kept, stack[row_of[kept]]))
+        return _GramColumns(
+            stacks, self.moments[:, positions], self.last_rows[:, positions], self.last_norms[positions]
+        )
+
+    @functools.cached_property
+    def stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's stack (its support width's position in ``stacks``)
+        and its row in that stack."""
+        width_of, row_of = np.empty((2, self.moments.shape[1]), dtype=np.intp)
+        for i, (_, at, _) in enumerate(self.stacks):
+            width_of[at], row_of[at] = i, np.arange(len(at))
+        return width_of, row_of
+
+
+def _gram_products(Z: np.ndarray, cols: _GramColumns) -> np.ndarray:
+    """q = G·Z in slots: each column's Gram matrix times its slots, one
+    batched product per support width."""
+    q = np.zeros(Z.size)
+    for flat, (_, _, grams) in zip(cols.flat_slots, cols.stacks):
+        q[flat] = (grams @ Z.take(flat)[:, :, None])[:, :, 0]
+    return q.reshape(Z.shape)
+
+
+def _centred(V: np.ndarray) -> np.ndarray:
+    # the row means as V.mean(axis=1) computes them, without that call's overhead
+    return V - np.add.reduce(V, axis=1, keepdims=True) / V.shape[1]
+
+
+def _column_sums(V: np.ndarray) -> np.ndarray:
+    """Each column's sum, its entries added in row order whatever the column count."""
+    return np.add.accumulate(V, axis=0)[-1] if len(V) else np.zeros(V.shape[1])
+
+
+def _smooth_values(smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray):
+    """The exact smooth part of each block (see :func:`_objective_values`)."""
+    if reg.kind == "lasso":
+        return smooth.task_losses(residual)
+    return smooth.value_from_residual(W, residual)
+
 
 def _objective_values(
     smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray
 ) -> Union[float, np.ndarray]:
-    """Full objective of each block: one per task's column for lasso, shape (P,);
-    one in all for the joint kinds, a Python float."""
+    """Full objective of each block at dense ``W``: one per task's column for
+    lasso, shape (P,); one in all for the joint kinds, a Python float."""
+    return _smooth_values(smooth, reg, W, residual) + _penalty_values(reg, W)
+
+
+def _penalty_values(reg: RegularizerSpec, W: np.ndarray) -> Union[float, np.ndarray]:
+    """The penalty of each block at dense ``W`` (see :func:`_objective_values`)."""
     if reg.kind == "lasso":
-        # accumulate adds each column's entries in row order whatever the column count
-        penalties = reg.theta1 * np.add.accumulate(np.abs(W[:-1]), axis=0)[-1]
-        return smooth.task_losses(residual) + penalties
-    return smooth.value_from_residual(W, residual) + nonsmooth_penalty(W, reg)
+        return reg.theta1 * _column_sums(np.abs(W[:-1]))
+    return nonsmooth_penalty(W, reg)
 
 
 def _all_finite(v: Union[float, np.ndarray]) -> bool:
@@ -402,7 +607,8 @@ def fit(
 
     Starts from ``init``, matched to the data's tasks by task id (a task it
     does not hold starts at 0, and its tasks the data lacks are ignored), or
-    from 0. Every step is 1/L, with L the Lipschitz constant of the smooth
+    from 0; for the lasso and l2,1 kinds its entries off a task's support are
+    set to 0. Every step is 1/L, with L the Lipschitz constant of the smooth
     part's gradient; there is no line search. On an objective increase the
     momentum is restarted and a plain descent step is taken, so the recorded
     trace is nonincreasing. Stops when the relative objective change drops
@@ -413,11 +619,14 @@ def fit(
     """
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
-    W = _starting_weights(data, init)
-    r = smooth._residual(W)
-    current = _objective_values(smooth, reg, W, r)
+    Z = _starting_weights(data, init)  # in the loop's layout: slots, or dense for the graph kind
+    if not smooth.dense:
+        Z = smooth.compact(Z)  # drops the entries off the supports
+    W = Z if smooth.dense else smooth.expand(Z)
+    smooth_part = _smooth_values(smooth, reg, W, smooth._residual(W))
+    current = smooth_part + _penalty_values(reg, W)
     if not _all_finite(current):
-        # the first step would evaluate this point; inf - inf in its residual would be NaN
+        # the first step would evaluate this point; inf - inf in its products would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
     if reg.kind == "lasso":
         L = smooth.task_lipschitz()
@@ -429,7 +638,23 @@ def fit(
         raise DivergenceError("step size underflow at iteration 1")
     # step > 0 here, and theta >= 0 (a NaN theta has made `current` non-finite
     # above), so every prox threshold of this fit is nonnegative
-    W, trace, stopped_at, converged, gap = _fista(smooth, reg, W, r, current, step, params)
+    Z, h, trace, stopped_at, converged = _fista(
+        smooth, Z, smooth.products(Z), smooth_part, current, step, params
+    )
+    W = Z if smooth.dense else smooth.expand(Z)
+    # the trace ends on the exact objective of the returned weights; the
+    # entries before it that rounding in the running sum left below it are
+    # raised to it, so the trace stays nonincreasing
+    smooth_part = _smooth_values(smooth, reg, W, smooth._residual(W))
+    final = smooth_part + _penalty_values(reg, W)
+    trace[-1] = _total(final)
+    for i in range(len(trace) - 2, -1, -1):
+        if trace[i] >= trace[-1]:
+            break
+        trace[i] = trace[-1]
+    gap = None
+    if _certified(reg):
+        gap = float(np.max(_relative_gaps(smooth, Z, h, smooth_part, final)))
     return FitResult(
         weights=WeightMatrix(values=W, task_ids=data.task_ids, columns=data.columns),
         objective_trace=tuple(trace),
@@ -438,6 +663,15 @@ def fit(
         task_iterations=tuple(int(n) for n in np.broadcast_to(stopped_at, data.n_tasks)),
         gap=gap,
     )
+
+
+def _certified(reg: RegularizerSpec) -> bool:
+    """Whether a duality gap certifies the kind's stop: lasso and l2,1 at theta1 > 0."""
+    return reg.kind != "graph" and reg.theta1 > 0.0
+
+
+def _total(values: Union[float, np.ndarray]) -> float:
+    return values if isinstance(values, float) else float(values.sum())
 
 
 def _starting_weights(data: TaskData, init: Optional[WeightMatrix]) -> np.ndarray:
@@ -453,127 +687,171 @@ def _starting_weights(data: TaskData, init: Optional[WeightMatrix]) -> np.ndarra
     return W
 
 
-def _relative_gaps(smooth: _Smooth, reg: RegularizerSpec, W, r, values):
-    """Relative duality gap (P(W) - D(u)) / P(W) of each block at ``W``.
+def _relative_gaps(smooth: _Smooth, Z, h, smooth_part, values, cols=None):
+    """Relative duality gap (P(W) - D(u)) / P(W) of each block at slots ``Z``.
 
-    ``r`` is W's residual and ``values`` its blocks' objectives (see
-    :func:`_objective_values`). The dual of the squared loss plus penalty is
-    D(u) = -<u, y> - ||u||^2 / 4 over the u with the intercept row of X^T u
-    equal to 0 and the penalized rows' dual norm at most theta1. With
-    u = 2 s v, where v is the residual projected off each task's last column
-    and s the feasibility scale, D = -2 s <v, y> - s^2 ||v||^2 per task.
+    ``h`` holds Z's products, ``smooth_part`` and ``values`` its blocks' loss
+    and objective; ``cols`` holds Z's columns (None for all). The dual of the
+    squared loss plus penalty is D(u) = -<u, y> - ||u||^2 / 4 over the u with
+    the intercept row of X^T u equal to 0 and the penalized rows' dual norm at
+    most theta1. With u = 2 s v, where v is the residual r projected off each
+    task's last column c and s the feasibility scale, D = -2 s <v, y> -
+    s^2 ||v||^2 per task. Every term comes from Gram quantities, so no
+    residual is formed: X^T r = q - b, X^T v = X^T r - (c^T r / c^T c) X^T c,
+    <v, y> = w^T X^T r - ||r||^2 - (c^T r / c^T c) c^T y and ||v||^2 =
+    ||r||^2 - (c^T r)^2 / c^T c.
     """
-    data = smooth.data
-    last = data.x[:, -1]
-    last_norms = np.add.reduceat(last * last, data.starts)
-    along = np.add.reduceat(last * r, data.starts)
-    shares = np.divide(along, last_norms, out=np.zeros_like(along), where=last_norms > 0.0)
-    v = r - shares.take(smooth.task_of_row) * last
-    dual_rows = np.add.reduceat(smooth.twice_columns * v, data.starts, axis=1)[:-1]  # X^T u, s = 1
+    reg = smooth.reg
+    cols = cols or smooth.all
+    fitted = h - cols.moments  # X^T r
+    along = fitted[-1]  # c^T r
+    shares = along / cols.last_norms  # c^T r / c^T c, 0 where c = 0
+    half_dual = fitted[:-1] - shares * cols.last_rows[:-1]  # X^T u / 2 at s = 1, penalized rows
+    vy = _column_sums(Z * fitted) - shares * cols.moments[-1]  # <v, y> + ||r||^2
+    vv = -shares * along  # ||v||^2 - ||r||^2
     if reg.kind == "lasso":
-        dual_norm = np.max(np.abs(dual_rows), axis=0, initial=0.0)
-    else:
-        dual_norm = np.max(_row_norms(dual_rows), initial=0.0)
-    with np.errstate(divide="ignore"):
-        scale = np.minimum(1.0, reg.theta1 / dual_norm)
-    vy = np.add.reduceat(v * data.y, data.starts)
-    vv = np.add.reduceat(v * v, data.starts)
-    if reg.kind != "lasso":  # one block
-        vy, vv = vy.sum(), vv.sum()
-    gaps = (values + 2.0 * scale * vy + scale * scale * vv) / np.maximum(np.abs(values), 1e-12)
-    return gaps if reg.kind == "lasso" else float(gaps)
+        half_norm = np.maximum.reduce(np.abs(half_dual), axis=0, initial=0.0)
+        # theta1 / (2 half_norm), the 2 exact: the bits of theta1 / ||X^T u||
+        ratio = np.divide(0.5 * reg.theta1, half_norm, out=np.full_like(half_norm, np.inf), where=half_norm > 0.0)
+        scale = np.minimum(1.0, ratio)
+        vy, vv = vy - smooth_part, vv + smooth_part
+        return (values + 2.0 * scale * vy + scale * scale * vv) / np.maximum(np.abs(values), 1e-12)
+    half_norm = float(np.max(smooth.group_norms(half_dual)[:-1], initial=0.0))
+    scale = min(1.0, 0.5 * reg.theta1 / half_norm) if half_norm > 0.0 else 1.0
+    vy, vv = float(vy.sum()) - smooth_part, float(vv.sum()) + smooth_part
+    return (values + 2.0 * scale * vy + scale * scale * vv) / max(abs(values), 1e-12)
 
 
-def _fista(smooth, reg, W, r, current, step, params):
+def _fista(smooth, W, h, smooth_part, current, step, params):
     """FISTA over blocks of W's columns, all advanced in one sweep.
 
     A block is one task's column for the lasso kind and all columns for the
-    joint kinds. Each block has its own step, momentum, restart and stop, and
-    a block that has stopped keeps its iterate while the others go on. The
-    trace holds the sum of the blocks' objectives.
+    joint kinds. Each block has its own step, momentum, restart and stop.
+    ``smooth_part`` and ``current`` hold each block's smooth part and
+    objective at the start; from there on both are running values, updated by
+    each step's change (see :class:`_Smooth`). The trace holds the sum of the
+    blocks' objectives.
 
-    Block state (``current``, ``values``, ``since``, ``alpha``, ``step``, the
-    restart and stop masks) has one entry per block. The lasso kind's state
-    is arrays of shape (P,), which broadcast over W's columns; ``on_rows``
-    repeats a per-task entry over that task's residual rows. The one joint
-    block keeps its state in Python scalars, which spares every sweep numpy's
-    per-call overhead on 0-d arrays. The helpers that pick, test and combine
-    block state (``where``, ``any_``, ``maximum``, ``on_rows``, ``total``) are
-    chosen once per fit to match; the floating-point operations and their
-    order are the same either way.
+    Block state has one entry per running block. A restart's plain step and
+    a gap are computed only for the blocks that need them: ``which`` gives
+    their positions among the running blocks, and :func:`_pick` and
+    :func:`_put` read and write their entries of any state or of W's
+    columns. A block that stops leaves the loop: its iterate is put into the
+    returned weights, and the loop goes on with the blocks still running
+    (``live`` holds their columns and ``cols`` their Gram form). The lasso
+    kind's state is arrays with one entry per column, which broadcast over
+    W's columns. The one joint block keeps its state in Python scalars,
+    which spares every sweep numpy's per-call overhead on 0-d arrays; its
+    ``which`` gives None, all of it, so its stop ends the loop. The helpers
+    that test and combine block state are chosen once per fit to match; the
+    floating-point operations are the same either way.
     """
+    certified = _certified(smooth.reg)
     if isinstance(current, float):  # one block
         momentum = _momentum(params.max_iters).tolist()
-        since, active, stopped_at = 0, True, params.max_iters
-        where, any_, maximum, on_rows, total = _pick, bool, max, _same, float
+        since, stopped_at = 0, params.max_iters
+        live = out = out_h = all_values = None  # the block is all columns, and the trace its value
+        which, where, any_, all_, maximum, total = _none, _choose, bool, bool, max, float
     else:
         momentum = _momentum(params.max_iters)
         since = np.zeros(current.shape, dtype=np.intp)  # steps since the block's last (re)start
-        active = np.ones(current.shape, dtype=bool)
         stopped_at = np.full(current.shape, params.max_iters)
-        where, any_, maximum, total = np.where, np.ndarray.any, np.maximum, _sum
-        task_of_row = smooth.task_of_row
-
-        def on_rows(v: np.ndarray) -> np.ndarray:
-            return v.take(task_of_row)
-
-    W_prev, r_prev = W, r
-    all_active = True
-    certified = reg.kind != "graph" and reg.theta1 > 0.0
+        live = np.arange(current.size)
+        out, out_h = np.empty_like(W), np.empty_like(h)  # the returned weights and their products
+        all_values = current.copy()  # every block's objective, a stopped one's last
+        which, where, any_, all_ = _positions, np.where, np.ndarray.any, np.ndarray.all
+        maximum, total = np.maximum, _sum
+    W_prev, h_prev = W, h
+    cols = smooth.all
+    converged = False
     trace = [total(current)]
 
     for iteration in range(1, params.max_iters + 1):
         alpha = momentum[since]
         search = W + alpha * (W - W_prev)
-        r_search = r + on_rows(alpha) * (r - r_prev)  # the residual is affine in W
-        candidate, r_candidate, values = _prox_step(smooth, reg, search, r_search, step, iteration)
-
+        h_search = h + alpha * (h - h_prev)  # the products are linear in W
+        candidate, h_candidate, smooth_candidate, values = _prox_step(
+            smooth, W, h, smooth_part, search, h_search, step, cols, iteration
+        )
         restart = values > current
-        if not all_active:
-            restart &= active
         if any_(restart):
             # momentum overshot: restart and take a plain descent step, or keep
             # the previous iterate if that rises too (numerically stationary)
-            since = where(restart, 0, since)
-            plain, r_plain, plain_values = _prox_step(smooth, reg, W, r, step, iteration)
-            stuck = plain_values > current
-            candidate = where(restart, where(stuck, W, plain), candidate)
-            r_candidate = where(
-                on_rows(restart), where(on_rows(stuck), r, r_plain), r_candidate
+            R = which(restart)
+            since = _put(since, R, 0)
+            kept = _pick(W, R), _pick(h, R), _pick(smooth_part, R), _pick(current, R)
+            plain = _prox_step(smooth, *kept[:3], *kept[:2], _pick(step, R), cols.take(R), iteration)
+            stuck = plain[3] > kept[3]
+            candidate, h_candidate, smooth_candidate, values = (
+                _put(v, R, where(stuck, a, b))
+                for v, a, b in zip((candidate, h_candidate, smooth_candidate, values), kept, plain)
             )
-            values = where(restart, where(stuck, current, plain_values), values)
-        if not all_active:  # stopped blocks keep their iterate (several blocks only)
-            candidate = np.where(active, candidate, W)
-            r_candidate = np.where(on_rows(active), r_candidate, r)
-            values = np.where(active, values, current)
 
         W_prev, W = W, candidate
-        r_prev, r = r, r_candidate
-        trace.append(total(values))
+        h_prev, h = h, h_candidate
+        smooth_part = smooth_candidate
         since += 1
-
         stopped = abs(current - values) <= params.rel_tol * maximum(abs(current), 1e-12)
-        if not all_active:
-            stopped &= active
         current = values
-        if certified and any_(stopped):
-            stopped &= _relative_gaps(smooth, reg, W, r, current) <= GAP_TOL
-        if any_(stopped):
-            stopped_at = where(stopped, iteration, stopped_at)
-            active = where(stopped, False, active)
-            all_active = False
-            if not any_(active):
-                break
+        all_values = _put(all_values, live, values)
+        trace.append(total(all_values))
+        if not any_(stopped):
+            continue
+        if certified:
+            F = which(stopped)
+            gaps = _relative_gaps(
+                smooth, _pick(W, F), _pick(h, F), _pick(smooth_part, F), _pick(values, F), cols.take(F, grams=False)
+            )
+            stopped = _put(stopped, F, gaps <= GAP_TOL)
+            if not any_(stopped):
+                continue
+        S = which(stopped)
+        done = _pick(live, S)  # the stopped blocks' columns
+        stopped_at = _put(stopped_at, done, iteration)
+        out, out_h = _put(out, done, _pick(W, S)), _put(out_h, done, _pick(h, S))
+        if all_(stopped):
+            converged = True
+            break
+        K = which(~stopped)  # several blocks only: the one joint block has stopped
+        live, cols = live[K], cols.take(K)
+        W, W_prev, h, h_prev = W[:, K], W_prev[:, K], h[:, K], h_prev[:, K]
+        smooth_part, current, since, step = smooth_part[K], current[K], since[K], step[K]
 
-    gap = float(np.max(_relative_gaps(smooth, reg, W, r, current))) if certified else None
-    return W, trace, stopped_at, not any_(active), gap
+    if not converged:
+        out, out_h = _put(out, live, W), _put(out_h, live, h)
+    return out, out_h, trace, stopped_at, converged
 
 
-def _pick(condition: bool, a, b):
+def _none(mask) -> None:
+    return None
+
+
+def _positions(mask: np.ndarray) -> np.ndarray:
+    # np.flatnonzero without its ravel, for a 1-d mask
+    return mask.nonzero()[0]
+
+
+def _choose(condition: bool, a, b):
     return a if condition else b
 
 
-def _same(v):
+def _pick(v, positions):
+    """The entries of block state ``v`` (or W's columns) at ``positions``; all
+    of ``v`` if None."""
+    if positions is None:
+        return v
+    return v[positions] if v.ndim == 1 else v[:, positions]
+
+
+def _put(v, positions, x):
+    """``v`` with its entries at ``positions`` set to ``x``, in place; ``x`` if
+    None (all of ``v``)."""
+    if positions is None:
+        return x
+    if v.ndim == 1:
+        v[positions] = x
+    else:
+        v[:, positions] = x
     return v
 
 
@@ -598,19 +876,21 @@ def _momentum(n_steps: int) -> np.ndarray:
     return alphas
 
 
-def _prox_step(smooth, reg, point, r_point, step, iteration):
-    """One proximal gradient step from ``point``, whose residual is ``r_point``.
+def _prox_step(smooth, W, h, smooth_part, point, h_point, step, cols, iteration):
+    """One proximal gradient step from ``point``, whose products are ``h_point``,
+    for the columns ``cols`` (None for all).
 
-    The candidate's residual is computed directly, so the cached residuals
-    never drift from the iterates. Returns the candidate, its residual and
-    its full objective value (one per column for lasso).
+    The candidate's products are computed directly, so the cached products
+    never drift from the iterates; its smooth part is W's (``smooth_part``)
+    plus the change from W to it. Returns the candidate, its products, its
+    smooth part and its full objective value (one per column for lasso).
     """
-    g_point = smooth.gradient_from_residual(point, r_point)
-    candidate = _prox(reg, point - step * g_point, step)
-    r_candidate = smooth._residual(candidate)
-    value = _objective_values(smooth, reg, candidate, r_candidate)
-    # a non-finite gradient entry makes its block's candidate, residual and so
+    candidate, penalty = smooth.prox(point - step * smooth.gradient_from_products(h_point, cols), step)
+    h_candidate = smooth.products(candidate, cols)
+    smooth_candidate = smooth_part + smooth.change(candidate - W, h_candidate, h, cols)
+    value = smooth_candidate + penalty
+    # a non-finite gradient entry makes its block's candidate, products and so
     # objective non-finite, so this test also stands for a test of the gradient
     if not _all_finite(value):
         raise DivergenceError(f"objective became non-finite at iteration {iteration}")
-    return candidate, r_candidate, value
+    return candidate, h_candidate, smooth_candidate, value

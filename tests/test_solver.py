@@ -18,11 +18,11 @@ from mtlhouse.solver import (
     _graph_quadratic,
     _momentum,
     _objective_values,
-    _prox,
     _prox_step,
     _relative_gaps,
     _row_norms,
     _Smooth,
+    _smooth_values,
     build_task_graph,
     fit,
     nonsmooth_penalty,
@@ -236,7 +236,7 @@ class TestLipschitz:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         first = fit(data, RegularizerSpec("lasso", 0.5))
         second = fit(data, RegularizerSpec("lasso", 0.5))
-        assert len(calls) == data.n_tasks
+        assert len(calls) == len(data.support_grams) == 1  # one stacked call per support width
         assert first.weights.values.tobytes() == second.weights.values.tobytes()
         expected = [2.0 * float(eigvalsh(x.T @ x)[-1]) for x in data.xs]
         assert list(_Smooth(data, RegularizerSpec("lasso", 0.5), None).task_lipschitz()) == expected
@@ -554,20 +554,20 @@ class TestFit:
         # the candidate's objective check must catch it in that iteration
         now = {"iteration": 0}
 
-        def tracking_prox_step(smooth, reg, point, r_point, step, iteration):
-            now["iteration"] = iteration
-            return _prox_step(smooth, reg, point, r_point, step, iteration)
+        def tracking_prox_step(*args):
+            now["iteration"] = args[-1]
+            return _prox_step(*args)
 
-        gradient = _Smooth.gradient_from_residual
+        gradient = _Smooth.gradient_from_products
 
-        def overflowing_gradient(self, W, r):
-            g = gradient(self, W, r)
+        def overflowing_gradient(self, h, cols=None):
+            g = gradient(self, h, cols)
             if now["iteration"] >= 4:
                 g[1, 2] = entry
             return g
 
         monkeypatch.setattr("mtlhouse.solver._prox_step", tracking_prox_step)
-        monkeypatch.setattr(_Smooth, "gradient_from_residual", overflowing_gradient)
+        monkeypatch.setattr(_Smooth, "gradient_from_products", overflowing_gradient)
         data = random_task_data(np.random.default_rng(77), n_tasks=4, n_columns=5)
         reg = RegularizerSpec(kind, 0.6, theta2)
         # inf - inf in the graph term's row centring is NaN; that warning is not the point
@@ -622,11 +622,13 @@ class TestFit:
     def test_step_is_one_over_lipschitz(self, kind, theta2, monkeypatch):
         steps = []
 
-        def recording_prox(reg, V, step):
-            steps.append(step)
-            return _prox(reg, V, step)
+        prox = _Smooth.prox
 
-        monkeypatch.setattr("mtlhouse.solver._prox", recording_prox)
+        def recording_prox(self, V, step):
+            steps.append(step)
+            return prox(self, V, step)
+
+        monkeypatch.setattr(_Smooth, "prox", recording_prox)
         rng = np.random.default_rng(77)
         data = random_task_data(rng, n_tasks=4, n_columns=5)
         reg = RegularizerSpec(kind, 0.6, theta2)
@@ -641,33 +643,46 @@ class TestFit:
             [1.0 / (2.0 * float(np.linalg.eigvalsh(x.T @ x)[-1])) for x in data.xs]
         )
         assert len(set(expected)) == data.n_tasks
-        assert all(np.array_equal(step, expected) for step in steps)
+        assert np.array_equal(steps[0], expected)
+        # a restart's plain step, and every step once a column has stopped,
+        # is taken for some of the columns: their steps, in column order
+        for step in steps:
+            columns = [list(expected).index(s) for s in step]
+            assert columns == sorted(set(columns))
 
     @pytest.mark.parametrize("kind,theta2", [("lasso", None), ("group_l21", None), ("graph", 0.3)])
     @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
-    def test_one_residual_per_step(self, kind, theta2, params, monkeypatch):
-        # each accelerated step costs one residual, a restart one more
-        calls = {"residual": 0}
+    def test_one_gram_product_per_step(self, kind, theta2, params, monkeypatch):
+        # each accelerated step costs one Gram product, a restart one more; the
+        # residual is formed only for the first and the last objective value
+        calls = {"residual": 0, "products": 0}
         residual = _Smooth._residual
-        gradient = _Smooth.gradient_from_residual
+        products = _Smooth.products
+        gradient = _Smooth.gradient_from_products
 
         def counted_residual(self, W):
             calls["residual"] += 1
             return residual(self, W)
 
-        def gradient_without_residual(self, W, r):
-            before = calls["residual"]
-            out = gradient(self, W, r)
-            assert calls["residual"] == before
+        def counted_products(self, W, cols=None):
+            calls["products"] += 1
+            return products(self, W, cols)
+
+        def gradient_without_products(self, h, cols=None):
+            before = dict(calls)
+            out = gradient(self, h, cols)
+            assert calls == before
             return out
 
         monkeypatch.setattr(_Smooth, "_residual", counted_residual)
-        monkeypatch.setattr(_Smooth, "gradient_from_residual", gradient_without_residual)
+        monkeypatch.setattr(_Smooth, "products", counted_products)
+        monkeypatch.setattr(_Smooth, "gradient_from_products", gradient_without_products)
         rng = np.random.default_rng(77)
         data = random_task_data(rng, n_tasks=4, n_columns=5)
         result = fit(data, RegularizerSpec(kind, 0.6, theta2), params)
         assert result.iterations > 5
-        assert calls["residual"] <= 2 * result.iterations + 1
+        assert calls["products"] <= 2 * result.iterations + 1
+        assert calls["residual"] == 2
 
     def test_fit_result_rejects_increasing_trace(self):
         from mtlhouse.design import WeightMatrix
@@ -753,6 +768,127 @@ class TestColumnwiseLasso:
         assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+def tasks_with_mixed_supports(rng, sizes=(1, 4, 7, 12, 3, 9), n_columns=8):
+    """Random tasks whose rows are zero in a random share of the penalized
+    columns, so their supports differ in width; the first has one row."""
+    xs, ys = [], []
+    for m in sizes:
+        x = np.hstack([rng.normal(0, 1, (m, n_columns - 1)), np.ones((m, 1))])
+        x[:, np.flatnonzero(rng.random(n_columns - 1) < 0.4)] = 0.0
+        xs.append(x)
+        ys.append(rng.normal(13.0, 1.0, m))
+    return TaskData.from_arrays(xs, ys)
+
+
+class TestGramForm:
+    """The loop's Gram form of the smooth part against its exact residual form."""
+
+    KINDS = [("lasso", None), ("group_l21", None), ("graph", 0.3)]
+
+    @staticmethod
+    def setup(seed, kind, theta2):
+        rng = np.random.default_rng(seed)
+        data = tasks_with_mixed_supports(rng)
+        assert len(data.support_grams) > 1  # the widths differ
+        reg = RegularizerSpec(kind, 0.7, theta2)
+        graph = build_task_graph(data) if kind == "graph" else None
+        smooth = _Smooth(data, reg, graph)
+        return rng, data, reg, graph, smooth
+
+    @staticmethod
+    def point(rng, smooth, scale=1.0):
+        """A random dense W, on the supports unless the kind holds W dense."""
+        W = rng.normal(0, scale, (smooth.data.n_columns, smooth.data.n_tasks))
+        return W if smooth.dense else smooth.expand(smooth.compact(W))
+
+    @staticmethod
+    def loop_form(smooth, W):
+        return W if smooth.dense else smooth.compact(W)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind,theta2", KINDS)
+    def test_gradient_matches_the_residual_form(self, kind, theta2, seed):
+        rng, data, reg, graph, smooth = self.setup(seed, kind, theta2)
+        W = self.point(rng, smooth)
+        grad = smooth.gradient_from_products(smooth.products(self.loop_form(smooth, W)))
+        if not smooth.dense:
+            grad = smooth.expand(grad)
+        oracle = smooth_gradient(W, data, reg, graph)
+        assert np.max(np.abs(grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_top_eigenvalues_match_the_full_gram_matrices(self):
+        data = tasks_with_mixed_supports(np.random.default_rng(4))
+        expected = [float(np.linalg.eigvalsh(x.T @ x)[-1]) for x in data.xs]
+        assert np.allclose(data.top_gram_eigenvalues, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("step", [1.0, 1e-9])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind,theta2", KINDS)
+    def test_change_matches_the_residual_difference(self, kind, theta2, seed, step):
+        # (r2 - r1) . (r2 + r1) per task, summed exactly; the difference of
+        # two residual sums of squares would lose a 1e-9 step to rounding
+        rng, data, reg, graph, smooth = self.setup(seed, kind, theta2)
+        W1 = self.point(rng, smooth)
+        W2 = W1 + step * self.point(rng, smooth)
+        Z1, Z2 = self.loop_form(smooth, W1), self.loop_form(smooth, W2)
+        change = smooth.change(Z2 - Z1, smooth.products(Z2), smooth.products(Z1))
+        D, S = W2 - W1, W2 + W1  # at the small step, D is exact (Sterbenz)
+        per_task = [
+            math.fsum((x @ D[:, p]) * (x @ S[:, p] - 2.0 * y))
+            for p, (x, y) in enumerate(zip(data.xs, data.ys))
+        ]
+        if kind == "lasso":
+            assert np.allclose(change, per_task, rtol=1e-9, atol=0)
+            return
+        expected = math.fsum(per_task)
+        if kind == "graph":
+            expected += reg.theta1 * math.fsum(
+                graph.weights[p, q] * math.fsum((D[:-1, p] - D[:-1, q]) * (S[:-1, p] - S[:-1, q]))
+                for p in range(data.n_tasks)
+                for q in range(data.n_tasks)
+                if p != q
+            )
+        assert change == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["lasso", "group_l21"])
+    def test_gap_matches_the_residual_oracle(self, kind, seed):
+        rng, data, reg, graph, smooth = self.setup(seed, kind, None)
+        for scale in (0.0, 0.3, 2.0):
+            W = self.point(rng, smooth, scale)
+            r = smooth._residual(W)
+            values = _objective_values(smooth, reg, W, r)
+            Z = smooth.compact(W)
+            gaps = _relative_gaps(smooth, Z, smooth.products(Z), _smooth_values(smooth, reg, W, r), values)
+            oracle = oracle_relative_gap(data, reg, W, values)
+            assert np.allclose(gaps, oracle, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,theta2", KINDS)
+    def test_init_entries_off_the_supports(self, kind, theta2):
+        # lasso and l2,1 set them to 0; the graph kind keeps them
+        rng, data, reg, graph, smooth = self.setup(5, kind, theta2)
+        init = WeightMatrix(rng.normal(0, 1, (data.n_columns, data.n_tasks)), data.task_ids, data.columns)
+        start = init.values if smooth.dense else smooth.expand(smooth.compact(init.values))
+        assert kind == "graph" or np.any(start != init.values)
+        for params in (SolverParams(max_iters=1), SolverParams()):
+            result = fit(data, reg, params, init=init)
+            assert result.objective_trace[0] == objective(start, data, reg, graph)
+            assert result.objective_trace[-1] == objective(result.weights, data, reg, graph)
+            if kind != "graph":
+                off = smooth.expand(smooth.compact(np.ones_like(start))) == 0.0
+                assert np.all(result.weights.values[off] == 0.0)
+
+    @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
+    def test_lasso_columns_match_single_task_fits_bit_for_bit(self, params):
+        # a column's numbers do not depend on the other tasks' support widths
+        rng, data, reg, graph, smooth = self.setup(6, "lasso", None)
+        joint = fit(data, reg, params)
+        for p, (x, y) in enumerate(zip(data.xs, data.ys)):
+            single = fit(TaskData.from_arrays([x], [y]), reg, params)
+            assert joint.task_iterations[p] == single.iterations
+            assert joint.weights.values[:, p].tobytes() == single.weights.values[:, 0].tobytes()
+
+
 def tasks_with_last_column(rng, last):
     """Random tasks whose last, unpenalized column is ones or varies by row."""
     data = random_task_data(rng, n_tasks=4, n_columns=5)
@@ -769,11 +905,13 @@ class TestDualityGap:
 
     @staticmethod
     def gaps(data, reg, W):
-        """Each block's relative gap and objective at W."""
+        """Each block's relative gap, from Gram quantities, and objective at W."""
         smooth = _Smooth(data, reg, None)
         r = smooth._residual(W)
         values = _objective_values(smooth, reg, W, r)
-        return _relative_gaps(smooth, reg, W, r, values), values
+        Z = smooth.compact(W)
+        gaps = _relative_gaps(smooth, Z, smooth.products(Z), _smooth_values(smooth, reg, W, r), values)
+        return gaps, values
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("last", ["ones", "varying"])
@@ -930,7 +1068,10 @@ def oracle_relative_gap(data, reg, W, value):
 def oracle_joint_fit(data, reg, params):
     """Reference for the joint kinds: plain scalar FISTA with restart over all
     columns at once, with one step 1/L, stopping on the relative-change test
-    and, for l2,1 at theta1 > 0, the duality-gap test.
+    and, for l2,1 at theta1 > 0, the duality-gap test. It steps on the Gram
+    form of the smooth part, as the solver does: the products of each iterate
+    and a running objective updated by each step's change. The trace starts
+    and ends on the exact objective (see :func:`fit`).
 
     Returns the weights, trace, iterations, converged flag and the number of
     restarts.
@@ -938,45 +1079,50 @@ def oracle_joint_fit(data, reg, params):
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
 
-    def value_of(V, r_V):
-        return smooth.value_from_residual(V, r_V) + nonsmooth_penalty(V, reg)
+    def prox_step(W, h, f, point, h_point):
+        candidate, penalty = smooth.prox(point - step * smooth.gradient_from_products(h_point), step)
+        h_candidate = smooth.products(candidate)
+        f_candidate = f + smooth.change(candidate - W, h_candidate, h)
+        return candidate, h_candidate, f_candidate, f_candidate + penalty
 
-    def prox_step(point, r_point):
-        candidate = _prox(reg, point - step * smooth.gradient_from_residual(point, r_point), step)
-        r_candidate = smooth._residual(candidate)
-        return candidate, r_candidate, value_of(candidate, r_candidate)
-
-    W = np.zeros((data.n_columns, data.n_tasks))
-    r = smooth._residual(W)
-    current = value_of(W, r)
+    dense = np.zeros((data.n_columns, data.n_tasks))
+    f = smooth.value(dense)
+    current = f + nonsmooth_penalty(dense, reg)
+    W = dense if reg.kind == "graph" else smooth.compact(dense)
+    h = smooth.products(W)
     L = smooth.lipschitz()
     step = 1.0 if L == 0.0 else 1.0 / L
-    W_prev, r_prev = W, r
+    W_prev, h_prev = W, h
     momentum = _momentum(params.max_iters)
     since, restarts = 0, 0
     trace = [current]
     converged = False
     for _ in range(params.max_iters):
         alpha = momentum[since]
-        candidate, r_candidate, value = prox_step(
-            W + alpha * (W - W_prev), r + alpha * (r - r_prev)
+        candidate, h_candidate, f_candidate, value = prox_step(
+            W, h, f, W + alpha * (W - W_prev), h + alpha * (h - h_prev)
         )
         if value > current:
             since, restarts = 0, restarts + 1
-            candidate, r_candidate, value = prox_step(W, r)
+            candidate, h_candidate, f_candidate, value = prox_step(W, h, f, W, h)
             if value > current:
-                candidate, r_candidate, value = W, r, current
+                candidate, h_candidate, f_candidate, value = W, h, f, current
         W_prev, W = W, candidate
-        r_prev, r = r, r_candidate
+        h_prev, h = h, h_candidate
+        f = f_candidate
         trace.append(value)
         since += 1
         stopped = abs(current - value) <= params.rel_tol * max(abs(current), 1e-12)
         current = value
         if stopped and reg.kind == "group_l21" and reg.theta1 > 0:
-            stopped = oracle_relative_gap(data, reg, W, value) <= GAP_TOL
+            stopped = oracle_relative_gap(data, reg, smooth.expand(W), value) <= GAP_TOL
         if stopped:
             converged = True
             break
+    if reg.kind != "graph":
+        W = smooth.expand(W)
+    trace[-1] = objective(W, data, reg, graph)
+    trace = [max(value, trace[-1]) for value in trace]
     return W, tuple(trace), len(trace) - 1, converged, restarts
 
 
