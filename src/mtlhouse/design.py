@@ -87,28 +87,6 @@ class SupportGrams:
 
 
 @dataclass(frozen=True)
-class SupportSlots:
-    """Every task's support as the slots of an S x P array, S the widest
-    support: slot k < w_p - 1 of task p holds its k-th penalized support
-    column, the last slot its intercept (the last design column), and the
-    slots between are padding. ``columns`` holds each slot's design column
-    (the intercept's for padding) and ``padding`` marks the padding;
-    ``moments`` and ``last_rows`` hold x_p^T y_p and x_p^T c_p, c_p the
-    task's last design column, in slots (0 in padding). ``rows`` holds each
-    support width's slots, in the order of ``TaskData.support_grams``."""
-
-    columns: np.ndarray
-    padding: np.ndarray
-    moments: np.ndarray
-    last_rows: np.ndarray
-    rows: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for array in (self.columns, self.padding, self.moments, self.last_rows, *self.rows):
-            array.flags.writeable = False  # shared by every fit of this data
-
-
-@dataclass(frozen=True)
 class TaskData:
     """A round's rows: x is N x D with a trailing ones column, y the N log targets.
 
@@ -182,28 +160,6 @@ class TaskData:
                 moments = np.stack([x.T @ self.ys[p] for p, x in zip(tasks, xs)])
             out.append(SupportGrams(tasks=tasks, columns=columns, grams=grams, moments=moments))
         return tuple(out)
-
-    @functools.cached_property
-    def support_slots(self) -> SupportSlots:
-        """The supports, moments and last-column Gram rows in slots (see
-        :class:`SupportSlots`)."""
-        groups = self.support_grams
-        n_slots = groups[-1].columns.shape[1]  # the widest support
-        shape = (n_slots, self.n_tasks)
-        columns = np.full(shape, self.n_columns - 1)
-        padding = np.ones(shape, dtype=bool)
-        moments, last_rows = np.zeros(shape), np.zeros(shape)
-        rows = []
-        for group in groups:
-            width = group.columns.shape[1]
-            slots = np.append(np.arange(width - 1), n_slots - 1)
-            at = (slots[:, None], group.tasks)
-            columns[at] = group.columns.T
-            padding[at] = False
-            moments[at] = group.moments.T
-            last_rows[at] = group.grams[:, :, -1].T
-            rows.append(slots)
-        return SupportSlots(columns, padding, moments, last_rows, tuple(rows))
 
     @functools.cached_property
     def top_gram_eigenvalues(self) -> np.ndarray:

@@ -17,18 +17,20 @@ is computed once per fit from eigenvalues and every step is exactly 1/L; no
 line search is needed.
 
 The loss sees the data only through each task's Gram matrix G_p = x_p^T x_p
-and moment b_p = x_p^T y_p on its support columns, which ``TaskData`` caches
-once per data set. So the loop never forms an N-row residual: the gradient
-is 2(G_p w_p - b_p), one batched product over the tasks, and a step costs
-O(P·w^2) for supports w wide, whatever N. The loop keeps q = G·W of its
-iterates; q is linear in W, so q at the extrapolated point is combined from
-those of the last two iterates, and an accelerated step costs one Gram
-product. The objective is a running value: it starts from the exact value
-and adds each step's change d^T (q_C - q_W) + 2 d^T (q_W - b), d = C - W.
-That difference comes from quantities as small as d, not as the difference
-of two objective values, whose rounding error is of the size of the
-objective itself and swamps a step near a minimizer (see :class:`_Smooth`).
-The trace starts and ends on the exact objective, from the residual.
+and moment b_p = x_p^T y_p on its support columns. ``TaskData.support_grams``
+caches them once per data set, one stack per support width, and each fit
+lays them out in slots (see :class:`_Smooth`). So the loop never forms an
+N-row residual: the gradient is 2(G_p w_p - b_p), one batched product over
+the tasks, and a step costs O(P·w^2) for supports w wide, whatever N. The
+loop keeps q = G·W of its iterates; q is linear in W, so q at the
+extrapolated point is combined from those of the last two iterates, and an
+accelerated step costs one Gram product. The objective is a running value:
+it starts from the exact value and adds each step's change
+d^T (q_C - q_W) + 2 d^T (q_W - b), d = C - W. That difference comes from
+quantities as small as d, not as the difference of two objective values,
+whose rounding error is of the size of the objective itself and swamps a
+step near a minimizer (see :class:`_Smooth`). The trace starts and ends on
+the exact objective, from the residual (:func:`_exact_values`).
 
 One FISTA loop advances blocks of W's columns together; each block has its
 own step 1/L, momentum, restart test and stop, and once it stops it stays
@@ -227,7 +229,8 @@ def smooth_objective(
     """Squared loss plus, for the graph kind, the quadratic coupling term."""
     w = _values(W)
     _check_shapes(w, data, reg, graph)
-    return _Smooth(data, reg, graph).value(w)
+    laplacian = None if graph is None else _graph_laplacian(graph.weights)
+    return _total(_exact_values(data, reg, laplacian, w)[0])
 
 
 def nonsmooth_penalty(
@@ -260,8 +263,8 @@ def objective(
     """
     w = _values(W)
     _check_shapes(w, data, reg, graph)
-    smooth = _Smooth(data, reg, graph)
-    return float(np.sum(_objective_values(smooth, reg, w, smooth._residual(w))))
+    laplacian = None if graph is None else _graph_laplacian(graph.weights)
+    return _total(_exact_values(data, reg, laplacian, w)[1])
 
 
 def smooth_gradient(
@@ -273,7 +276,13 @@ def smooth_gradient(
     """Gradient of :func:`smooth_objective`; the l1/l2,1 parts are handled by prox."""
     w = _values(W)
     _check_shapes(w, data, reg, graph)
-    return _Smooth(data, reg, graph).gradient(w)
+    # column p is 2 x_p^T r_p, summed over task p's rows alone
+    twice_columns = 2.0 * data.x.T.copy()
+    grad = np.add.reduceat(twice_columns * _residual(data, w), data.starts, axis=1)
+    if reg.kind == "graph":
+        # d/dV of the ordered-pair quadratic 2 <V Lap, V>
+        grad[:-1] += 4.0 * reg.theta1 * (w[:-1] @ _graph_laplacian(graph.weights))
+    return grad
 
 
 def prox_l1(
@@ -322,25 +331,21 @@ def _l21_factors(norms: np.ndarray, threshold) -> np.ndarray:
 
 
 class _Smooth:
-    """The smooth part: the squared loss, plus the coupling for the graph kind.
+    """The smooth part in the Gram form the FISTA loop runs on: the squared
+    loss, plus the coupling for the graph kind.
 
-    It has two forms. The exact form works on a dense D x P weight matrix and
-    the stacked rows: each task's residual over its own contiguous row block,
-    in O(N·D). It gives :func:`objective`, :func:`smooth_objective`,
-    :func:`smooth_gradient`, and a fit's first and last objective values.
-
-    The Gram form is what the FISTA loop runs on. Task p's loss sees its
-    weights only through G_p = x_p^T x_p and b_p = x_p^T y_p on its support
-    columns (``TaskData.support_grams``), so the loss gradient is 2(G_p w_p -
-    b_p) at O(P·w^2) per step for supports w wide, whatever N. Weights are
-    held in slots (``TaskData.support_slots``): row k < w_p - 1 of task p's
-    column is its k-th penalized support column, the last row is its
-    intercept, and the rows between are 0. The lasso and l2,1 kinds hold W
-    in that compact S x P layout, S the widest support; a column off a
-    task's support has zero loss gradient, so it stays 0 there. The graph
-    kind's coupling reaches every row, so it holds W dense and gathers each
-    task's support entries for its loss: its Gram matrices are the same
-    stacks, sum_p w_p^2 numbers, not P·D^2.
+    Task p's loss sees its weights only through G_p = x_p^T x_p and b_p =
+    x_p^T y_p on its support columns (``TaskData.support_grams``), so the loss
+    gradient is 2(G_p w_p - b_p) at O(P·w^2) per step for supports w wide,
+    whatever N. Weights are held in slots, laid out here from those stacks:
+    row k < w_p - 1 of task p's column is its k-th penalized support column,
+    the last row is its intercept, and the rows between are padding, 0. The
+    lasso and l2,1 kinds hold W in that compact S x P layout, S the widest
+    support; a column off a task's support has zero loss gradient, so it
+    stays 0 there. The graph kind's coupling reaches every row, so it holds W
+    dense and gathers each task's support entries for its loss: its Gram
+    matrices are the same stacks, sum_p w_p^2 numbers, not P·D^2. Exact
+    values come from the residual instead (:func:`_exact_values`).
 
     The loop keeps the products ``h`` of its iterates: q = G·W (in slots) and,
     for the graph kind, the coupling's M = centred(V)·Lap below them, with V
@@ -366,49 +371,35 @@ class _Smooth:
     def __init__(self, data: TaskData, reg: RegularizerSpec, graph: Optional[TaskGraph]):
         self.reg = reg
         self.data = data
-        self.task_of_row = np.repeat(np.arange(data.n_tasks), data.sizes)
         self.laplacian = _graph_laplacian(graph.weights) if reg.kind == "graph" else None
         self.dense = reg.kind == "graph"
-        slots = data.support_slots
-        self.slot_columns = slots.columns
-        self.penalized_columns = slots.columns[:-1].ravel()
+        groups = data.support_grams
+        n_slots = groups[-1].columns.shape[1]  # the widest support
+        shape = (n_slots, data.n_tasks)
+        # each slot's design column (the intercept's for padding), and the
+        # moments x_p^T y_p and Gram rows x_p^T c_p of the last design column
+        # c_p in slots, 0 in padding
+        columns = np.full(shape, data.n_columns - 1)
+        padding = np.ones(shape, dtype=bool)
+        moments, last_rows = np.zeros(shape), np.zeros(shape)
+        stacks = []
+        for group in groups:
+            width = group.columns.shape[1]
+            slots = np.append(np.arange(width - 1), n_slots - 1)  # the intercept last
+            at = (slots[:, None], group.tasks)
+            columns[at] = group.columns.T
+            padding[at] = False
+            moments[at] = group.moments.T
+            last_rows[at] = group.grams[:, :, -1].T
+            stacks.append((slots, group.tasks, group.grams))
+        self.slot_columns = columns
+        self.penalized_columns = columns[:-1].ravel()
         # each slot's index in W.ravel() for a dense D x P matrix W; a padding
         # slot's is D·P, one past the end
-        in_dense = slots.columns * data.n_tasks + np.arange(data.n_tasks)
-        self.in_dense = np.where(slots.padding, data.n_columns * data.n_tasks, in_dense).ravel()
-        self.padding = np.flatnonzero(slots.padding.ravel())
-        stacks = [(rows, group.tasks, group.grams) for rows, group in zip(slots.rows, data.support_grams)]
-        self.all = _GramColumns(stacks, slots.moments, slots.last_rows)
-
-    # ----- exact form -----
-
-    def _residual(self, W: np.ndarray) -> np.ndarray:
-        # each row's own dot product with its task's column; the summation
-        # order depends on the row alone, not on how many rows are stacked
-        predictions = np.einsum("nd,nd->n", self.data.x, W.T.take(self.task_of_row, axis=0))
-        return predictions - self.data.y
-
-    def value(self, W: np.ndarray) -> float:
-        return self.value_from_residual(W, self._residual(W))
-
-    def gradient(self, W: np.ndarray) -> np.ndarray:
-        # column p is 2 x_p^T r_p, summed over task p's rows alone
-        twice_columns = 2.0 * self.data.x.T.copy()
-        grad = np.add.reduceat(twice_columns * self._residual(W), self.data.starts, axis=1)
-        if self.reg.kind == "graph":
-            # d/dV of the ordered-pair quadratic 2 <V Lap, V>
-            grad[:-1] += 4.0 * self.reg.theta1 * (W[:-1] @ self.laplacian)
-        return grad
-
-    def value_from_residual(self, W: np.ndarray, residual: np.ndarray) -> float:
-        loss = float(residual @ residual)
-        if self.reg.kind == "graph":
-            loss += self.reg.theta1 * _graph_quadratic(W[:-1], self.laplacian)
-        return loss
-
-    def task_losses(self, residual: np.ndarray) -> np.ndarray:
-        """Each task's squared loss, summed over its own rows."""
-        return np.add.reduceat(residual * residual, self.data.starts)
+        in_dense = columns * data.n_tasks + np.arange(data.n_tasks)
+        self.in_dense = np.where(padding, data.n_columns * data.n_tasks, in_dense).ravel()
+        self.padding = np.flatnonzero(padding.ravel())
+        self.all = _GramColumns(stacks, moments, last_rows)
 
     def task_lipschitz(self) -> np.ndarray:
         """2 lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
@@ -427,7 +418,7 @@ class _Smooth:
             L += 4.0 * self.reg.theta1 * float(np.linalg.eigvalsh(self.laplacian)[-1])
         return L
 
-    # ----- Gram form; ``cols`` holds the columns given, None for all -----
+    # ``cols`` holds the columns given, None for all
 
     def compact(self, W: np.ndarray) -> np.ndarray:
         """Each task's support entries of dense W, in slots."""
@@ -571,26 +562,28 @@ def _column_sums(V: np.ndarray) -> np.ndarray:
     return np.add.accumulate(V, axis=0)[-1] if len(V) else np.zeros(V.shape[1])
 
 
-def _smooth_values(smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray):
-    """The exact smooth part of each block (see :func:`_objective_values`)."""
+def _residual(data: TaskData, W: np.ndarray) -> np.ndarray:
+    """Each row's prediction at dense ``W`` minus its target."""
+    # each row's own dot product with its task's column; the summation
+    # order depends on the row alone, not on how many rows are stacked
+    task_of_row = np.repeat(np.arange(data.n_tasks), data.sizes)
+    predictions = np.einsum("nd,nd->n", data.x, W.T.take(task_of_row, axis=0))
+    return predictions - data.y
+
+
+def _exact_values(data: TaskData, reg: RegularizerSpec, laplacian: Optional[np.ndarray], W: np.ndarray):
+    """The exact smooth part and full objective of each block at dense ``W``,
+    from the residual: one per task's column for lasso, shape (P,), each
+    task's loss summed over its own rows; one in all for the joint kinds, a
+    Python float. ``laplacian`` is the task graph's, for the graph kind."""
+    r = _residual(data, W)
     if reg.kind == "lasso":
-        return smooth.task_losses(residual)
-    return smooth.value_from_residual(W, residual)
-
-
-def _objective_values(
-    smooth: _Smooth, reg: RegularizerSpec, W: np.ndarray, residual: np.ndarray
-) -> Union[float, np.ndarray]:
-    """Full objective of each block at dense ``W``: one per task's column for
-    lasso, shape (P,); one in all for the joint kinds, a Python float."""
-    return _smooth_values(smooth, reg, W, residual) + _penalty_values(reg, W)
-
-
-def _penalty_values(reg: RegularizerSpec, W: np.ndarray) -> Union[float, np.ndarray]:
-    """The penalty of each block at dense ``W`` (see :func:`_objective_values`)."""
-    if reg.kind == "lasso":
-        return reg.theta1 * _column_sums(np.abs(W[:-1]))
-    return nonsmooth_penalty(W, reg)
+        smooth_part = np.add.reduceat(r * r, data.starts)
+        return smooth_part, smooth_part + reg.theta1 * _column_sums(np.abs(W[:-1]))
+    smooth_part = float(r @ r)
+    if reg.kind == "graph":
+        smooth_part += reg.theta1 * _graph_quadratic(W[:-1], laplacian)
+    return smooth_part, smooth_part + nonsmooth_penalty(W, reg)
 
 
 def _all_finite(v: Union[float, np.ndarray]) -> bool:
@@ -623,8 +616,7 @@ def fit(
     if not smooth.dense:
         Z = smooth.compact(Z)  # drops the entries off the supports
     W = Z if smooth.dense else smooth.expand(Z)
-    smooth_part = _smooth_values(smooth, reg, W, smooth._residual(W))
-    current = smooth_part + _penalty_values(reg, W)
+    smooth_part, current = _exact_values(data, reg, smooth.laplacian, W)
     if not _all_finite(current):
         # the first step would evaluate this point; inf - inf in its products would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
@@ -645,8 +637,7 @@ def fit(
     # the trace ends on the exact objective of the returned weights; the
     # entries before it that rounding in the running sum left below it are
     # raised to it, so the trace stays nonincreasing
-    smooth_part = _smooth_values(smooth, reg, W, smooth._residual(W))
-    final = smooth_part + _penalty_values(reg, W)
+    smooth_part, final = _exact_values(data, reg, smooth.laplacian, W)
     trace[-1] = _total(final)
     for i in range(len(trace) - 2, -1, -1):
         if trace[i] >= trace[-1]:
@@ -751,7 +742,7 @@ def _fista(smooth, W, h, smooth_part, current, step, params):
         momentum = _momentum(params.max_iters).tolist()
         since, stopped_at = 0, params.max_iters
         live = out = out_h = all_values = None  # the block is all columns, and the trace its value
-        which, where, any_, all_, maximum, total = _none, _choose, bool, bool, max, float
+        which, where, any_, all_, maximum = _none, _choose, bool, bool, max
     else:
         momentum = _momentum(params.max_iters)
         since = np.zeros(current.shape, dtype=np.intp)  # steps since the block's last (re)start
@@ -759,12 +750,11 @@ def _fista(smooth, W, h, smooth_part, current, step, params):
         live = np.arange(current.size)
         out, out_h = np.empty_like(W), np.empty_like(h)  # the returned weights and their products
         all_values = current.copy()  # every block's objective, a stopped one's last
-        which, where, any_, all_ = _positions, np.where, np.ndarray.any, np.ndarray.all
-        maximum, total = np.maximum, _sum
+        which, where, any_, all_, maximum = _positions, np.where, np.ndarray.any, np.ndarray.all, np.maximum
     W_prev, h_prev = W, h
     cols = smooth.all
     converged = False
-    trace = [total(current)]
+    trace = [_total(current)]
 
     for iteration in range(1, params.max_iters + 1):
         alpha = momentum[since]
@@ -794,7 +784,7 @@ def _fista(smooth, W, h, smooth_part, current, step, params):
         stopped = abs(current - values) <= params.rel_tol * maximum(abs(current), 1e-12)
         current = values
         all_values = _put(all_values, live, values)
-        trace.append(total(all_values))
+        trace.append(_total(all_values))
         if not any_(stopped):
             continue
         if certified:
@@ -853,10 +843,6 @@ def _put(v, positions, x):
     else:
         v[:, positions] = x
     return v
-
-
-def _sum(v: np.ndarray) -> float:
-    return float(v.sum())
 
 
 @functools.lru_cache(maxsize=4)

@@ -234,6 +234,30 @@ class TestRunBacktest:
             lo, hi = map(int, re.search(r"window \((\d+), (\d+)\)", str(excinfo.value)).groups())
             assert hi - lo + 1 == widen_months
 
+    def test_standardizer_reads_only_the_window_rows(self, monkeypatch):
+        # every fit's statistics are those of all rows sold in its window and
+        # of no other row, on the round's window and on its inner window
+        seen = []
+        real = backtest.fit
+
+        def recorded(data, reg, params, init=None):
+            seen.append(data)
+            return real(data, reg, params, init=init)
+
+        monkeypatch.setattr(backtest, "fit", recorded)
+        dataset = small_market()
+        plan = make_rolling_plan(dataset, k=3)
+        methods = [MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0))]
+        run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        windows = [r.train_window for r in plan.rounds]
+        assert {data.window for data in seen} == {w for lo, hi in windows for w in ((lo, hi), (lo, hi - 1))}
+        for data in seen:
+            lo, hi = data.window
+            numeric = dataset.numeric[(dataset.months >= lo) & (dataset.months <= hi)]
+            assert data.x.shape[0] == numeric.shape[0]
+            assert np.allclose(data.standardizer.means, numeric.mean(axis=0), rtol=1e-12, atol=0)
+            assert np.allclose(data.standardizer.stds, numeric.std(axis=0), rtol=1e-12, atol=0)
+
     def test_unknown_benchmark_rejected(self):
         dataset = span_dataset(5)
         plan = make_rolling_plan(dataset, k=3)

@@ -14,15 +14,15 @@ from mtlhouse.solver import (
     RegularizerSpec,
     SolverParams,
     TaskGraph,
+    _exact_values,
     _graph_laplacian,
     _graph_quadratic,
     _momentum,
-    _objective_values,
     _prox_step,
     _relative_gaps,
+    _residual,
     _row_norms,
     _Smooth,
-    _smooth_values,
     build_task_graph,
     fit,
     nonsmooth_penalty,
@@ -656,13 +656,12 @@ class TestFit:
         # each accelerated step costs one Gram product, a restart one more; the
         # residual is formed only for the first and the last objective value
         calls = {"residual": 0, "products": 0}
-        residual = _Smooth._residual
         products = _Smooth.products
         gradient = _Smooth.gradient_from_products
 
-        def counted_residual(self, W):
+        def counted_residual(data, W):
             calls["residual"] += 1
-            return residual(self, W)
+            return _residual(data, W)
 
         def counted_products(self, W, cols=None):
             calls["products"] += 1
@@ -674,7 +673,7 @@ class TestFit:
             assert calls == before
             return out
 
-        monkeypatch.setattr(_Smooth, "_residual", counted_residual)
+        monkeypatch.setattr("mtlhouse.solver._residual", counted_residual)
         monkeypatch.setattr(_Smooth, "products", counted_products)
         monkeypatch.setattr(_Smooth, "gradient_from_products", gradient_without_products)
         rng = np.random.default_rng(77)
@@ -856,10 +855,9 @@ class TestGramForm:
         rng, data, reg, graph, smooth = self.setup(seed, kind, None)
         for scale in (0.0, 0.3, 2.0):
             W = self.point(rng, smooth, scale)
-            r = smooth._residual(W)
-            values = _objective_values(smooth, reg, W, r)
+            smooth_part, values = _exact_values(data, reg, None, W)
             Z = smooth.compact(W)
-            gaps = _relative_gaps(smooth, Z, smooth.products(Z), _smooth_values(smooth, reg, W, r), values)
+            gaps = _relative_gaps(smooth, Z, smooth.products(Z), smooth_part, values)
             oracle = oracle_relative_gap(data, reg, W, values)
             assert np.allclose(gaps, oracle, rtol=1e-9, atol=1e-12)
 
@@ -878,16 +876,25 @@ class TestGramForm:
                 off = smooth.expand(smooth.compact(np.ones_like(start))) == 0.0
                 assert np.all(result.weights.values[off] == 0.0)
 
-    @pytest.mark.parametrize("params", [SolverParams(), TIGHT], ids=["default", "tight"])
-    def test_lasso_columns_match_single_task_fits_bit_for_bit(self, params):
-        # a column's numbers do not depend on the other tasks' support widths
-        rng, data, reg, graph, smooth = self.setup(6, "lasso", None)
-        joint = fit(data, reg, params)
+    @pytest.mark.parametrize(
+        "seed,params,random_init",
+        [(6, SolverParams(), False), (6, TIGHT, False)] + [(seed, SolverParams(), True) for seed in range(6)],
+        ids=["default", "tight"] + [f"init-{seed}" for seed in range(6)],
+    )
+    def test_lasso_columns_match_single_task_fits_bit_for_bit(self, seed, params, random_init):
+        # a column's numbers do not depend on the other tasks' support widths;
+        # a random start is nonzero everywhere, also where a narrow support's
+        # padding slots read it, so the padding must start at 0, as a single
+        # task of that width has no padding
+        rng, data, reg, graph, smooth = self.setup(seed, "lasso", None)
+        init = None
+        if random_init:
+            init = WeightMatrix(rng.normal(0, 1, (data.n_columns, data.n_tasks)), data.task_ids, data.columns)
+        joint = fit(data, reg, params, init=init)
         for p, (x, y) in enumerate(zip(data.xs, data.ys)):
-            single = fit(TaskData.from_arrays([x], [y]), reg, params)
+            single = fit(TaskData.from_arrays([x], [y], task_ids=[data.task_ids[p]]), reg, params, init=init)
             assert joint.task_iterations[p] == single.iterations
             assert joint.weights.values[:, p].tobytes() == single.weights.values[:, 0].tobytes()
-
 
 def tasks_with_last_column(rng, last):
     """Random tasks whose last, unpenalized column is ones or varies by row."""
@@ -907,10 +914,9 @@ class TestDualityGap:
     def gaps(data, reg, W):
         """Each block's relative gap, from Gram quantities, and objective at W."""
         smooth = _Smooth(data, reg, None)
-        r = smooth._residual(W)
-        values = _objective_values(smooth, reg, W, r)
+        smooth_part, values = _exact_values(data, reg, None, W)
         Z = smooth.compact(W)
-        gaps = _relative_gaps(smooth, Z, smooth.products(Z), _smooth_values(smooth, reg, W, r), values)
+        gaps = _relative_gaps(smooth, Z, smooth.products(Z), smooth_part, values)
         return gaps, values
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1086,7 +1092,7 @@ def oracle_joint_fit(data, reg, params):
         return candidate, h_candidate, f_candidate, f_candidate + penalty
 
     dense = np.zeros((data.n_columns, data.n_tasks))
-    f = smooth.value(dense)
+    f = smooth_objective(dense, data, reg, graph)
     current = f + nonsmooth_penalty(dense, reg)
     W = dense if reg.kind == "graph" else smooth.compact(dense)
     h = smooth.products(W)
