@@ -81,6 +81,72 @@ MUTATIONS = (
         "standardizer = Standardizer.fit(dataset.numeric)",
         ("tests/test_backtest.py::TestRunBacktest::test_standardizer_reads_only_the_window_rows",),
     ),
+    Mutant(
+        "restart-keeps-momentum",
+        "src/mtlhouse/solver.py",
+        "            since = _put(since, R, 0)\n",
+        "",
+        ("tests/test_solver.py::TestWarmStart::test_fit_started_at_its_optimum_stops_within_a_few_sweeps",),
+    ),
+    Mutant(
+        "ridge-cv-may-choose-nan",
+        "src/mtlhouse/baselines.py",
+        "best = np.argmin(np.where(np.isnan(sse), np.inf, sse), axis=1)",
+        "best = np.argmin(sse, axis=1)",
+        ("tests/test_baselines.py::TestRidgeCv::test_nan_penalty_is_never_chosen",),
+    ),
+    Mutant(
+        "l21-factors-keep-nan",
+        "src/mtlhouse/solver.py",
+        "return np.fmax(1.0 - threshold / norms, 0.0)",
+        "return np.maximum(1.0 - threshold / norms, 0.0)",
+        ("tests/test_solver.py::TestProxL21::test_zero_nan_and_inf_rows_match_the_masked_form",),
+    ),
+    Mutant(
+        "refused-chunk-keeps-its-labels",
+        "src/mtlhouse/data.py",
+        "                for lookup, size in zip(self.lookups.values(), sizes):\n"
+        "                    while len(lookup) > size:\n"
+        "                        lookup.popitem()\n",
+        "",
+        ("tests/test_data.py::TestLoadDataset::test_chunked_load_matches_a_single_chunk",),
+    ),
+    Mutant(
+        "dual-point-without-intercept-projection",
+        "src/mtlhouse/solver.py",
+        "half_dual = fitted[:-1] - shares * cols.last_rows[:-1]",
+        "half_dual = fitted[:-1]",
+        ("tests/test_solver.py::TestGramForm::test_gap_matches_the_residual_oracle",),
+    ),
+    Mutant(
+        "supports-miss-negative-columns",
+        "src/mtlhouse/design.py",
+        "self.x != 0.0",
+        "self.x > 0.0",
+        ("tests/test_baselines.py::TestOlsRidge::test_singular_ols_lstsq_fallback_is_minimum_norm",),
+    ),
+    Mutant(
+        "leakage-guard-trusts-the-window",
+        "src/mtlhouse/backtest.py",
+        "if train.window[1] >= scored_month or train.row_months[1] >= scored_month:",
+        "if train.window[1] >= scored_month:",
+        ("tests/test_backtest.py::TestRunBacktest::test_rows_past_the_window_trip_leakage_guard",),
+    ),
+    Mutant(
+        "row-reader-reads-past-the-chunk",
+        "src/mtlhouse/data.py",
+        "            if reader.line_num >= len(recorded):\n                break\n",
+        "",
+        ("tests/test_data.py::TestChunkedRead::test_a_late_reject_reads_one_chunk_row_by_row",),
+    ),
+    Mutant(
+        "divergence-goes-unnoticed",
+        "src/mtlhouse/solver.py",
+        "    if not _all_finite(value):\n"
+        '        raise DivergenceError(f"objective became non-finite at iteration {iteration}")\n',
+        "",
+        ("tests/test_solver.py::TestFit::test_divergence_after_iteration_one_names_that_iteration",),
+    ),
 )
 MUTANTS = MUTATIONS + (
     Mutant(

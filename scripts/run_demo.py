@@ -3,8 +3,8 @@
 
 Generates a synthetic housing market with five data-starved regions, runs the
 rolling monthly backtest for all three joint regularizers and the single-task
-baselines, and renders the comparison tables. Results land in ./demo_results
-(override with --out).
+baselines, and prints the comparison tables of the run's report.md. Results
+land in ./demo_results (override with --out).
 """
 
 import argparse
@@ -47,12 +47,9 @@ def run(out_dir: str) -> int:
         config_path = Path(tmp) / "demo_config.json"
         config_path.write_text(json.dumps({**DEMO_CONFIG, "out_dir": out_dir}))
         code = main(["run", "--config", str(config_path)])
-        if code != 0:
-            return code
-        code = main(["report", out_dir, "--format", "md"])
-        if code != 0:
-            return code
-    print((Path(out_dir) / "rendered" / "report.md").read_text())
+    if code != 0:
+        return code
+    print((Path(out_dir) / "report.md").read_text(encoding="utf-8"))
     return 0
 
 

@@ -231,7 +231,7 @@ def run_backtest(
     round and on each of its data sets (see :func:`_fit_point`); the lasso
     and l2,1 grids are solved as paths (see ``PATH_KINDS``). A solver fit that
     does not converge is logged as a warning. Rounds with no usable training
-    data are skipped with a notice.
+    data are skipped, and logged as one warning after the last round.
     """
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
@@ -254,7 +254,6 @@ def run_backtest(
                 dataset, taskset, layout, round_.train_window, round_.test_month
             )
         except ValueError:
-            logger.warning("round %d: no task has training data; skipped", round_index)
             skipped.append(round_index)
             continue
         if test is None:
@@ -280,6 +279,15 @@ def run_backtest(
                     )
                 )
 
+    if skipped:
+        logger.warning(
+            "%s: no task has training data in %d of %d rounds (first %d, last %d); skipped",
+            definition,
+            len(skipped),
+            len(plan.rounds),
+            skipped[0],
+            skipped[-1],
+        )
     if not records:
         raise ValueError("backtest produced no metric records")
     return records, _build_report(records, taskset, plan, labels, benchmark, skipped)

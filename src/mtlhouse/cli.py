@@ -1,13 +1,15 @@
-"""Command-line front end: generate fixtures, run experiments, render reports.
+"""Command-line front end: generate fixtures and run experiments.
 
 Subcommands:
     generate --config cfg.json [--out DIR] [--seed N]
     run      --config cfg.json [--out DIR] [--seed N]
-    report   RESULTS_DIR [--format csv|json|md] [--out DIR]
 
-``run`` backtests the task definitions serially, in config order. ``--out``
-replaces the config's ``out_dir``. ``--seed`` replaces the seed of the
-config's synthetic generator; with a file source it is an error.
+``run`` backtests the task definitions serially, in config order, and writes
+every results file: ``report.json`` and ``records.csv`` always, and, when some
+definition succeeded, ``summary.csv``, ``ranksum.csv``, ``wld.csv`` and
+``report.md``. ``--out`` replaces the config's ``out_dir``. ``--seed``
+replaces the seed of the config's synthetic generator; with a file source it
+is an error.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .data import save_dataset
 from .reports import (
     definition_result_dict,
     dump_json,
-    render,
     write_records_csv,
     write_ranksum_csv,
+    write_report_md,
     write_summary_csv,
     write_weights_csv,
     write_wld_csv,
@@ -102,6 +104,7 @@ def cmd_run(args) -> int:
         write_summary_csv(out / "summary.csv", report)
         write_ranksum_csv(out / "ranksum.csv", report)
         write_wld_csv(out / "wld.csv", report)
+        write_report_md(out / "report.md", report)
 
     if report["partial"]:
         for text, message in report["errors"].items():
@@ -109,14 +112,6 @@ def cmd_run(args) -> int:
         print(f"partial results written to {out}", file=sys.stderr)
         return 1
     print(f"wrote results for {len(report['definition_order'])} definitions to {out}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    out = Path(args.out) if args.out else None
-    written = render(Path(args.results_dir), args.format, out)
-    for path in written:
-        print(f"wrote {path}")
     return 0
 
 
@@ -138,12 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output directory, replacing the config's out_dir")
     run.add_argument("--seed", type=int, help="replace the synthetic generator seed")
     run.set_defaults(func=cmd_run)
-
-    report = sub.add_parser("report", help="render stored results")
-    report.add_argument("results_dir", help="directory holding report.json")
-    report.add_argument("--format", choices=("csv", "json", "md"), default="md")
-    report.add_argument("--out", help="directory for rendered files")
-    report.set_defaults(func=cmd_report)
     return parser
 
 

@@ -1,9 +1,9 @@
-"""Report assembly and rendering: canonical JSON, delimited files, markdown.
+"""Report assembly and writing: canonical JSON, delimited files, markdown.
 
 The run report is a single JSON document (sorted keys, stable float repr) so
 identical experiments produce byte-identical outputs. CSV and markdown views
 are derived from it; the markdown summary bolds the best method per row.
-Every file is written and read as UTF-8 whatever the locale.
+Every file is written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .backtest import ComparisonReport
 from .design import WeightMatrix
@@ -64,10 +64,6 @@ def definition_result_dict(
 
 def dump_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def load_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -216,36 +212,7 @@ def ranksum_markdown(report: dict) -> str:
     )
 
 
-def render(results_dir: Path, fmt: str, out_dir: Optional[Path] = None) -> list[Path]:
-    """Render the stored report to the requested format; returns written paths."""
-    results_dir = Path(results_dir)
-    report_path = results_dir / "report.json"
-    if not report_path.exists():
-        raise FileNotFoundError(f"no report.json under {results_dir}")
-    report = load_json(report_path)
-    out = Path(out_dir) if out_dir is not None else results_dir / "rendered"
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if fmt == "json":
-        path = out / "report.json"
-        dump_json(path, report)
-        written.append(path)
-    elif fmt == "csv":
-        for name, writer in (
-            ("summary.csv", write_summary_csv),
-            ("ranksum.csv", write_ranksum_csv),
-            ("wld.csv", write_wld_csv),
-        ):
-            path = out / name
-            writer(path, report)
-            written.append(path)
-    elif fmt == "md":
-        path = out / "report.md"
-        text = "\n".join(
-            [summary_markdown(report), ranksum_markdown(report), wld_markdown(report)]
-        )
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return written
+def write_report_md(path: Path, report: dict) -> None:
+    """The summary, rank-sum and Win/Loss/Draw tables, in that order."""
+    text = "\n".join([summary_markdown(report), ranksum_markdown(report), wld_markdown(report)])
+    path.write_text(text, encoding="utf-8")

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
+from mtlhouse import backtest
 from mtlhouse.backtest import MethodSpec, make_rolling_plan, run_backtest
 from mtlhouse.cli import main
 from mtlhouse.design import TaskData
@@ -32,7 +33,7 @@ from mtlhouse.solver import (
     smooth_objective,
 )
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
-from mtlhouse.tasks import RegionDef, define_tasks
+from mtlhouse.tasks import RegionDef
 
 
 def verdict(number: int, ok: bool, label: str) -> None:
@@ -228,27 +229,33 @@ def protocol_dataset():
     )[0]
 
 
-def test_07_protocol_shape_and_no_leakage():
+def test_07_protocol_shape_and_no_leakage(monkeypatch):
     started = time.perf_counter()
     dataset = protocol_dataset()
     plan = make_rolling_plan(dataset, k=3)
+    # one grid point per method: each round that is not skipped builds its
+    # training data once, and builds nothing else
     methods = [
         MethodSpec(label="mtl_l21", kind="mtl_l21", theta1=(1.0,)),
         MethodSpec(label="ols", kind="ols"),
     ]
+    built = []
+    real = backtest.build_task_data
+
+    def recorded(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(backtest, "build_task_data", recorded)
     records, report = run_backtest(dataset, RegionDef("SA3"), methods, plan)
-    leak_free = True
-    month_of = {i: r.sale_month for i, r in enumerate(dataset.records)}
-    taskset = define_tasks(dataset, RegionDef("SA3"))
-    for round_ in plan.rounds:
-        lo, hi = round_.train_window
-        train_months = [
-            month_of[i]
-            for i in np.flatnonzero(taskset.codes >= 0).tolist()
-            if lo <= month_of[i] <= hi
-        ]
-        if train_months and max(train_months) >= round_.test_month:
-            leak_free = False
+    trained = [i for i in range(len(plan)) if i not in report.skipped_rounds]
+    data_of = dict(zip(trained, built))
+    scored = {record.round_index for record in records}
+    leak_free = len(built) == len(trained) and bool(scored) and all(
+        data_of[i].window == plan.rounds[i].train_window
+        and data_of[i].row_months[1] < plan.rounds[i].test_month
+        for i in scored
+    )
     elapsed = time.perf_counter() - started
     verdict(
         7,

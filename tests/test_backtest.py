@@ -185,16 +185,21 @@ class TestRunBacktest:
             assert record.rmse >= record.mae >= 0.0
             assert record.n >= 1
 
-    def test_round_with_empty_training_window_skipped(self):
+    def test_round_with_empty_training_window_skipped(self, caplog):
         rows = [{"month": m, "REGION": r} for m in (0, 1, 2, 7, 8, 9) for r in "AB"]
         dataset = make_dataset(rows, key=("REGION",))
         plan = make_rolling_plan(dataset, k=3)
-        records, report = run_backtest(
-            dataset, RegionDef("REGION"), [MethodSpec(label="ols", kind="ols")], plan
-        )
+        with caplog.at_level(logging.WARNING, logger="mtlhouse.backtest"):
+            records, report = run_backtest(
+                dataset, RegionDef("REGION"), [MethodSpec(label="ols", kind="ols")], plan
+            )
         # test months 6 and 7 train on the all-empty spans 3-5 and 4-6
         skipped_tests = [plan.rounds[i].test_month for i in report.skipped_rounds]
         assert skipped_tests == [6, 7]
+        # the skipped rounds are logged once, after the loop
+        assert [m for m in caplog.messages if "no task has training data" in m] == [
+            "region:REGION: no task has training data in 2 of 7 rounds (first 3, last 4); skipped"
+        ]
 
     def test_task_without_training_data_excluded_from_round(self):
         rows = [{"month": m, "REGION": "A"} for m in range(5)]

@@ -11,7 +11,6 @@ import pytest
 from mtlhouse.cli import main
 from mtlhouse.config import ConfigError, config_from_dict, load_config
 from mtlhouse.data import HouseRecord, melbourne_schema
-from mtlhouse.reports import load_json
 from mtlhouse.solver import SolverParams
 
 from conftest import FIXTURE_DIR, REPO_ROOT
@@ -150,7 +149,8 @@ class TestRun:
         config = write_config(tmp_path)
         main(["run", "--config", str(config), "--out", str(tmp_path / "r1")])
         main(["run", "--config", str(config), "--out", str(tmp_path / "r2")])
-        for name in ("report.json", "records.csv", "summary.csv", "ranksum.csv", "wld.csv"):
+        names = ("report.json", "records.csv", "summary.csv", "ranksum.csv", "wld.csv", "report.md")
+        for name in names:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_file_source_runs(self, tmp_path):
@@ -163,7 +163,7 @@ class TestRun:
             },
         )
         assert main(["run", "--config", str(config)]) == 0
-        report = load_json(tmp_path / "results" / "report.json")
+        report = json.loads((tmp_path / "results" / "report.json").read_bytes())
         assert report["definitions"]["region:SA3"]["n_records"] > 0
         # the fixture is the generator's dataset, so a run from either writes the same tables
         script = runpy.run_path(str(REPO_ROOT / "scripts" / "make_fixture.py"))
@@ -243,7 +243,7 @@ class TestRun:
             tmp_path, task_definitions=["region:SA3", "station:4000"]
         )  # synthetic schema has no STATION_ID column
         assert main(["run", "--config", str(config)]) == 1
-        report = load_json(tmp_path / "results" / "report.json")
+        report = json.loads((tmp_path / "results" / "report.json").read_bytes())
         assert report["partial"] is True
         assert "station:4000" in report["errors"]
         assert report["definition_order"] == ["region:SA3"]
@@ -271,20 +271,16 @@ class TestRun:
             "PYTHONPATH": str(REPO_ROOT / "src"),
         }
         results = tmp_path / "results"
-        commands = [["run", "--config", str(config)]]
-        commands += [["report", str(results), "--format", fmt] for fmt in ("md", "csv", "json")]
-        for argv in commands:
-            child = subprocess.run(
-                [sys.executable, "-m", "mtlhouse.cli", *argv],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert child.returncode == 0, (argv, child.stderr)
+        child = subprocess.run(
+            [sys.executable, "-m", "mtlhouse.cli", "run", "--config", str(config)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 0, child.stderr
         assert "R\u00c9000".encode("utf-8") in (results / "records.csv").read_bytes()
-        assert "ridge-\u00e9".encode("utf-8") in (results / "rendered" / "report.md").read_bytes()
-        for name in ("summary.csv", "ranksum.csv", "wld.csv", "report.json"):
-            assert (results / "rendered" / name).read_bytes() == (results / name).read_bytes()
+        for name in ("summary.csv", "report.md"):
+            assert "ridge-\u00e9".encode("utf-8") in (results / name).read_bytes(), name
 
     def test_out_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
@@ -319,7 +315,7 @@ class TestRun:
     def test_report_top_level_layout(self, tmp_path, data, flags, seed):
         config = write_config(tmp_path, data=data)
         assert main(["run", "--config", str(config), *flags]) == 0
-        report = load_json(tmp_path / "results" / "report.json")
+        report = json.loads((tmp_path / "results" / "report.json").read_bytes())
         assert sorted(report) == [
             "benchmark",
             "config",
@@ -353,31 +349,14 @@ class TestReport:
         return tmp_path / "results"
 
     def test_csv_summary_has_one_row_per_definition(self, tmp_path):
-        results = self.run_multi(tmp_path)
-        assert main(["report", str(results), "--format", "csv"]) == 0
-        rows = read_csv(results / "rendered" / "summary.csv")
+        rows = read_csv(self.run_multi(tmp_path) / "summary.csv")
         assert len(rows) == 4  # header + three definitions
         assert rows[0][0] == "definition"
 
-    def test_csv_reproduces_the_run_files(self, tmp_path):
-        results = self.run_multi(tmp_path)
-        assert main(["report", str(results), "--format", "csv"]) == 0
-        for name in ("summary.csv", "ranksum.csv", "wld.csv"):
-            rendered = (results / "rendered" / name).read_bytes()
-            assert rendered == (results / name).read_bytes(), name
-
-    def test_json_round_trips(self, tmp_path):
-        results = self.run_multi(tmp_path)
-        assert main(["report", str(results), "--format", "json"]) == 0
-        original = load_json(results / "report.json")
-        rendered = load_json(results / "rendered" / "report.json")
-        assert rendered == original
-
     def test_markdown_bolds_row_minimum(self, tmp_path):
         results = self.run_multi(tmp_path)
-        assert main(["report", str(results), "--format", "md"]) == 0
-        text = (results / "rendered" / "report.md").read_text()
-        report = load_json(results / "report.json")
+        text = (results / "report.md").read_text(encoding="utf-8")
+        report = json.loads((results / "report.json").read_bytes())
         for definition in report["definition_order"]:
             row = next(
                 line for line in text.splitlines() if line.startswith(f"| {definition} |")
@@ -395,8 +374,14 @@ class TestReport:
                 if value != rmse_values[best]:
                     assert not cells[i].startswith("**")
 
-    def test_missing_results_dir_fails(self, tmp_path):
-        assert main(["report", str(tmp_path / "nope"), "--format", "csv"]) == 1
+    def test_run_where_every_definition_fails_writes_no_report_md(self, tmp_path):
+        # the synthetic schema has no STATION_ID column
+        config = write_config(tmp_path, task_definitions=["station:4000"])
+        assert main(["run", "--config", str(config)]) == 1
+        results = tmp_path / "results"
+        assert json.loads((results / "report.json").read_bytes())["definition_order"] == []
+        for name in ("summary.csv", "ranksum.csv", "wld.csv", "report.md"):
+            assert not (results / name).exists(), name
 
 
 class TestConfigValidation:
