@@ -12,6 +12,7 @@ from mtlhouse.cli import main
 from mtlhouse.config import ConfigError, config_from_dict, load_config
 from mtlhouse.data import HouseRecord, melbourne_schema
 from mtlhouse.solver import SolverParams
+from mtlhouse.tasks import GROUP_LABELS
 
 from conftest import FIXTURE_DIR, REPO_ROOT
 
@@ -373,6 +374,50 @@ class TestReport:
             for i, value in enumerate(rmse_values):
                 if value != rmse_values[best]:
                     assert not cells[i].startswith("**")
+
+    @staticmethod
+    def markdown_tables(text):
+        """{title: body rows as lists of cells} for each '# title' table in report.md."""
+        tables = {}
+        for section in text.split("# ")[1:]:
+            title, *lines = section.splitlines()
+            rows = [line.strip("|").split("|") for line in lines if line.startswith("| ")]
+            tables[title] = [[cell.strip() for cell in row] for row in rows[1:]]
+        return tables
+
+    def test_markdown_holds_the_three_tables_in_order(self, tmp_path):
+        text = (self.run_multi(tmp_path) / "report.md").read_text(encoding="utf-8")
+        titles = [line for line in text.splitlines() if line.startswith("# ")]
+        assert titles == [
+            "# Backtest summary",
+            "# Rank-sum test vs benchmark",
+            "# Win/Loss/Draw vs benchmark",
+        ]
+
+    def test_markdown_ranksum_rows_match_the_csv(self, tmp_path):
+        results = self.run_multi(tmp_path)
+        table = self.markdown_tables((results / "report.md").read_text(encoding="utf-8"))
+        expected = [
+            [definition, method, f"{float(stat):g}", f"{float(p):.4f}", significant]
+            for definition, method, stat, p, significant in read_csv(results / "ranksum.csv")[1:]
+        ]
+        assert table["Rank-sum test vs benchmark"] == expected
+
+    def test_markdown_wld_rows_match_the_csv(self, tmp_path):
+        results = self.run_multi(tmp_path)
+        table = self.markdown_tables((results / "report.md").read_text(encoding="utf-8"))
+        methods = json.loads((results / "report.json").read_bytes())["method_order"]
+        expected = []
+        for definition, group, method, win, loss, draw in read_csv(results / "wld.csv")[1:]:
+            if not expected or expected[-1][:2] != [definition, group]:
+                expected.append([definition, group])
+            expected[-1].append(f"{win}/{loss}/{draw}")
+            assert method == methods[len(expected[-1]) - 3]
+        assert expected  # the multi-definition run has quartile groups
+        assert table["Win/Loss/Draw vs benchmark"] == expected
+        # groups follow GROUP_LABELS, not the sorted keys of report.json
+        for definition in {row[0] for row in expected}:
+            assert [row[1] for row in expected if row[0] == definition] == list(GROUP_LABELS)
 
     def test_run_where_every_definition_fails_writes_no_report_md(self, tmp_path):
         # the synthetic schema has no STATION_ID column
