@@ -5,8 +5,9 @@ Generates a synthetic market of 1,500 ``region:SA3`` tasks with 2-6 sales per
 task and month over 5 months, and backtests ``mtl_l21`` (theta1 = 3),
 ``mtl_lasso`` (theta1 = 1), ``ols`` and ``ridge`` with its cross-validated
 penalty at k = 3 training months, which makes 2 rounds. Prints the wall time of
-the run and each solver kind's fits and iterations. Results land in a
-temporary directory (keep them with --out).
+the run and each solver kind's fits and iterations, in all and per training
+window, one window per round: a later round's fits start from the previous
+round's. Results land in a temporary directory (keep them with --out).
 
     PYTHONPATH=src python scripts/many_tasks.py
 
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import mtlhouse.backtest
 from mtlhouse.cli import main
+from mtlhouse.data import month_text
 
 CONFIG = {
     "data": {
@@ -52,13 +54,13 @@ CONFIG = {
 
 def run(out_dir: str) -> int:
     fits = collections.Counter()
-    iterations = collections.Counter()
+    iterations = collections.Counter()  # by (kind, training window)
     fit = mtlhouse.backtest.fit
 
     def counted_fit(data, reg, *args, **kwargs):
         result = fit(data, reg, *args, **kwargs)
         fits[reg.kind] += 1
-        iterations[reg.kind] += result.iterations
+        iterations[reg.kind, data.window] += result.iterations
         return result
 
     mtlhouse.backtest.fit = counted_fit
@@ -73,7 +75,11 @@ def run(out_dir: str) -> int:
         mtlhouse.backtest.fit = fit
     print(f"wall time {wall:.2f} s")
     for kind in sorted(fits):
-        print(f"{kind}: {fits[kind]} fits, {iterations[kind]} iterations")
+        windows = sorted(window for k, window in iterations if k == kind)
+        total = sum(iterations[kind, window] for window in windows)
+        print(f"{kind}: {fits[kind]} fits, {total} iterations")
+        for lo, hi in windows:
+            print(f"  months {month_text(lo)}..{month_text(hi)}: {iterations[kind, (lo, hi)]} iterations")
     return code
 
 

@@ -147,6 +147,33 @@ MUTATIONS = (
         "",
         ("tests/test_solver.py::TestFit::test_divergence_after_iteration_one_names_that_iteration",),
     ),
+    Mutant(
+        "graph-gap-without-coupling-in-v-norm",
+        "src/mtlhouse/solver.py",
+        "float(vv.sum()) + loss + coupling",
+        "float(vv.sum()) + loss",
+        (
+            "tests/test_solver.py::TestGramForm::test_gap_matches_the_residual_oracle",
+            "tests/test_solver.py::TestDualityGap::test_gap_bounds_the_objective_excess",
+        ),
+    ),
+    Mutant(
+        "graph-dual-without-coupling-gradient",
+        "src/mtlhouse/solver.py",
+        "_row_norms(loss_rows + 2.0 * reg.theta1 * M)",
+        "_row_norms(loss_rows)",
+        (
+            "tests/test_solver.py::TestGramForm::test_gap_matches_the_residual_oracle",
+            "tests/test_solver.py::TestDualityGap::test_gap_bounds_the_objective_excess",
+        ),
+    ),
+    Mutant(
+        "start-from-the-current-round",
+        "src/mtlhouse/backtest.py",
+        "_select_grid_point(spec, held_out, inner_fits, where, starts)",
+        "_select_grid_point(spec, held_out, inner_fits, where, fits)",
+        ("tests/test_backtest.py::TestGridSelection::test_starts_never_saw_the_scored_month",),
+    ),
 )
 MUTANTS = MUTATIONS + (
     Mutant(

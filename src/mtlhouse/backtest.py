@@ -33,7 +33,7 @@ from .metrics import (
     wilcoxon_rank_sum,
     win_loss_draw,
 )
-from .solver import RegularizerSpec, SolverParams, fit
+from .solver import RegularizerSpec, SolverParams, _certified, fit
 from .tasks import (
     GROUP_LABELS,
     TaskDefinition,
@@ -63,9 +63,8 @@ GRIDS = ("theta1", "theta2", "penalty")
 
 # Solver kinds whose grid is solved as a path: from the largest theta1 down,
 # each inner-window fit started from the previous one, and the full-window
-# fit from the chosen point's inner fit. Their stop is certified by a duality
-# gap, so a start near the optimum cannot stop a fit short of it; the graph
-# kind's stop has no certificate, and its fits start from 0.
+# fit from the chosen point's inner fit. The graph kind has two grids and no
+# such order; its fits start from the previous round's (see _fit_point).
 PATH_KINDS = ("lasso", "group_l21")
 
 # The protocol predicts the month right after each training window.
@@ -169,6 +168,7 @@ def _fit_point(
     fits: dict,
     where: str,
     init: Optional[WeightMatrix] = None,
+    starts: Optional[dict] = None,
 ) -> WeightMatrix:
     """The weights of ``spec`` at grid point ``point`` on ``data``.
 
@@ -177,8 +177,11 @@ def _fit_point(
     solver parameters; a problem already in it is not solved again, whatever
     start it was solved from. An ``mtl_lasso`` and a ``lasso`` method that
     agree on the point solve one problem and share one fit. A solver fit
-    starts from ``init`` (see :func:`fit`); one that does not converge is
-    logged as a warning that begins with ``where``.
+    starts from ``init`` (see :func:`fit`); a certified one without it starts
+    from the fit of the same problem in ``starts``, the previous round's fits,
+    if there is one. Its duality gap stops it at the same accuracy wherever it
+    starts. A fit that does not converge is logged as a warning that begins
+    with ``where``.
     """
     reg_kind = METHODS[spec.kind][0]
     values = tuple(v if v is None else float(v).hex() for v in point)  # 0.0 is not -0.0
@@ -187,7 +190,10 @@ def _fit_point(
         if reg_kind is None:
             fits[key] = fit_stl(data, spec, *point)
         else:
-            result = fit(data, RegularizerSpec(reg_kind, *point), spec.solver, init=init)
+            reg = RegularizerSpec(reg_kind, *point)
+            if init is None and starts and _certified(reg):
+                init = starts.get(key)
+            result = fit(data, reg, spec.solver, init=init)
             if not result.converged:
                 _, takes, _ = METHODS[spec.kind]
                 logger.warning(
@@ -229,9 +235,14 @@ def run_backtest(
     the test month, and record per-task RMSE/MAE for tasks that have both
     training and test samples. Each distinct problem is fitted once per
     round and on each of its data sets (see :func:`_fit_point`); the lasso
-    and l2,1 grids are solved as paths (see ``PATH_KINDS``). A solver fit that
-    does not converge is logged as a warning. Rounds with no usable training
-    data are skipped, and logged as one warning after the last round.
+    and l2,1 grids are solved as paths (see ``PATH_KINDS``). A certified
+    solver fit without a start of its own starts from the previous fitted
+    round's fit of the same problem, on its window if it had one there and
+    else on its inner window. Those windows end before this round's
+    validation month, so no fit starts from weights that saw the month it is
+    scored on. A solver fit that does not converge is logged as a warning.
+    Rounds with no usable training data are skipped, and logged as one
+    warning after the last round.
     """
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
@@ -247,6 +258,7 @@ def run_backtest(
     needs_held_out = any(len(spec.grid_points()) > 1 for spec in methods)
     records: list[MetricRecord] = []
     skipped: list[int] = []
+    starts: dict = {}  # the previous fitted round's fits, by problem
 
     for round_index, round_ in enumerate(plan.rounds):
         try:
@@ -264,8 +276,8 @@ def run_backtest(
         fits, inner_fits = {}, {}  # this round's fits on its window and on its inner window
         where = f"{definition} round {round_index}"
         for spec in methods:
-            point, start = _select_grid_point(spec, held_out, inner_fits, where)
-            weights = _fit_point(data, spec, point, fits, where, init=start)
+            point, start = _select_grid_point(spec, held_out, inner_fits, where, starts)
+            weights = _fit_point(data, spec, point, fits, where, start, starts)
             for task_id, x, actual in zip(test.task_ids, test.xs, test.ys):
                 predicted = x @ weights.column(task_id)
                 records.append(
@@ -278,6 +290,7 @@ def run_backtest(
                         method=spec.label,
                     )
                 )
+        starts = {**inner_fits, **fits}  # a problem's full-window fit over its inner one
 
     if skipped:
         logger.warning(
@@ -357,7 +370,9 @@ def _held_out(dataset, taskset, layout, round_: Round):
     return (inner, validation) if validation is not None else None
 
 
-def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict, where: str):
+def _select_grid_point(
+    spec: MethodSpec, held_out, inner_fits: dict, where: str, starts: Optional[dict] = None
+):
     """The grid point with the least held-out RMSE, the first in table order on
     a tie, and the start of its full-window fit.
 
@@ -366,7 +381,9 @@ def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict, where: str)
     holds the round's fits there): a ``PATH_KINDS`` method solves its points
     from the largest theta1 down, each fit started from the previous one, and
     its full-window fit starts from the chosen point's inner fit; any other
-    method fits its points in table order, each from 0, and has no start.
+    method fits its points in table order and has no start. A fit without a
+    start of its own (a path's first, each of another method's) takes one
+    from ``starts``, the previous round's fits (see :func:`_fit_point`).
     """
     points = spec.grid_points()
     if len(points) == 1 or held_out is None:
@@ -378,7 +395,7 @@ def _select_grid_point(spec: MethodSpec, held_out, inner_fits: dict, where: str)
         order = sorted(order, key=lambda i: -points[i][0])
     weights, start = [None] * len(points), None
     for i in order:
-        weights[i] = _fit_point(inner, spec, points[i], inner_fits, where, init=start)
+        weights[i] = _fit_point(inner, spec, points[i], inner_fits, where, start, starts)
         start = weights[i] if path else None
     best, best_score = 0, np.inf
     for i, w in enumerate(weights):

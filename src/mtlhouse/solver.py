@@ -44,25 +44,30 @@ tasks. A restart's plain step and a gap are computed only for the columns
 that need them, and a stopped column leaves the loop.
 
 A block stops when its objective's relative change over one step is at most
-``rel_tol``. For the lasso and l2,1 kinds at theta1 > 0 that test only
-triggers the stop: the block stops once its relative duality gap
-(P(W) - D(u)) / P(W) is also at most GAP_TOL, which bounds how far its
-objective can lie above the optimum. The gap is computed only in a sweep in
-which the relative-change test fires, and once for the returned weights
-(``FitResult.gap``). The dual point u starts from the gradient of the loss,
-twice the residual. Each task's u is projected onto the complement of its
-last design column (for the ones column, centring), so the unpenalized
-intercept row of X^T u is 0, and u is then scaled by
-min(1, theta1 / ||X^T u||) over the penalized rows, with the l-infinity norm
-of each task's column for lasso and the largest row l2 norm for l2,1, which
-makes it dual feasible. Every term comes from Gram quantities: X^T r is
-q - b, less the projection. The graph kind and theta1 = 0 have no such
-certificate here (at theta1 = 0 the scaled dual point is 0 and the gap is the
-whole objective), so they stop on the relative-change test alone.
+``rel_tol``. Where the fit has a certificate (:func:`_certified`: lasso and
+l2,1 at theta1 > 0, the graph kind at theta2 > 0) that test only triggers the
+stop: the block stops once its relative duality gap (P(W) - D(u)) / P(W) is
+also at most GAP_TOL, which bounds how far its objective can lie above the
+optimum. The gap is computed only in a sweep in which the relative-change
+test fires, and once for the returned weights (``FitResult.gap``). The dual
+point u starts from the gradient of the loss, twice the residual. Each task's
+u is projected onto the complement of its last design column (for the ones
+column, centring), so the unpenalized intercept row of X^T u is 0, and u is
+then scaled by min(1, theta / ||X^T u||) over the penalized rows, with the
+l-infinity norm of each task's column for lasso and the largest row l2 norm
+for the l2,1 term, which makes it dual feasible. Every term comes from Gram
+quantities: X^T r is q - b, less the projection. The graph kind's coupling is
+theta1 Q(V) = ||A V||^2 for a linear map A, as the Laplacian is positive
+semidefinite, so its smooth part is a least-squares loss on the loss rows and
+on extra rows with target 0; its dual is the l2,1 one at theta2 over that
+augmented residual (see :func:`_relative_gaps`). At a zero l1 or l2,1
+weight there is no certificate (the scaled dual point is 0 and the gap is the
+whole objective), so such a fit stops on the relative-change test alone.
 
-A fit may start from given weights (``init``); a grid of theta1 values solved
-from the largest down, each fit started from the previous solution, is what
-that is for.
+A fit may start from given weights (``init``): a grid of theta1 values solved
+from the largest down, each fit started from the previous solution, and a
+rolling protocol's round started from the previous round's fits are what that
+is for. The certificate makes the stop the same wherever a fit starts.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from .values import is_integer, is_real
 
 REGULARIZER_KINDS = ("lasso", "group_l21", "graph")
 
-# The largest relative duality gap at which a lasso or l2,1 block may stop.
+# The largest relative duality gap at which a certified block may stop.
 GAP_TOL = 1e-3
 
 
@@ -153,11 +158,11 @@ class FitResult:
     the ones between are the running values the loop compared. An entry that
     rounding left below the last is raised to it. ``converged`` means
     every block stopped within ``max_iters``: the relative-change test fired
-    and, for the lasso and l2,1 kinds at theta1 > 0, its relative duality gap
-    was at most ``GAP_TOL``. ``gap`` is the largest relative duality gap of the
-    blocks at the returned weights, an upper bound on each block's
-    (P(W) - P(W*)) / P(W); it is None where the fit has no certificate (the
-    graph kind and theta1 = 0).
+    and, where the fit has a certificate (lasso and l2,1 at theta1 > 0, the
+    graph kind at theta2 > 0), its relative duality gap was at most
+    ``GAP_TOL``. ``gap`` is the largest relative duality gap of the blocks at
+    the returned weights, an upper bound on each block's
+    (P(W) - P(W*)) / P(W); it is None where the fit has no certificate.
     """
 
     weights: WeightMatrix
@@ -657,8 +662,9 @@ def fit(
 
 
 def _certified(reg: RegularizerSpec) -> bool:
-    """Whether a duality gap certifies the kind's stop: lasso and l2,1 at theta1 > 0."""
-    return reg.kind != "graph" and reg.theta1 > 0.0
+    """Whether a duality gap certifies the fit's stop: its l1 or l2,1 weight
+    is positive (theta1 for lasso and l2,1, theta2 for the graph kind)."""
+    return (reg.theta2 if reg.kind == "graph" else reg.theta1) > 0.0
 
 
 def _total(values: Union[float, np.ndarray]) -> float:
@@ -679,26 +685,37 @@ def _starting_weights(data: TaskData, init: Optional[WeightMatrix]) -> np.ndarra
 
 
 def _relative_gaps(smooth: _Smooth, Z, h, smooth_part, values, cols=None):
-    """Relative duality gap (P(W) - D(u)) / P(W) of each block at slots ``Z``.
+    """Relative duality gap (P(W) - D(u)) / P(W) of each block at ``Z``, in the
+    loop's layout.
 
-    ``h`` holds Z's products, ``smooth_part`` and ``values`` its blocks' loss
-    and objective; ``cols`` holds Z's columns (None for all). The dual of the
-    squared loss plus penalty is D(u) = -<u, y> - ||u||^2 / 4 over the u with
-    the intercept row of X^T u equal to 0 and the penalized rows' dual norm at
-    most theta1. With u = 2 s v, where v is the residual r projected off each
-    task's last column c and s the feasibility scale, D = -2 s <v, y> -
+    ``h`` holds Z's products, ``smooth_part`` and ``values`` its blocks' smooth
+    part and objective; ``cols`` holds Z's columns (None for all). The dual of
+    the squared loss plus penalty is D(u) = -<u, y> - ||u||^2 / 4 over the u
+    with the intercept row of X^T u equal to 0 and the penalized rows' dual
+    norm at most theta. With u = 2 s v, where v is the residual r projected off
+    each task's last column c and s the feasibility scale, D = -2 s <v, y> -
     s^2 ||v||^2 per task. Every term comes from Gram quantities, so no
     residual is formed: X^T r = q - b, X^T v = X^T r - (c^T r / c^T c) X^T c,
     <v, y> = w^T X^T r - ||r||^2 - (c^T r / c^T c) c^T y and ||v||^2 =
     ||r||^2 - (c^T r)^2 / c^T c.
+
+    For the graph kind the coupling theta1 Q(V) is ||A V||^2, least squares on
+    extra rows with target 0, and v holds their residual A V too. Those rows
+    add A^T A V = 2 theta1 M (half the coupling's gradient; M = centred(V) Lap
+    is in ``h``) to the penalized rows of X^T v, laid out dense, and
+    theta1 Q to ||v||^2; they add nothing to <v, y>, and ||r||^2 is the loss
+    part of the smooth part alone. They do not touch the intercept row, so
+    the projection is of the loss rows only.
     """
     reg = smooth.reg
     cols = cols or smooth.all
-    fitted = h - cols.moments  # X^T r
+    n_slots = cols.moments.shape[0]
+    fitted = h[:n_slots] - cols.moments  # X^T r
     along = fitted[-1]  # c^T r
     shares = along / cols.last_norms  # c^T r / c^T c, 0 where c = 0
     half_dual = fitted[:-1] - shares * cols.last_rows[:-1]  # X^T u / 2 at s = 1, penalized rows
-    vy = _column_sums(Z * fitted) - shares * cols.moments[-1]  # <v, y> + ||r||^2
+    slots = smooth.compact(Z) if smooth.dense else Z
+    vy = _column_sums(slots * fitted) - shares * cols.moments[-1]  # <v, y> + ||r||^2
     vv = -shares * along  # ||v||^2 - ||r||^2
     if reg.kind == "lasso":
         half_norm = np.maximum.reduce(np.abs(half_dual), axis=0, initial=0.0)
@@ -707,9 +724,20 @@ def _relative_gaps(smooth: _Smooth, Z, h, smooth_part, values, cols=None):
         scale = np.minimum(1.0, ratio)
         vy, vv = vy - smooth_part, vv + smooth_part
         return (values + 2.0 * scale * vy + scale * scale * vv) / np.maximum(np.abs(values), 1e-12)
-    half_norm = float(np.max(smooth.group_norms(half_dual)[:-1], initial=0.0))
-    scale = min(1.0, 0.5 * reg.theta1 / half_norm) if half_norm > 0.0 else 1.0
-    vy, vv = float(vy.sum()) - smooth_part, float(vv.sum()) + smooth_part
+    if smooth.dense:
+        theta = reg.theta2
+        M = h[n_slots:]
+        coupling = reg.theta1 * 2.0 * float(np.einsum("dp,dp->", M, _centred(Z[:-1])))  # theta1 Q
+        loss = smooth_part - coupling
+        # the loss rows' part laid out dense; the intercept slot goes to the
+        # intercept row, which is dropped
+        loss_rows = smooth.expand(np.concatenate((half_dual, fitted[-1:])))[:-1]
+        half_norm = float(np.max(_row_norms(loss_rows + 2.0 * reg.theta1 * M), initial=0.0))
+    else:
+        theta, coupling, loss = reg.theta1, 0.0, smooth_part
+        half_norm = float(np.max(smooth.group_norms(half_dual)[:-1], initial=0.0))
+    scale = min(1.0, 0.5 * theta / half_norm) if half_norm > 0.0 else 1.0
+    vy, vv = float(vy.sum()) - loss, float(vv.sum()) + loss + coupling
     return (values + 2.0 * scale * vy + scale * scale * vv) / max(abs(values), 1e-12)
 
 

@@ -17,7 +17,7 @@ from mtlhouse.backtest import (
 from mtlhouse.data import month_text
 from mtlhouse.design import DesignLayout, build_task_data
 from mtlhouse.reports import write_records_csv
-from mtlhouse.solver import RegularizerSpec, SolverParams
+from mtlhouse.solver import GAP_TOL, RegularizerSpec, SolverParams, build_task_graph, fit, objective
 from mtlhouse.synthetic import SyntheticConfig, generate_synthetic
 from mtlhouse.tasks import RegionDef, TaskSet, define_tasks
 
@@ -98,6 +98,22 @@ def record_builds(monkeypatch, widen_months=None):
 
     monkeypatch.setattr(backtest, "build_task_data", logged)
     return windows
+
+
+def record_fits(monkeypatch):
+    """Log every solver fit ``run_backtest`` makes, in call order."""
+    calls = []
+    real = backtest.fit
+
+    def logged(data, reg, params, init=None):
+        result = real(data, reg, params, init=init)
+        calls.append(
+            SimpleNamespace(data=data, window=data.window, reg=reg, init=init, result=result, weights=result.weights)
+        )
+        return result
+
+    monkeypatch.setattr(backtest, "fit", logged)
+    return calls
 
 
 def small_market(months=6):
@@ -398,42 +414,93 @@ class TestGridSelection:
         ids=lambda spec: spec.label,
     )
     def test_lasso_and_l21_grids_are_solved_as_a_warm_started_path(self, monkeypatch, spec):
-        calls = []
-        real = backtest.fit
-
-        def recorded(data, reg, params, init=None):
-            result = real(data, reg, params, init=init)
-            calls.append((data.window, reg.theta1, init, result.weights))
-            return result
-
-        monkeypatch.setattr(backtest, "fit", recorded)
+        calls = record_fits(monkeypatch)
         dataset = small_market()
         plan = make_rolling_plan(dataset, k=3)
         run_backtest(dataset, RegionDef("SA3"), [spec], plan)
         assert len(calls) == 4 * len(plan)  # three inner-window fits and one full-window fit
+        previous = {}  # the previous round's fit of each theta1, the full-window one over the inner one
         for n, round_ in enumerate(plan.rounds):
             first, second, third, full = calls[4 * n : 4 * n + 4]
             lo, hi = round_.train_window
-            assert [c[0] for c in (first, second, third, full)] == [(lo, hi - 1)] * 3 + [(lo, hi)]
-            assert [c[1] for c in (first, second, third)] == [3.0, 2.0, 1.0]
-            assert first[2] is None and second[2] is first[3] and third[2] is second[3]
+            assert [c.window for c in (first, second, third, full)] == [(lo, hi - 1)] * 3 + [(lo, hi)]
+            assert [c.reg.theta1 for c in (first, second, third)] == [3.0, 2.0, 1.0]
+            # the path's first fit starts from the previous round's fit of its
+            # point (round 0's from 0), and each later one from the one before
+            assert first.init is previous.get(3.0) and (n == 0) == (first.init is None)
+            assert second.init is first.weights and third.init is second.weights
             # the full-window fit starts from the chosen point's inner fit
-            chosen = [inner for inner in (first, second, third) if inner[1] == full[1]]
-            assert len(chosen) == 1 and full[2] is chosen[0][3]
+            chosen = [inner for inner in (first, second, third) if inner.reg.theta1 == full.reg.theta1]
+            assert len(chosen) == 1 and full.init is chosen[0].weights
+            previous = {c.reg.theta1: c.weights for c in (first, second, third, full)}
 
-    def test_graph_grid_starts_every_fit_from_zero(self, monkeypatch):
-        inits = []
-        real = backtest.fit
-
-        def recorded(data, reg, params, init=None):
-            inits.append(init)
-            return real(data, reg, params, init=init)
-
-        monkeypatch.setattr(backtest, "fit", recorded)
+    def test_graph_grid_starts_each_fit_from_the_previous_round(self, monkeypatch):
+        calls = record_fits(monkeypatch)
         dataset = small_market()
+        plan = make_rolling_plan(dataset, k=3)
         spec = MethodSpec(label="g", kind="mtl_graph", theta1=(0.5, 1.0), theta2=(1.0,))
-        run_backtest(dataset, RegionDef("SA3"), [spec], make_rolling_plan(dataset, k=3))
-        assert inits and all(init is None for init in inits)
+        run_backtest(dataset, RegionDef("SA3"), [spec], plan)
+        assert len(calls) == 3 * len(plan)  # two inner-window fits and one full-window fit
+        previous = {}
+        for n in range(len(plan)):
+            round_calls = calls[3 * n : 3 * n + 3]
+            points = [(c.reg.theta1, c.reg.theta2) for c in round_calls]
+            assert points[:2] == [(0.5, 1.0), (1.0, 1.0)] and points[2] in points[:2]
+            # each fit, inner or full, starts from the previous round's fit of
+            # its point, the full-window one over the inner one; round 0's from 0
+            for point, call in zip(points, round_calls):
+                assert call.init is previous.get(point) and (n == 0) == (call.init is None)
+            previous = {point: call.weights for point, call in zip(points, round_calls)}
+
+    def test_starts_never_saw_the_scored_month(self, monkeypatch):
+        # every start is the weights of an earlier fit whose window ends before
+        # the month the starting fit is scored on (the validation month of an
+        # inner fit, the test month of a full one): no inner fit starts from a
+        # full-window fit of its own round, which saw its validation month
+        calls = record_fits(monkeypatch)
+        dataset = small_market(months=8)
+        plan = make_rolling_plan(dataset, k=3)
+        methods = [  # a full-window fit of each kind solved before an inner fit of the same problem
+            MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(3.0,)),
+            MethodSpec(label="lasso", kind="lasso", penalty=(1.0, 3.0)),
+            MethodSpec(label="l21_one", kind="mtl_l21", theta1=(3.0,)),
+            MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0)),
+            MethodSpec(label="g_one", kind="mtl_graph", theta1=(0.5,), theta2=(1.0,)),
+            MethodSpec(label="g", kind="mtl_graph", theta1=(0.5, 1.0), theta2=(1.0,)),
+        ]
+        run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        across = set()
+        for n, call in enumerate(calls):
+            if call.init is None:
+                continue
+            sources = [earlier for earlier in calls[:n] if earlier.weights is call.init]
+            assert len(sources) == 1
+            scored_month = call.window[1] + 1  # either window ends the month before it is scored
+            assert sources[0].window[1] < scored_month
+            if sources[0].window[0] < call.window[0]:  # an earlier round's window
+                across.add(call.reg.kind)
+        assert across == {"lasso", "group_l21", "graph"}
+
+    def test_later_round_starts_stop_within_the_gap_of_a_tight_solve(self, monkeypatch):
+        calls = record_fits(monkeypatch)
+        dataset = small_market(months=8)
+        plan = make_rolling_plan(dataset, k=3)
+        methods = [
+            MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(1.0,)),
+            MethodSpec(label="mtl_l21", kind="mtl_l21", theta1=(1.0,)),
+            MethodSpec(label="mtl_graph", kind="mtl_graph", theta1=(0.5,), theta2=(1.0,)),
+        ]
+        run_backtest(dataset, RegionDef("SA3"), methods, plan)
+        tight = SolverParams(max_iters=100000, rel_tol=1e-14)
+        later = [c for c in calls if c.init is not None]
+        assert {c.reg.kind for c in later} == {"lasso", "group_l21", "graph"}
+        for call in later:
+            graph = build_task_graph(call.data) if call.reg.kind == "graph" else None
+            value = objective(call.weights, call.data, call.reg, graph)
+            best = objective(fit(call.data, call.reg, tight).weights, call.data, call.reg, graph)
+            assert call.result.converged and call.result.gap <= GAP_TOL
+            assert value >= best - 1e-12 * abs(best)
+            assert (value - best) / value <= call.result.gap
 
     def test_unconverged_fits_are_logged_as_warnings(self, caplog):
         dataset = small_market()
@@ -453,7 +520,7 @@ class TestGridSelection:
         )
         graph = re.compile(
             rf"^region:SA3 round (\d): g fit at theta1=0\.5, theta2=1\.0 on months ({month})\.\.({month}) "
-            r"did not converge in 3 iterations \(relative duality gap not certified\)$"
+            r"did not converge in 3 iterations \(relative duality gap \d\.\d\de[+-]\d\d\)$"
         )
         messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(messages) == 4 * len(plan)  # two inner and one full l21 fit, one graph fit

@@ -850,13 +850,13 @@ class TestGramForm:
         assert change == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("kind", ["lasso", "group_l21"])
+    @pytest.mark.parametrize("kind", ["lasso", "group_l21", "graph"])
     def test_gap_matches_the_residual_oracle(self, kind, seed):
-        rng, data, reg, graph, smooth = self.setup(seed, kind, None)
+        rng, data, reg, graph, smooth = self.setup(seed, kind, 0.3 if kind == "graph" else None)
         for scale in (0.0, 0.3, 2.0):
             W = self.point(rng, smooth, scale)
-            smooth_part, values = _exact_values(data, reg, None, W)
-            Z = smooth.compact(W)
+            smooth_part, values = _exact_values(data, reg, smooth.laplacian, W)
+            Z = self.loop_form(smooth, W)
             gaps = _relative_gaps(smooth, Z, smooth.products(Z), smooth_part, values)
             oracle = oracle_relative_gap(data, reg, W, values)
             assert np.allclose(gaps, oracle, rtol=1e-9, atol=1e-12)
@@ -908,24 +908,27 @@ def tasks_with_last_column(rng, last):
 
 
 class TestDualityGap:
-    """The relative duality gap that certifies a lasso or l2,1 stop."""
+    """The relative duality gap that certifies a fit's stop."""
 
     @staticmethod
     def gaps(data, reg, W):
         """Each block's relative gap, from Gram quantities, and objective at W."""
-        smooth = _Smooth(data, reg, None)
-        smooth_part, values = _exact_values(data, reg, None, W)
-        Z = smooth.compact(W)
+        graph = build_task_graph(data) if reg.kind == "graph" else None
+        smooth = _Smooth(data, reg, graph)
+        smooth_part, values = _exact_values(data, reg, smooth.laplacian, W)
+        Z = W if smooth.dense else smooth.compact(W)
         gaps = _relative_gaps(smooth, Z, smooth.products(Z), smooth_part, values)
         return gaps, values
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("last", ["ones", "varying"])
-    @pytest.mark.parametrize("kind", ["lasso", "group_l21"])
+    @pytest.mark.parametrize("kind", ["lasso", "group_l21", "graph"])
     def test_gap_bounds_the_objective_excess(self, kind, last, seed):
+        # for the graph kind the oracle's residual holds the loss rows and the
+        # coupling's rows
         rng = np.random.default_rng(seed)
         data = tasks_with_last_column(rng, last)
-        reg = RegularizerSpec(kind, 0.8)
+        reg = RegularizerSpec(kind, 0.8, 0.6 if kind == "graph" else None)
         optimum = fit(data, reg, SolverParams(max_iters=100000, rel_tol=1e-15)).weights.values
         relative, best = self.gaps(data, reg, optimum)
         assert np.all(np.abs(relative) <= 1e-5)  # about 0 at a tight solve
@@ -954,12 +957,21 @@ class TestDualityGap:
 
     def test_gap_is_reported_only_where_it_certifies(self):
         data = well_conditioned_data(noise=0.3)
-        assert fit(data, RegularizerSpec("graph", 0.5, 1.0)).gap is None
+        assert fit(data, RegularizerSpec("graph", 0.5, 0.0)).gap is None
         assert fit(data, RegularizerSpec("lasso", 0.0)).gap is None
         assert fit(data, RegularizerSpec("group_l21", 0.0)).gap is None
-        for kind in ("lasso", "group_l21"):
-            result = fit(data, RegularizerSpec(kind, 0.6))
+        for reg in (RegularizerSpec("lasso", 0.6), RegularizerSpec("group_l21", 0.6), RegularizerSpec("graph", 0.5, 1.0)):
+            result = fit(data, reg)
             assert result.converged and 0.0 <= result.gap <= GAP_TOL
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_graph_gap_without_coupling_is_the_l21_gap(self, seed):
+        rng = np.random.default_rng(seed)
+        data = tasks_with_last_column(rng, "varying")
+        for W in (np.zeros((data.n_columns, data.n_tasks)), rng.normal(0, 0.5, (data.n_columns, data.n_tasks))):
+            graph_gap, _ = self.gaps(data, RegularizerSpec("graph", 0.0, 0.7), W)
+            l21_gap, _ = self.gaps(data, RegularizerSpec("group_l21", 0.7), W)
+            assert graph_gap == pytest.approx(l21_gap, rel=1e-9, abs=1e-12)
 
 
 class TestWarmStart:
@@ -986,10 +998,8 @@ class TestWarmStart:
         reg = RegularizerSpec(kind, 0.6, theta2)
         optimum = fit(data, reg, TIGHT)
         warm = fit(data, reg, init=optimum.weights)
-        assert warm.converged and warm.iterations <= 3
+        assert warm.converged and warm.iterations <= 3 and warm.gap <= GAP_TOL
         assert fit(data, reg).iterations > 15
-        if kind != "graph":
-            assert warm.gap <= GAP_TOL
 
 
 class TestRegularizerSpec:
@@ -1048,10 +1058,14 @@ class TestPredict:
 
 
 def oracle_relative_gap(data, reg, W, value):
-    """Relative duality gap of a lasso or l2,1 point, task by task: u = 2 r
-    projected off each task's last column, scaled into the dual norm ball, and
-    D(u) = -<u, y> - ||u||^2 / 4. For lasso, one gap per task."""
-    us, dual_rows = [], []
+    """Relative duality gap of a point, task by task: u = 2 r projected off
+    each task's last column, scaled into the dual norm ball, and D(u) =
+    -<u, y> - ||u||^2 / 4. For lasso, one gap per task. For the graph kind the
+    coupling is least squares on one extra row per ordered task pair (p, q)
+    and design row i, sqrt(theta1 r_pq) (W[i, p] - W[i, q]) with target 0:
+    u holds twice those residuals too, and X^T u their share of the
+    transposed products, and the ball is theta2's."""
+    us, ys, dual_rows = [], list(data.ys), []
     for p, (x, y) in enumerate(zip(data.xs, data.ys)):
         u = 2.0 * (x @ W[:, p] - y)
         c = x[:, -1]
@@ -1059,13 +1073,27 @@ def oracle_relative_gap(data, reg, W, value):
             u = u - (c @ u) / (c @ c) * c
         us.append(u)
         dual_rows.append(x[:, :-1].T @ u)
+    theta = reg.theta1
+    if reg.kind == "graph":
+        theta = reg.theta2
+        weights = build_task_graph(data).weights
+        for p in range(data.n_tasks):
+            for q in range(data.n_tasks):
+                if p == q:
+                    continue
+                a = math.sqrt(reg.theta1 * weights[p, q])
+                u = 2.0 * a * (W[:-1, p] - W[:-1, q])  # one row per design row, target 0
+                us.append(u)
+                ys.append(np.zeros_like(u))
+                dual_rows[p] = dual_rows[p] + a * u
+                dual_rows[q] = dual_rows[q] - a * u
     if reg.kind == "lasso":
         norms = [max(np.abs(g), default=0.0) for g in dual_rows]
     else:
         G = np.column_stack(dual_rows)
-        norms = [max(np.sqrt((G * G).sum(axis=1)), default=0.0)] * data.n_tasks
-    scales = [1.0 if n <= reg.theta1 else reg.theta1 / n for n in norms]
-    duals = [-(s * u) @ y - (s * u) @ (s * u) / 4 for s, u, y in zip(scales, us, data.ys)]
+        norms = [max(np.sqrt((G * G).sum(axis=1)), default=0.0)] * len(us)
+    scales = [1.0 if n <= theta else theta / n for n in norms]
+    duals = [-(s * u) @ y - (s * u) @ (s * u) / 4 for s, u, y in zip(scales, us, ys)]
     if reg.kind == "lasso":
         return [(v - d) / max(abs(v), 1e-12) for v, d in zip(value, duals)]
     return (value - sum(duals)) / max(abs(value), 1e-12)
@@ -1074,7 +1102,8 @@ def oracle_relative_gap(data, reg, W, value):
 def oracle_joint_fit(data, reg, params):
     """Reference for the joint kinds: plain scalar FISTA with restart over all
     columns at once, with one step 1/L, stopping on the relative-change test
-    and, for l2,1 at theta1 > 0, the duality-gap test. It steps on the Gram
+    and, for l2,1 at theta1 > 0 and the graph kind at theta2 > 0, the
+    duality-gap test. It steps on the Gram
     form of the smooth part, as the solver does: the products of each iterate
     and a running objective updated by each step's change. The trace starts
     and ends on the exact objective (see :func:`fit`).
@@ -1120,8 +1149,9 @@ def oracle_joint_fit(data, reg, params):
         since += 1
         stopped = abs(current - value) <= params.rel_tol * max(abs(current), 1e-12)
         current = value
-        if stopped and reg.kind == "group_l21" and reg.theta1 > 0:
-            stopped = oracle_relative_gap(data, reg, smooth.expand(W), value) <= GAP_TOL
+        if stopped and (reg.theta2 if reg.kind == "graph" else reg.theta1) > 0:
+            dense = W if reg.kind == "graph" else smooth.expand(W)
+            stopped = oracle_relative_gap(data, reg, dense, value) <= GAP_TOL
         if stopped:
             converged = True
             break
