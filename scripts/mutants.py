@@ -174,6 +174,13 @@ MUTATIONS = (
         "_select_grid_point(spec, held_out, inner_fits, where, fits)",
         ("tests/test_backtest.py::TestGridSelection::test_starts_never_saw_the_scored_month",),
     ),
+    Mutant(
+        "grid-path-without-warm-starts",
+        "src/mtlhouse/backtest.py",
+        "_fit_point(inner, spec, points[i], inner_fits, where, start, starts)",
+        "_fit_point(inner, spec, points[i], inner_fits, where, None, starts)",
+        ("tests/test_backtest.py::TestGridSelection::test_graph_grid_is_solved_as_a_warm_started_path",),
+    ),
 )
 MUTANTS = MUTATIONS + (
     Mutant(

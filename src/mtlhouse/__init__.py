@@ -41,7 +41,7 @@ from .solver import (
     smooth_gradient,
     smooth_objective,
 )
-from .synthetic import SyntheticConfig, generate_synthetic, planted_design
+from .synthetic import SyntheticConfig, generate_synthetic
 from .tasks import (
     FacilityDef,
     IntersectionDef,

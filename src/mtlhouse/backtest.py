@@ -61,12 +61,6 @@ METHODS: dict[str, tuple[Optional[str], tuple[str, ...], tuple[str, ...]]] = {
 }
 GRIDS = ("theta1", "theta2", "penalty")
 
-# Solver kinds whose grid is solved as a path: from the largest theta1 down,
-# each inner-window fit started from the previous one, and the full-window
-# fit from the chosen point's inner fit. The graph kind has two grids and no
-# such order; its fits start from the previous round's (see _fit_point).
-PATH_KINDS = ("lasso", "group_l21")
-
 # The protocol predicts the month right after each training window.
 HORIZON = 1
 
@@ -180,8 +174,8 @@ def _fit_point(
     starts from ``init`` (see :func:`fit`); a certified one without it starts
     from the fit of the same problem in ``starts``, the previous round's fits,
     if there is one. Its duality gap stops it at the same accuracy wherever it
-    starts. A fit that does not converge is logged as a warning that begins
-    with ``where``.
+    starts. The closed-form ols and ridge fits ignore any start. A fit that
+    does not converge is logged as a warning that begins with ``where``.
     """
     reg_kind = METHODS[spec.kind][0]
     values = tuple(v if v is None else float(v).hex() for v in point)  # 0.0 is not -0.0
@@ -234,13 +228,15 @@ def run_backtest(
     Per round: build training data on the window, fit every method, predict
     the test month, and record per-task RMSE/MAE for tasks that have both
     training and test samples. Each distinct problem is fitted once per
-    round and on each of its data sets (see :func:`_fit_point`); the lasso
-    and l2,1 grids are solved as paths (see ``PATH_KINDS``). A certified
-    solver fit without a start of its own starts from the previous fitted
-    round's fit of the same problem, on its window if it had one there and
-    else on its inner window. Those windows end before this round's
-    validation month, so no fit starts from weights that saw the month it is
-    scored on. A solver fit that does not converge is logged as a warning.
+    round and on each of its data sets (see :func:`_fit_point`); every
+    multi-point grid is solved as one warm-started path (see
+    :func:`_select_grid_point`). A certified solver fit without a start of
+    its own, a path's first or a single-point method's, starts from the
+    previous fitted round's fit of the same problem, on its window if it had
+    one there and else on its inner window. Those windows end before this
+    round's validation month, so no fit starts from weights that saw the
+    month it is scored on. A solver fit that does not converge is logged as a
+    warning.
     Rounds with no usable training data are skipped, and logged as one
     warning after the last round.
     """
@@ -377,26 +373,21 @@ def _select_grid_point(
     a tie, and the start of its full-window fit.
 
     Without held-out data, or with one point, that is the first point and no
-    start. Otherwise every point is fitted on the inner window (``inner_fits``
-    holds the round's fits there): a ``PATH_KINDS`` method solves its points
-    from the largest theta1 down, each fit started from the previous one, and
-    its full-window fit starts from the chosen point's inner fit; any other
-    method fits its points in table order and has no start. A fit without a
-    start of its own (a path's first, each of another method's) takes one
-    from ``starts``, the previous round's fits (see :func:`_fit_point`).
+    start. Otherwise the grid is solved as a path on the inner window
+    (``inner_fits`` holds the round's fits there): from the largest first
+    grid value down, equal values in table order, each fit started from the
+    one before it. The first takes its start from ``starts``, the previous
+    round's fits (see :func:`_fit_point`). The full-window fit starts from the
+    chosen point's inner fit.
     """
     points = spec.grid_points()
     if len(points) == 1 or held_out is None:
         return points[0], None
     inner, validation = held_out
-    path = METHODS[spec.kind][0] in PATH_KINDS
-    order = range(len(points))
-    if path:  # a path kind has one grid; sorted() keeps equal values in table order
-        order = sorted(order, key=lambda i: -points[i][0])
     weights, start = [None] * len(points), None
-    for i in order:
-        weights[i] = _fit_point(inner, spec, points[i], inner_fits, where, start, starts)
-        start = weights[i] if path else None
+    path = sorted(range(len(points)), key=lambda i: -points[i][0])  # stable: ties keep table order
+    for i in path:
+        weights[i] = start = _fit_point(inner, spec, points[i], inner_fits, where, start, starts)
     best, best_score = 0, np.inf
     for i, w in enumerate(weights):
         predictions = [
@@ -405,7 +396,7 @@ def _select_grid_point(
         score = rmse(validation.y, np.concatenate(predictions))
         if score < best_score:
             best, best_score = i, score
-    return points[best], (weights[best] if path else None)
+    return points[best], weights[best]
 
 
 def _build_report(records, taskset, plan, labels, benchmark, skipped) -> ComparisonReport:

@@ -8,7 +8,6 @@ Win-Loss-Draw records at table precision.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,12 +63,7 @@ class RankSumOutcome:
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     diff = _differences(actual, predicted)
-    # Squares are rounded by the C library's pow, as Python's float ** is, so
-    # the record bytes of earlier runs hold: diff * diff (exactly rounded)
-    # differs in the last bit for about one value in a thousand, and that
-    # changed 2 of tall_file's 4,200 RMSE cells.
-    squares = np.fromiter(map(math.pow, diff.tolist(), itertools.repeat(2.0)), float, len(diff))
-    return math.sqrt(mean_left_to_right(squares))
+    return math.sqrt(mean_left_to_right(diff * diff))
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:

@@ -172,22 +172,12 @@ def coarse_code(p: int) -> str:
     return f"A{p // TASKS_PER_COARSE_REGION:02d}"
 
 
-def planted_design(dataset: Dataset, n_features: int) -> np.ndarray:
-    """Rows in the planted basis: range-standardized numerics plus intercept."""
-    names = [name for name, _, _ in feature_ranges(n_features)]
-    columns = [dataset.schema.numeric.index(name) for name in names]
-    means, stds = range_stats(n_features)
-    rows = np.ones((len(dataset), n_features + 1))
-    rows[:, :-1] = (dataset.numeric[:, columns] - means) / stds
-    return rows
-
-
 def generate_synthetic(config: SyntheticConfig) -> tuple[Dataset, WeightMatrix]:
     """Deterministically generate a dataset and its planted weight matrix.
 
-    The planted model lives in the basis of :func:`planted_design`: columns of
-    the returned matrix are per-task weights over the range-standardized
-    features plus a trailing intercept.
+    Columns of the returned matrix are per-task weights over the features,
+    each standardized by its range's mean and standard deviation
+    (:func:`range_stats`), plus a trailing intercept.
     """
     rng = np.random.default_rng(config.seed)
     n, p_count = config.n_features, config.n_tasks

@@ -101,18 +101,31 @@ def record_builds(monkeypatch, widen_months=None):
 
 
 def record_fits(monkeypatch):
-    """Log every solver fit ``run_backtest`` makes, in call order."""
+    """Log every fit ``run_backtest`` makes, in call order: solver fits and the
+    closed-form ols and ridge fits, which take no start (their ``init`` is None)."""
     calls = []
-    real = backtest.fit
+    real_fit, real_stl = backtest.fit, backtest.fit_stl
 
-    def logged(data, reg, params, init=None):
-        result = real(data, reg, params, init=init)
+    def log(data, reg, point, init, result, weights):
         calls.append(
-            SimpleNamespace(data=data, window=data.window, reg=reg, init=init, result=result, weights=result.weights)
+            SimpleNamespace(
+                data=data, window=data.window, reg=reg, point=point, init=init, result=result, weights=weights
+            )
         )
+
+    def logged_fit(data, reg, params, init=None):
+        result = real_fit(data, reg, params, init=init)
+        point = (reg.theta1,) if reg.theta2 is None else (reg.theta1, reg.theta2)
+        log(data, reg, point, init, result, result.weights)
         return result
 
-    monkeypatch.setattr(backtest, "fit", logged)
+    def logged_stl(data, spec, *point):
+        weights = real_stl(data, spec, *point)
+        log(data, None, point, None, None, weights)
+        return weights
+
+    monkeypatch.setattr(backtest, "fit", logged_fit)
+    monkeypatch.setattr(backtest, "fit_stl", logged_stl)
     return calls
 
 
@@ -410,47 +423,63 @@ class TestGridSelection:
             MethodSpec(label="l21", kind="mtl_l21", theta1=(1.0, 3.0, 2.0)),
             MethodSpec(label="mtl_lasso", kind="mtl_lasso", theta1=(1.0, 3.0, 2.0)),
             MethodSpec(label="lasso", kind="lasso", penalty=(1.0, 3.0, 2.0)),
+            MethodSpec(label="graph", kind="mtl_graph", theta1=(0.5, 1.0), theta2=(0.5, 1.0)),
+            MethodSpec(label="ridge", kind="ridge", penalty=(1.0, 3.0, 2.0)),
         ],
         ids=lambda spec: spec.label,
     )
-    def test_lasso_and_l21_grids_are_solved_as_a_warm_started_path(self, monkeypatch, spec):
+    def test_every_grid_is_solved_as_a_warm_started_path(self, monkeypatch, spec):
         calls = record_fits(monkeypatch)
         dataset = small_market()
         plan = make_rolling_plan(dataset, k=3)
         run_backtest(dataset, RegionDef("SA3"), [spec], plan)
-        assert len(calls) == 4 * len(plan)  # three inner-window fits and one full-window fit
-        previous = {}  # the previous round's fit of each theta1, the full-window one over the inner one
+        points = spec.grid_points()
+        path = sorted(points, key=lambda point: -point[0])  # stable: ties keep table order
+        size = len(points) + 1  # the inner-window fits and one full-window fit
+        assert len(calls) == size * len(plan)
+        previous = {}  # the previous round's fit of each point, the full-window one over the inner one
         for n, round_ in enumerate(plan.rounds):
-            first, second, third, full = calls[4 * n : 4 * n + 4]
+            *inner, full = round_calls = calls[size * n : size * (n + 1)]
             lo, hi = round_.train_window
-            assert [c.window for c in (first, second, third, full)] == [(lo, hi - 1)] * 3 + [(lo, hi)]
-            assert [c.reg.theta1 for c in (first, second, third)] == [3.0, 2.0, 1.0]
+            assert [c.window for c in round_calls] == [(lo, hi - 1)] * len(points) + [(lo, hi)]
+            assert [c.point for c in inner] == path
+            chosen = [c for c in inner if c.point == full.point]
+            assert len(chosen) == 1
+            if spec.kind == "ridge":
+                # closed-form fits take no start: the path gives a table-order solve's weights
+                table = [baselines.fit_stl(inner[0].data, spec, *point) for point in points]
+                for c in inner:
+                    assert np.array_equal(c.weights.values, table[points.index(c.point)].values)
+                continue
             # the path's first fit starts from the previous round's fit of its
             # point (round 0's from 0), and each later one from the one before
-            assert first.init is previous.get(3.0) and (n == 0) == (first.init is None)
-            assert second.init is first.weights and third.init is second.weights
+            assert inner[0].init is previous.get(path[0]) and (n == 0) == (inner[0].init is None)
+            assert all(c.init is before.weights for before, c in zip(inner, inner[1:]))
             # the full-window fit starts from the chosen point's inner fit
-            chosen = [inner for inner in (first, second, third) if inner.reg.theta1 == full.reg.theta1]
-            assert len(chosen) == 1 and full.init is chosen[0].weights
-            previous = {c.reg.theta1: c.weights for c in (first, second, third, full)}
+            assert full.init is chosen[0].weights
+            previous = {c.point: c.weights for c in round_calls}
 
-    def test_graph_grid_starts_each_fit_from_the_previous_round(self, monkeypatch):
+    def test_graph_grid_is_solved_as_a_warm_started_path(self, monkeypatch):
         calls = record_fits(monkeypatch)
         dataset = small_market()
         plan = make_rolling_plan(dataset, k=3)
-        spec = MethodSpec(label="g", kind="mtl_graph", theta1=(0.5, 1.0), theta2=(1.0,))
+        spec = MethodSpec(label="g", kind="mtl_graph", theta1=(0.5, 1.0), theta2=(1.0, 0.5))
         run_backtest(dataset, RegionDef("SA3"), [spec], plan)
-        assert len(calls) == 3 * len(plan)  # two inner-window fits and one full-window fit
-        previous = {}
+        assert len(calls) == 5 * len(plan)  # four inner-window fits and one full-window fit
+        # from the largest theta1 down; equal theta1 keep table order
+        path = [(1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.5, 0.5)]
+        previous = {}  # the previous round's fit of each point, the full-window one over the inner one
         for n in range(len(plan)):
-            round_calls = calls[3 * n : 3 * n + 3]
-            points = [(c.reg.theta1, c.reg.theta2) for c in round_calls]
-            assert points[:2] == [(0.5, 1.0), (1.0, 1.0)] and points[2] in points[:2]
-            # each fit, inner or full, starts from the previous round's fit of
-            # its point, the full-window one over the inner one; round 0's from 0
-            for point, call in zip(points, round_calls):
-                assert call.init is previous.get(point) and (n == 0) == (call.init is None)
-            previous = {point: call.weights for point, call in zip(points, round_calls)}
+            *inner, full = round_calls = calls[5 * n : 5 * n + 5]
+            assert [c.point for c in inner] == path and full.point in path
+            # round 0's first point starts from 0, a later round's from the
+            # previous round's fit of that point
+            assert inner[0].init is previous.get(path[0]) and (n == 0) == (inner[0].init is None)
+            # each later point starts from the one before it
+            assert all(c.init is before.weights for before, c in zip(inner, inner[1:]))
+            # the full-window fit starts from the chosen point's inner fit
+            assert full.init is inner[path.index(full.point)].weights
+            previous = {c.point: c.weights for c in round_calls}
 
     def test_starts_never_saw_the_scored_month(self, monkeypatch):
         # every start is the weights of an earlier fit whose window ends before

@@ -7,10 +7,19 @@ from mtlhouse.synthetic import (
     SyntheticConfig,
     feature_ranges,
     generate_synthetic,
-    planted_design,
     range_stats,
     synthetic_schema,
 )
+
+
+def planted_design(dataset, n_features):
+    """Rows in the planted basis: range-standardized numerics plus intercept."""
+    names = [name for name, _, _ in feature_ranges(n_features)]
+    columns = [dataset.schema.numeric.index(name) for name in names]
+    means, stds = range_stats(n_features)
+    rows = np.ones((len(dataset), n_features + 1))
+    rows[:, :-1] = (dataset.numeric[:, columns] - means) / stds
+    return rows
 
 
 def small_config(**overrides):
