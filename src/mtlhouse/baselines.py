@@ -11,8 +11,8 @@ so it is left out of the fit and given that 0 directly, and a task pays for
 the columns it uses, not for the full design width. Ridge CV and ridge run
 once per support width: the tasks of one width pick their penalties in one
 stacked cross-validation pass and solve their ridge systems in one stacked
-call on the Gram matrices that ``TaskData.support_grams`` caches for the
-solver too, and each task's numbers stay those of a fit of that task alone.
+call on the Gram matrices that ``TaskData.support_grams`` caches, and each
+task's numbers stay those of a fit of that task alone.
 OLS runs task by task. Per-task lasso is the joint lasso: its loss and l1 penalty
 separate by task, and the solver runs each task's column on its own, so one
 solver call fits every task.

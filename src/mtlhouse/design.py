@@ -87,6 +87,34 @@ class SupportGrams:
 
 
 @dataclass(frozen=True)
+class ProfiledGrams:
+    """The tasks of one support width w with each task's free intercept
+    minimized out: ``tasks`` (ascending) and their penalized support
+    ``columns`` (n x (w - 1), ascending; the last design column c_p, always
+    in the support, is left out). With P_p projecting task p's rows off c_p,
+    each task's Gram matrix X_p^T P_p X_p (n x (w - 1) x (w - 1)), its top
+    eigenvalue (NaN where the matrix is not finite) and its moment X_p^T P_p
+    y_p on those columns. ``offsets`` (c_p^T X_p / c_p^T c_p on the columns)
+    and ``levels`` (c_p^T y_p / c_p^T c_p) give the intercept's
+    least-squares value levels - offsets · w_p. ``last_norms`` holds c_p^T
+    c_p; where it is 0 there is nothing to profile: P_p is the identity and
+    offsets and level are 0."""
+
+    tasks: np.ndarray
+    columns: np.ndarray
+    grams: np.ndarray
+    top_eigenvalues: np.ndarray
+    moments: np.ndarray
+    offsets: np.ndarray
+    levels: np.ndarray
+    last_norms: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False  # shared by every fit of this data
+
+
+@dataclass(frozen=True)
 class TaskData:
     """A round's rows: x is N x D with a trailing ones column, y the N log targets.
 
@@ -162,16 +190,52 @@ class TaskData:
         return tuple(out)
 
     @functools.cached_property
-    def top_gram_eigenvalues(self) -> np.ndarray:
-        """lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not
-        finite. One stacked ``eigvalsh`` per support width."""
-        out = np.empty(self.n_tasks)
-        for group in self.support_grams:
-            finite = np.all(np.isfinite(group.grams), axis=(1, 2))
-            grams = np.where(finite[:, None, None], group.grams, 0.0)
-            out[group.tasks] = np.where(finite, np.linalg.eigvalsh(grams)[:, -1], math.nan)
-        out.flags.writeable = False  # shared by every fit of this data
-        return out
+    def profiled_grams(self) -> tuple[ProfiledGrams, ...]:
+        """The squared loss with each task's free intercept minimized out, in
+        Gram form: one stack per support width, widths ascending. For fixed
+        penalized weights w_p the best intercept leaves task p the residual
+        P_p (X_p w_p - y_p), so the loss sees w_p only through X_p^T P_p X_p
+        and X_p^T P_p y_p. Each task's support rows and targets are projected
+        off c_p before the products are taken (for the ones column, centred),
+        which stays exact where the Schur complement of the raw Gram matrix
+        would cancel. Every number of a task comes from its own rows alone,
+        and each width's top eigenvalues from one stacked ``eigvalsh``."""
+        widths = np.array([len(support) for support in self.supports])
+        out = []
+        for width in np.unique(widths):
+            tasks = np.flatnonzero(widths == width)
+            supports = np.stack([self.supports[p] for p in tasks])
+            sizes = self.sizes[tasks]
+            starts = np.cumsum(sizes) - sizes
+            owner = np.repeat(np.arange(len(tasks)), sizes)
+            # the width's support rows and targets, task after task
+            x = np.concatenate([self.xs[p][:, support] for p, support in zip(tasks, supports)])
+            y = np.concatenate([self.ys[p] for p in tasks])
+            c, x = x[:, -1], x[:, :-1]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram makes its task's L NaN
+                norms = np.add.reduceat(c * c, starts)
+                profiled = norms > 0.0
+                scale = np.where(profiled, norms, 1.0)
+                offsets = np.where(profiled[:, None], np.add.reduceat(c[:, None] * x, starts) / scale[:, None], 0.0)
+                levels = np.where(profiled, np.add.reduceat(c * y, starts) / scale, 0.0)
+                x = x - c[:, None] * offsets[owner]
+                y = y - c * levels[owner]
+                blocks = [x[a:b] for a, b in zip(starts.tolist(), (starts + sizes).tolist())]
+                grams = np.stack([block.T @ block for block in blocks])
+                moments = np.add.reduceat(x * y[:, None], starts)
+            out.append(
+                ProfiledGrams(
+                    tasks=tasks,
+                    columns=supports[:, :-1],
+                    grams=grams,
+                    top_eigenvalues=_top_eigenvalues(grams),
+                    moments=moments,
+                    offsets=offsets,
+                    levels=levels,
+                    last_norms=norms,
+                )
+            )
+        return tuple(out)
 
     @property
     def n_tasks(self) -> int:
@@ -211,6 +275,16 @@ class TaskData:
             y=np.concatenate(ys),
             sizes=[x.shape[0] for x in xs],
         )
+
+
+def _top_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """lambda_max of each matrix of the stack; NaN where one is not finite,
+    0 where they are 0 x 0."""
+    if not grams.shape[1]:
+        return np.zeros(len(grams))
+    finite = np.all(np.isfinite(grams), axis=(1, 2))
+    top = np.linalg.eigvalsh(np.where(finite[:, None, None], grams, 0.0))[:, -1]
+    return np.where(finite, top, math.nan)
 
 
 @dataclass(frozen=True)

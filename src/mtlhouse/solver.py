@@ -12,32 +12,46 @@ weights are the min/max ratio of the tasks' average sale prices, so similarly
 priced tasks are pulled together hardest. The trailing intercept row is
 never penalized.
 
+Each task's intercept is free, so it is minimized out before the loop, as
+glmnet centres its data (Friedman, Hastie & Tibshirani 2010). At fixed
+penalized weights w_p, task p's best intercept is c_p^T (y_p - X_p w_p) /
+c_p^T c_p, c_p its last design column (the ones column), which leaves the
+residual P_p (X_p w_p - y_p), P_p projecting rows off c_p. The loop runs
+on that profiled problem, over the penalized rows alone; after it each
+intercept is set to that least-squares value. The problem and its optimum
+are the same; what changes is the conditioning. Inside a task the intercept
+correlates with every column's mean, and where a dummy column is constant on
+a task (an SA4 dummy of an SA3 task) it is the ones column; left in the
+loop, it would slow FISTA along those directions.
+
 The smooth part is a quadratic, so the Lipschitz constant L of its gradient
 is computed once per fit from eigenvalues and every step is exactly 1/L; no
 line search is needed.
 
-The loss sees the data only through each task's Gram matrix G_p = x_p^T x_p
-and moment b_p = x_p^T y_p on its support columns. ``TaskData.support_grams``
-caches them once per data set, one stack per support width, and each fit
-lays them out in slots (see :class:`_Smooth`). So the loop never forms an
+The loss sees the data only through each task's profiled Gram matrix
+G_p = X_p^T P_p X_p and moment b_p = X_p^T P_p y_p on its penalized support
+columns. ``TaskData.profiled_grams`` builds them once per data set from the
+task's support rows projected off c_p, one stack per support width, and each
+fit lays them out in slots (see :class:`_Smooth`). So the loop never forms an
 N-row residual: the gradient is 2(G_p w_p - b_p), one batched product over
 the tasks, and a step costs O(P·w^2) for supports w wide, whatever N. The
 loop keeps q = G·W of its iterates; q is linear in W, so q at the
 extrapolated point is combined from those of the last two iterates, and an
 accelerated step costs one Gram product. The objective is a running value:
-it starts from the exact value and adds each step's change
-d^T (q_C - q_W) + 2 d^T (q_W - b), d = C - W. That difference comes from
-quantities as small as d, not as the difference of two objective values,
-whose rounding error is of the size of the objective itself and swamps a
-step near a minimizer (see :class:`_Smooth`). The trace starts and ends on
-the exact objective, from the residual (:func:`_exact_values`).
+it starts from the exact value of the profiled start and adds each step's
+change d^T (q_C - q_W) + 2 d^T (q_W - b), d = C - W. That difference comes
+from quantities as small as d, not as the difference of two objective
+values, whose rounding error is of the size of the objective itself and
+swamps a step near a minimizer (see :class:`_Smooth`). The trace starts on
+the exact objective of the start as given and ends on that of the returned
+weights, both from the residual (:func:`_exact_values`).
 
 One FISTA loop advances blocks of W's columns together; each block has its
 own step 1/L, momentum, restart test and stop, and once it stops it stays
 fixed. The joint kinds couple every column, so they are one block: all
 columns take every step, with one L. The l1 penalty and the squared loss
 both separate by task, so the lasso kind has one block per task's column,
-with its own L_p = 2 lambda_max(x_p^T x_p). Every operation on a lasso block
+with its own L_p = 2 lambda_max(G_p). Every operation on a lasso block
 stays inside its task's Gram matrix and slots, so a column's iterates are
 those of a single-task fit of that task, bit for bit, whatever the other
 tasks. A restart's plain step and a gap are computed only for the columns
@@ -50,19 +64,20 @@ stop: the block stops once its relative duality gap (P(W) - D(u)) / P(W) is
 also at most GAP_TOL, which bounds how far its objective can lie above the
 optimum. The gap is computed only in a sweep in which the relative-change
 test fires, and once for the returned weights (``FitResult.gap``). The dual
-point u starts from the gradient of the loss, twice the residual. Each task's
-u is projected onto the complement of its last design column (for the ones
-column, centring), so the unpenalized intercept row of X^T u is 0, and u is
-then scaled by min(1, theta / ||X^T u||) over the penalized rows, with the
+point u is the gradient of the profiled loss, twice the profiled residual,
+scaled by min(1, theta / ||X^T u||) over the penalized rows, with the
 l-infinity norm of each task's column for lasso and the largest row l2 norm
-for the l2,1 term, which makes it dual feasible. Every term comes from Gram
-quantities: X^T r is q - b, less the projection. The graph kind's coupling is
-theta1 Q(V) = ||A V||^2 for a linear map A, as the Laplacian is positive
-semidefinite, so its smooth part is a least-squares loss on the loss rows and
-on extra rows with target 0; its dual is the l2,1 one at theta2 over that
-augmented residual (see :func:`_relative_gaps`). At a zero l1 or l2,1
-weight there is no certificate (the scaled dual point is 0 and the gap is the
-whole objective), so such a fit stops on the relative-change test alone.
+for the l2,1 term, which makes it dual feasible. The profiled residual is
+orthogonal to each task's last column, so u is also a dual point of the
+problem with the intercepts free, and the gap is that problem's at the
+returned weights. Every term comes from Gram quantities: X^T u / 2 is q - b.
+The graph kind's coupling is theta1 Q(V) = ||A V||^2 for a linear map A, as
+the Laplacian is positive semidefinite, so its smooth part is a
+least-squares loss on the loss rows and on extra rows with target 0; its
+dual is the l2,1 one at theta2 over that augmented residual (see
+:func:`_relative_gaps`). At a zero l1 or l2,1 weight there is no certificate
+(the scaled dual point is 0 and the gap is the whole objective), so such a
+fit stops on the relative-change test alone.
 
 A fit may start from given weights (``init``): a grid of theta1 values solved
 from the largest down, each fit started from the previous solution, and a
@@ -154,14 +169,17 @@ class FitResult:
     steps each task's block took and ``iterations`` their maximum: the number
     of sweeps, the entries of ``objective_trace`` after its starting value.
     Each trace entry is the sum of the blocks' objectives: the first is the
-    exact objective of the start, the last that of the returned weights, and
-    the ones between are the running values the loop compared. An entry that
-    rounding left below the last is raised to it. ``converged`` means
-    every block stopped within ``max_iters``: the relative-change test fired
-    and, where the fit has a certificate (lasso and l2,1 at theta1 > 0, the
-    graph kind at theta2 > 0), its relative duality gap was at most
-    ``GAP_TOL``. ``gap`` is the largest relative duality gap of the blocks at
-    the returned weights, an upper bound on each block's
+    exact objective of the start as given, the last that of the returned
+    weights, and the ones between are the running values the loop compared.
+    The loop starts from the same penalized weights with each intercept at
+    its least-squares value, whose objective can only be lower than the
+    first. An entry that rounding left above the first is lowered to it, and
+    one that rounding left below the last is raised to it. ``converged``
+    means every block stopped within ``max_iters``: the relative-change test
+    fired and, where the fit has a certificate (lasso and l2,1 at
+    theta1 > 0, the graph kind at theta2 > 0), its relative duality gap was
+    at most ``GAP_TOL``. ``gap`` is the largest relative duality gap of the
+    blocks at the returned weights, an upper bound on each block's
     (P(W) - P(W*)) / P(W); it is None where the fit has no certificate.
     """
 
@@ -337,19 +355,24 @@ def _l21_factors(norms: np.ndarray, threshold) -> np.ndarray:
 
 class _Smooth:
     """The smooth part in the Gram form the FISTA loop runs on: the squared
-    loss, plus the coupling for the graph kind.
+    loss with each task's free intercept minimized out, plus the coupling for
+    the graph kind.
 
-    Task p's loss sees its weights only through G_p = x_p^T x_p and b_p =
-    x_p^T y_p on its support columns (``TaskData.support_grams``), so the loss
-    gradient is 2(G_p w_p - b_p) at O(P·w^2) per step for supports w wide,
-    whatever N. Weights are held in slots, laid out here from those stacks:
-    row k < w_p - 1 of task p's column is its k-th penalized support column,
-    the last row is its intercept, and the rows between are padding, 0. The
-    lasso and l2,1 kinds hold W in that compact S x P layout, S the widest
-    support; a column off a task's support has zero loss gradient, so it
-    stays 0 there. The graph kind's coupling reaches every row, so it holds W
-    dense and gathers each task's support entries for its loss: its Gram
-    matrices are the same stacks, sum_p w_p^2 numbers, not P·D^2. Exact
+    At fixed penalized weights w_p, task p's best intercept leaves it the
+    residual P_p (X_p w_p - y_p), with P_p projecting its rows off its last
+    design column c_p. So the profiled loss sees w_p only through G_p =
+    X_p^T P_p X_p and b_p = X_p^T P_p y_p on its penalized support columns
+    (``TaskData.profiled_grams``), and its gradient is 2(G_p w_p - b_p) at
+    O(P·w^2) per step for supports w wide, whatever N. The loop holds the
+    penalized weights alone, in slots laid out here from those stacks: row
+    k < w_p - 1 of task p's column is its k-th penalized support column, and
+    the rows below it are padding, 0. The lasso and l2,1 kinds hold them in
+    that compact S x P layout, S the widest penalized support; a column off
+    a task's support has zero loss gradient, so it stays 0 there. The graph
+    kind's coupling reaches every penalized row, so it holds them dense,
+    (D - 1) x P, and gathers each task's support entries for its loss: its
+    Gram matrices are the same stacks, sum_p w_p^2 numbers, not P·D^2. The
+    intercepts are set once, after the loop (:meth:`intercepts`). Exact
     values come from the residual instead (:func:`_exact_values`).
 
     The loop keeps the products ``h`` of its iterates: q = G·W (in slots) and,
@@ -363,7 +386,7 @@ class _Smooth:
 
     plus theta1 · 2 <d, M_C + M_W> for the coupling. It is free of
     cancellation: near a minimizer its subtractions are of nearby numbers
-    (q_C of q_W, and q_W of b, as X^T r = q - b is small there), which
+    (q_C of q_W, and q_W of b, as X^T P r = q - b is small there), which
     floating point subtracts exactly or nearly so, and the rest multiplies
     and adds small numbers. Its rounding error is of the size of d times the
     gradient. A difference of two objective values rounds at the size of f
@@ -378,72 +401,101 @@ class _Smooth:
         self.data = data
         self.laplacian = _graph_laplacian(graph.weights) if reg.kind == "graph" else None
         self.dense = reg.kind == "graph"
-        groups = data.support_grams
-        n_slots = groups[-1].columns.shape[1]  # the widest support
+        groups = data.profiled_grams
+        n_slots = groups[-1].columns.shape[1]  # the widest penalized support
         shape = (n_slots, data.n_tasks)
-        # each slot's design column (the intercept's for padding), and the
-        # moments x_p^T y_p and Gram rows x_p^T c_p of the last design column
-        # c_p in slots, 0 in padding
-        columns = np.full(shape, data.n_columns - 1)
-        padding = np.ones(shape, dtype=bool)
-        moments, last_rows = np.zeros(shape), np.zeros(shape)
+        penalized = data.n_columns - 1
+        # each slot's design column (the intercept's for padding, which no
+        # slot holds), and the moments and intercept offsets in slots, 0 in padding
+        columns = np.full(shape, penalized)
+        moments, offsets = np.zeros(shape), np.zeros(shape)
+        eigenvalues, levels, last_norms = np.empty((3, data.n_tasks))
         stacks = []
         for group in groups:
             width = group.columns.shape[1]
-            slots = np.append(np.arange(width - 1), n_slots - 1)  # the intercept last
-            at = (slots[:, None], group.tasks)
+            at = (slice(width), group.tasks)
             columns[at] = group.columns.T
-            padding[at] = False
             moments[at] = group.moments.T
-            last_rows[at] = group.grams[:, :, -1].T
-            stacks.append((slots, group.tasks, group.grams))
+            offsets[at] = group.offsets.T
+            eigenvalues[group.tasks] = group.top_eigenvalues
+            levels[group.tasks] = group.levels
+            last_norms[group.tasks] = group.last_norms
+            if width:
+                stacks.append((group.tasks, group.grams))
         self.slot_columns = columns
-        self.penalized_columns = columns[:-1].ravel()
-        # each slot's index in W.ravel() for a dense D x P matrix W; a padding
-        # slot's is D·P, one past the end
+        self.flat_columns = columns.ravel()
+        # each slot's index in V.ravel() for the dense (D - 1) x P penalized
+        # rows V; a padding slot's is (D - 1)·P, one past the end
+        padding = columns == penalized
         in_dense = columns * data.n_tasks + np.arange(data.n_tasks)
-        self.in_dense = np.where(padding, data.n_columns * data.n_tasks, in_dense).ravel()
+        self.in_dense = np.where(padding, penalized * data.n_tasks, in_dense).ravel()
         self.padding = np.flatnonzero(padding.ravel())
-        self.all = _GramColumns(stacks, moments, last_rows)
+        self.eigenvalues, self.levels, self.last_norms, self.offsets = eigenvalues, levels, last_norms, offsets
+        self.all = _GramColumns(stacks, moments)
 
     def task_lipschitz(self) -> np.ndarray:
-        """2 lambda_max(x_p^T x_p) of each task; NaN where the Gram matrix is not finite."""
-        return 2.0 * self.data.top_gram_eigenvalues
+        """2 lambda_max(X_p^T P_p X_p) of each task; NaN where the Gram matrix is not finite."""
+        return 2.0 * self.eigenvalues
 
     def lipschitz(self) -> float:
         """Lipschitz constant L of the gradient, or NaN if a Gram matrix is not finite.
 
-        The loss Hessian is block diagonal with blocks 2 x_p^T x_p; the graph
-        term adds 4 theta1 Lap on every row but the intercept. L is the Hessian's
-        largest eigenvalue for lasso and group_l21; for the graph kind it is the
-        sum of the two parts' largest eigenvalues, an upper bound on it.
+        The profiled loss's Hessian is block diagonal with blocks
+        2 X_p^T P_p X_p; the graph term adds 4 theta1 Lap on every penalized
+        row. L is the Hessian's largest eigenvalue for lasso and group_l21;
+        for the graph kind it is the sum of the two parts' largest
+        eigenvalues, an upper bound on it.
         """
         L = float(np.max(self.task_lipschitz()))  # NaN if any task's is
         if self.reg.kind == "graph":
             L += 4.0 * self.reg.theta1 * float(np.linalg.eigvalsh(self.laplacian)[-1])
         return L
 
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        """The N-row residual ``r`` projected off each task's last design
+        column c_p: the residual at the same penalized weights with every
+        intercept at its least-squares value."""
+        c = self.data.x[:, -1]
+        with np.errstate(invalid="ignore"):  # a non-finite residual stays non-finite
+            along = np.add.reduceat(c * r, self.data.starts)
+            shares = np.divide(along, self.last_norms, out=np.zeros_like(along), where=self.last_norms > 0.0)
+            return r - c * np.repeat(shares, self.data.sizes)
+
+    def intercepts(self, Z: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Each task's least-squares intercept c_p^T (y_p - X_p w_p) / c_p^T c_p
+        at the penalized weights ``Z``, in the loop's layout; ``start``'s
+        where c_p = 0, as the intercept does not enter that task's loss."""
+        slots = self.compact(Z) if self.dense else Z
+        return np.where(self.last_norms > 0.0, self.levels - _column_sums(self.offsets * slots), start)
+
+    def weights(self, Z: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+        """The dense D x P weights with the penalized rows ``Z``, in the loop's
+        layout, and the ``intercepts``."""
+        return np.vstack((Z if self.dense else self.expand(Z), intercepts))
+
     # ``cols`` holds the columns given, None for all
 
-    def compact(self, W: np.ndarray) -> np.ndarray:
-        """Each task's support entries of dense W, in slots."""
-        Z = W.take(self.in_dense, mode="clip")  # padding reads W's last entry ...
+    def compact(self, V: np.ndarray) -> np.ndarray:
+        """Each task's support entries of the dense penalized rows V, in slots."""
+        Z = V.take(self.in_dense, mode="clip")  # padding reads V's last entry ...
         Z[self.padding] = 0.0  # ... and is set to 0
         return Z.reshape(self.slot_columns.shape)
 
     def expand(self, Z: np.ndarray) -> np.ndarray:
-        """The dense D x P matrix with slots ``Z`` and 0 off every support."""
-        W = np.zeros(self.data.n_columns * self.data.n_tasks + 1)  # the last entry takes the padding
-        W[self.in_dense] = Z.ravel()
-        return W[:-1].reshape(self.data.n_columns, self.data.n_tasks)
+        """The dense (D - 1) x P penalized rows with slots ``Z`` and 0 off every support."""
+        penalized, n_tasks = self.data.n_columns - 1, self.data.n_tasks
+        V = np.zeros(penalized * n_tasks + 1)  # the last entry takes the padding
+        V[self.in_dense] = Z.ravel()
+        return V[:-1].reshape(penalized, n_tasks)
 
     def products(self, W: np.ndarray, cols: Optional["_GramColumns"] = None) -> np.ndarray:
         """h(W): q = G·W in slots, and for the graph kind M below it."""
         if not self.dense:
             return _gram_products(W, cols or self.all)
-        h = np.empty((self.slot_columns.shape[0] + W.shape[0] - 1, W.shape[1]))
-        h[: self.slot_columns.shape[0]] = _gram_products(self.compact(W), self.all)
-        np.matmul(_centred(W[:-1]), self.laplacian, out=h[self.slot_columns.shape[0] :])
+        n_slots = self.slot_columns.shape[0]
+        h = np.empty((n_slots + W.shape[0], W.shape[1]))
+        h[:n_slots] = _gram_products(self.compact(W), self.all)
+        np.matmul(_centred(W), self.laplacian, out=h[n_slots:])
         return h
 
     def gradient_from_products(self, h: np.ndarray, cols: Optional["_GramColumns"] = None) -> np.ndarray:
@@ -453,7 +505,7 @@ class _Smooth:
         grad = 2.0 * (h[:n_slots] - moments)
         if self.dense:
             grad = self.expand(grad)
-            grad[:-1] += 4.0 * self.reg.theta1 * h[n_slots:]
+            grad += 4.0 * self.reg.theta1 * h[n_slots:]
         return grad
 
     def change(self, d, h_to, h_from, cols: Optional["_GramColumns"] = None):
@@ -467,17 +519,14 @@ class _Smooth:
             return _column_sums(terms)
         change = float(np.add.reduce(terms, axis=None))
         if self.dense:  # the coupling's 2 <d, M_C + M_W>
-            coupling = np.add.reduce(d[:-1] * (h_to[n_slots:] + h_from[n_slots:]), axis=None)
+            coupling = np.add.reduce(d * (h_to[n_slots:] + h_from[n_slots:]), axis=None)
             change += self.reg.theta1 * 2.0 * float(coupling)
         return change
 
     def group_norms(self, V: np.ndarray) -> np.ndarray:
-        """The l2 norm over the tasks of each design row, from the penalized
-        slots ``V`` (every slot row but the last); the intercept's entry is
-        that of the padding and means nothing."""
-        squares = np.bincount(
-            self.penalized_columns, weights=(V * V).ravel(), minlength=self.data.n_columns
-        )
+        """The l2 norm over the tasks of each design row, from the slots ``V``;
+        the intercept's entry gathers the padding, 0."""
+        squares = np.bincount(self.flat_columns, weights=(V * V).ravel(), minlength=self.data.n_columns)
         return np.sqrt(squares)
 
     def prox(self, V: np.ndarray, step):
@@ -487,38 +536,36 @@ class _Smooth:
         nonnegative (step > 0 and theta >= 0), so no step checks it."""
         reg = self.reg
         if reg.kind == "lasso":
-            out = _shrink_l1(V, step * reg.theta1)
-            return out, reg.theta1 * _column_sums(np.abs(out[:-1]))
+            out = _shrink_l1(V, step * reg.theta1, skip_intercept_row=False)
+            return out, reg.theta1 * _column_sums(np.abs(out))
         # the l2,1 part: each design row's factor applied to that row (on
         # slots, to its slot in every task)
         theta = reg.theta2 if self.dense else reg.theta1
         threshold = step * theta
-        norms = _row_norms(V) if self.dense else self.group_norms(V[:-1])
-        scale = _l21_factors(norms, threshold)
-        out = V * (scale[:, None] if self.dense else scale[self.slot_columns])
-        out[-1] = V[-1]
+        if self.dense:
+            norms = _row_norms(V)
+            out = V * _l21_factors(norms, threshold)[:, None]
+        else:
+            norms = self.group_norms(V)
+            out = V * _l21_factors(norms, threshold)[self.slot_columns]
+            norms = norms[:-1]  # less the padding's entry
         # a shrunk row's norm is max(norm - threshold, 0); a NaN one stays NaN
-        shrunk = np.maximum(norms[:-1] - threshold, 0.0)
+        shrunk = np.maximum(norms - threshold, 0.0)
         return out, float(theta * np.add.reduce(shrunk))
 
 
 class _GramColumns:
-    """The Gram form of some of the tasks' columns, in slots: per support
-    width the slots, the columns' positions and their Gram matrices, the
-    moments b, the Gram rows x_p^T c_p of each task's last design column c_p,
-    and c_p^T c_p (inf where c_p = 0, so that a share c_p^T r / c_p^T c_p is
-    0). ``flat_slots`` holds each width's slots as indices into the
-    flattened S x C array of these C columns, one row per column."""
+    """The Gram form of some of the tasks' columns, in slots: per penalized
+    support width the columns' positions and their Gram matrices, and the
+    moments b. ``flat_slots`` holds each width's slots as indices into the
+    flattened S x C array of these C columns, one row per column. A column
+    whose task has no penalized support column is in no stack."""
 
-    def __init__(self, stacks: Optional[list], moments: np.ndarray, last_rows: np.ndarray, last_norms=None):
+    def __init__(self, stacks: Optional[list], moments: np.ndarray):
         self.stacks = stacks
         if stacks is not None:
-            self.flat_slots = [slots * moments.shape[1] + at[:, None] for slots, at, _ in stacks]
+            self.flat_slots = [np.arange(grams.shape[1]) * moments.shape[1] + at[:, None] for at, grams in stacks]
         self.moments = moments
-        self.last_rows = last_rows
-        if last_norms is None:
-            last_norms = np.where(last_rows[-1] > 0.0, last_rows[-1], np.inf)
-        self.last_norms = last_norms
 
     def take(self, positions: Optional[np.ndarray], grams: bool = True) -> "_GramColumns":
         """The columns at ``positions`` (ascending) among these, all of them if
@@ -530,20 +577,18 @@ class _GramColumns:
         if grams:
             stacks, (width_of, row_of) = [], self.stack_rows
             width_of, row_of = width_of[positions], row_of[positions]
-            for i, (slots, _, stack) in enumerate(self.stacks):
+            for i, (_, stack) in enumerate(self.stacks):
                 kept = np.flatnonzero(width_of == i)
                 if kept.size:
-                    stacks.append((slots, kept, stack[row_of[kept]]))
-        return _GramColumns(
-            stacks, self.moments[:, positions], self.last_rows[:, positions], self.last_norms[positions]
-        )
+                    stacks.append((kept, stack[row_of[kept]]))
+        return _GramColumns(stacks, self.moments[:, positions])
 
     @functools.cached_property
     def stack_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each column's stack (its support width's position in ``stacks``)
-        and its row in that stack."""
-        width_of, row_of = np.empty((2, self.moments.shape[1]), dtype=np.intp)
-        for i, (_, at, _) in enumerate(self.stacks):
+        """Each column's stack (its position in ``stacks``, -1 for none) and
+        its row in that stack."""
+        width_of, row_of = np.full((2, self.moments.shape[1]), -1, dtype=np.intp)
+        for i, (at, _) in enumerate(self.stacks):
             width_of[at], row_of[at] = i, np.arange(len(at))
         return width_of, row_of
 
@@ -552,7 +597,7 @@ def _gram_products(Z: np.ndarray, cols: _GramColumns) -> np.ndarray:
     """q = G·Z in slots: each column's Gram matrix times its slots, one
     batched product per support width."""
     q = np.zeros(Z.size)
-    for flat, (_, _, grams) in zip(cols.flat_slots, cols.stacks):
+    for flat, (_, grams) in zip(cols.flat_slots, cols.stacks):
         q[flat] = (grams @ Z.take(flat)[:, :, None])[:, :, 0]
     return q.reshape(Z.shape)
 
@@ -578,10 +623,16 @@ def _residual(data: TaskData, W: np.ndarray) -> np.ndarray:
 
 def _exact_values(data: TaskData, reg: RegularizerSpec, laplacian: Optional[np.ndarray], W: np.ndarray):
     """The exact smooth part and full objective of each block at dense ``W``,
-    from the residual: one per task's column for lasso, shape (P,), each
-    task's loss summed over its own rows; one in all for the joint kinds, a
-    Python float. ``laplacian`` is the task graph's, for the graph kind."""
-    r = _residual(data, W)
+    from the residual (see :func:`_residual_values`)."""
+    return _residual_values(data, reg, laplacian, W, _residual(data, W))
+
+
+def _residual_values(data: TaskData, reg: RegularizerSpec, laplacian: Optional[np.ndarray], W: np.ndarray, r):
+    """The smooth part and full objective of each block at dense ``W``, with
+    the loss taken from the N-row residual ``r``: one per task's column for
+    lasso, shape (P,), each task's loss summed over its own rows; one in all
+    for the joint kinds, a Python float. ``laplacian`` is the task graph's,
+    for the graph kind."""
     if reg.kind == "lasso":
         smooth_part = np.add.reduceat(r * r, data.starts)
         return smooth_part, smooth_part + reg.theta1 * _column_sums(np.abs(W[:-1]))
@@ -606,8 +657,12 @@ def fit(
     Starts from ``init``, matched to the data's tasks by task id (a task it
     does not hold starts at 0, and its tasks the data lacks are ignored), or
     from 0; for the lasso and l2,1 kinds its entries off a task's support are
-    set to 0. Every step is 1/L, with L the Lipschitz constant of the smooth
-    part's gradient; there is no line search. On an objective increase the
+    set to 0. Each task's intercept is minimized out before the loop, which
+    runs on the penalized weights alone (see :class:`_Smooth`), and is set to
+    its least-squares value at the returned penalized weights after it; a
+    task whose last design column is 0 keeps its start's intercept. Every
+    step is 1/L, with L the Lipschitz constant of the profiled smooth part's
+    gradient; there is no line search. On an objective increase the
     momentum is restarted and a plain descent step is taken, so the recorded
     trace is nonincreasing. Stops when the relative objective change drops
     below ``params.rel_tol`` and, where the kind has one, the duality gap
@@ -617,11 +672,16 @@ def fit(
     """
     graph = build_task_graph(data) if reg.kind == "graph" else None
     smooth = _Smooth(data, reg, graph)
-    Z = _starting_weights(data, init)  # in the loop's layout: slots, or dense for the graph kind
-    if not smooth.dense:
-        Z = smooth.compact(Z)  # drops the entries off the supports
-    W = Z if smooth.dense else smooth.expand(Z)
-    smooth_part, current = _exact_values(data, reg, smooth.laplacian, W)
+    start = _starting_weights(data, init)
+    # the loop's layout: slots, or dense for the graph kind; compact drops
+    # the entries off the supports
+    Z = start[:-1] if smooth.dense else smooth.compact(start[:-1])
+    start = smooth.weights(Z, start[-1])
+    r = _residual(data, start)
+    first = _total(_residual_values(data, reg, smooth.laplacian, start, r)[1])
+    # the loop starts from the same penalized weights with the intercepts
+    # profiled out, whose objective can only be lower
+    smooth_part, current = _residual_values(data, reg, smooth.laplacian, start, smooth.profile(r))
     if not _all_finite(current):
         # the first step would evaluate this point; inf - inf in its products would be NaN
         raise DivergenceError("objective became non-finite at iteration 1")
@@ -638,16 +698,9 @@ def fit(
     Z, h, trace, stopped_at, converged = _fista(
         smooth, Z, smooth.products(Z), smooth_part, current, step, params
     )
-    W = Z if smooth.dense else smooth.expand(Z)
-    # the trace ends on the exact objective of the returned weights; the
-    # entries before it that rounding in the running sum left below it are
-    # raised to it, so the trace stays nonincreasing
+    W = smooth.weights(Z, smooth.intercepts(Z, start[-1]))
     smooth_part, final = _exact_values(data, reg, smooth.laplacian, W)
-    trace[-1] = _total(final)
-    for i in range(len(trace) - 2, -1, -1):
-        if trace[i] >= trace[-1]:
-            break
-        trace[i] = trace[-1]
+    _pin_ends(trace, first, _total(final))
     gap = None
     if _certified(reg):
         gap = float(np.max(_relative_gaps(smooth, Z, h, smooth_part, final)))
@@ -659,6 +712,24 @@ def fit(
         task_iterations=tuple(int(n) for n in np.broadcast_to(stopped_at, data.n_tasks)),
         gap=gap,
     )
+
+
+def _pin_ends(trace: list, first: float, last: float) -> None:
+    """Set the trace's ends to the exact objectives of the start as given
+    (``first``) and of the returned weights (``last``), in place. The entries
+    between are the loop's running values, from the profiled start on. Those
+    that rounding left above the first are lowered to it, and those (the
+    first too) that rounding left below the last are raised to it, so the
+    trace stays nonincreasing."""
+    trace[0], trace[-1] = first, last
+    for i in range(1, len(trace) - 1):
+        if trace[i] <= first:
+            break
+        trace[i] = first
+    for i in range(len(trace) - 2, -1, -1):
+        if trace[i] >= last:
+            break
+        trace[i] = last
 
 
 def _certified(reg: RegularizerSpec) -> bool:
@@ -689,56 +760,54 @@ def _relative_gaps(smooth: _Smooth, Z, h, smooth_part, values, cols=None):
     loop's layout.
 
     ``h`` holds Z's products, ``smooth_part`` and ``values`` its blocks' smooth
-    part and objective; ``cols`` holds Z's columns (None for all). The dual of
-    the squared loss plus penalty is D(u) = -<u, y> - ||u||^2 / 4 over the u
-    with the intercept row of X^T u equal to 0 and the penalized rows' dual
-    norm at most theta. With u = 2 s v, where v is the residual r projected off
-    each task's last column c and s the feasibility scale, D = -2 s <v, y> -
-    s^2 ||v||^2 per task. Every term comes from Gram quantities, so no
-    residual is formed: X^T r = q - b, X^T v = X^T r - (c^T r / c^T c) X^T c,
-    <v, y> = w^T X^T r - ||r||^2 - (c^T r / c^T c) c^T y and ||v||^2 =
-    ||r||^2 - (c^T r)^2 / c^T c.
+    part and objective, with the intercepts profiled out; ``cols`` holds Z's
+    columns (None for all). The profiled problem is least squares on the rows
+    P X and targets P y, P projecting each task's rows off its last column,
+    plus the penalty. Its dual is D(u) = -<u, P y> - ||u||^2 / 4 over the u
+    whose X^T P u has dual norm at most theta: the l-infinity norm of each
+    task's column for lasso, the largest row l2 norm for the l2,1 term. With
+    u = 2 s r, r = P (X w - y) the profiled residual and s the feasibility
+    scale min(1, theta / ||X^T P u||), D = -2 s <r, P y> - s^2 ||r||^2 per
+    task. Every term comes from Gram quantities, so no residual is formed:
+    X^T P r = q - b, <r, P y> = w^T X^T P r - ||r||^2, and ||r||^2 is the loss.
+    As r is orthogonal to each task's last column, u is the dual point of the
+    problem with the intercepts free, so the gap is that problem's at the
+    returned weights.
 
-    For the graph kind the coupling theta1 Q(V) is ||A V||^2, least squares on
-    extra rows with target 0, and v holds their residual A V too. Those rows
-    add A^T A V = 2 theta1 M (half the coupling's gradient; M = centred(V) Lap
-    is in ``h``) to the penalized rows of X^T v, laid out dense, and
-    theta1 Q to ||v||^2; they add nothing to <v, y>, and ||r||^2 is the loss
-    part of the smooth part alone. They do not touch the intercept row, so
-    the projection is of the loss rows only.
+    For the graph kind the coupling theta1 Q(V) is ||A V||^2 for a linear map
+    A, as the Laplacian is positive semidefinite: least squares on extra rows
+    with target 0, and r holds their residual A V too. Those rows add
+    A^T A V = 2 theta1 M (half the coupling's gradient; M = centred(V) Lap is
+    in ``h``) to X^T P r, laid out dense, and theta1 Q to ||r||^2; they add
+    nothing to <r, P y>, and the loss part of the smooth part alone is the
+    loss rows' ||r||^2. The dual norm ball is theta2's.
     """
     reg = smooth.reg
     cols = cols or smooth.all
     n_slots = cols.moments.shape[0]
-    fitted = h[:n_slots] - cols.moments  # X^T r
-    along = fitted[-1]  # c^T r
-    shares = along / cols.last_norms  # c^T r / c^T c, 0 where c = 0
-    half_dual = fitted[:-1] - shares * cols.last_rows[:-1]  # X^T u / 2 at s = 1, penalized rows
+    half_dual = h[:n_slots] - cols.moments  # X^T P r = X^T u / 2 at s = 1
     slots = smooth.compact(Z) if smooth.dense else Z
-    vy = _column_sums(slots * fitted) - shares * cols.moments[-1]  # <v, y> + ||r||^2
-    vv = -shares * along  # ||v||^2 - ||r||^2
+    vy = _column_sums(slots * half_dual)  # <r, P y> + ||r||^2
     if reg.kind == "lasso":
         half_norm = np.maximum.reduce(np.abs(half_dual), axis=0, initial=0.0)
-        # theta1 / (2 half_norm), the 2 exact: the bits of theta1 / ||X^T u||
+        # theta1 / (2 half_norm), the 2 exact: the bits of theta1 / ||X^T P u||
         ratio = np.divide(0.5 * reg.theta1, half_norm, out=np.full_like(half_norm, np.inf), where=half_norm > 0.0)
         scale = np.minimum(1.0, ratio)
-        vy, vv = vy - smooth_part, vv + smooth_part
-        return (values + 2.0 * scale * vy + scale * scale * vv) / np.maximum(np.abs(values), 1e-12)
+        return (values + 2.0 * scale * (vy - smooth_part) + scale * scale * smooth_part) / np.maximum(
+            np.abs(values), 1e-12
+        )
     if smooth.dense:
         theta = reg.theta2
         M = h[n_slots:]
-        coupling = reg.theta1 * 2.0 * float(np.einsum("dp,dp->", M, _centred(Z[:-1])))  # theta1 Q
+        coupling = reg.theta1 * 2.0 * float(np.einsum("dp,dp->", M, _centred(Z)))  # theta1 Q
         loss = smooth_part - coupling
-        # the loss rows' part laid out dense; the intercept slot goes to the
-        # intercept row, which is dropped
-        loss_rows = smooth.expand(np.concatenate((half_dual, fitted[-1:])))[:-1]
-        half_norm = float(np.max(_row_norms(loss_rows + 2.0 * reg.theta1 * M), initial=0.0))
+        half_norm = float(np.max(_row_norms(smooth.expand(half_dual) + 2.0 * reg.theta1 * M), initial=0.0))
     else:
-        theta, coupling, loss = reg.theta1, 0.0, smooth_part
+        theta, loss = reg.theta1, smooth_part
         half_norm = float(np.max(smooth.group_norms(half_dual)[:-1], initial=0.0))
     scale = min(1.0, 0.5 * theta / half_norm) if half_norm > 0.0 else 1.0
-    vy, vv = float(vy.sum()) - loss, float(vv.sum()) + loss + coupling
-    return (values + 2.0 * scale * vy + scale * scale * vv) / max(abs(values), 1e-12)
+    vy = float(vy.sum()) - loss
+    return (values + 2.0 * scale * vy + scale * scale * smooth_part) / max(abs(values), 1e-12)
 
 
 def _fista(smooth, W, h, smooth_part, current, step, params):
